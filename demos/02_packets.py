@@ -4,12 +4,14 @@ Query and Ack frames are 24 bytes, Source frames 64; the first header
 byte carries the kind tag and the two alarm flags, so a receiver can
 dispatch on urgency without parsing the body.  Costs follow the sizes:
 one energy unit per short frame event, two per long one, and the
-physical model prices a short send at 0.9724 mJ.
+physical model prices a short send at 0.9724 mJ.  The price table
+turns that into the units each ledger cause charges.
 """
 
 import math
 
 from qcs_sim import (
+    CostModel,
     PacketKind,
     decode,
     encode,
@@ -18,7 +20,6 @@ from qcs_sim import (
     make_query,
     make_source,
     peek_flags,
-    unit_cost,
 )
 
 
@@ -55,7 +56,11 @@ inf_ack = make_ack(16, math.inf, (150.0, 450.0))
 print(f"infinite energy on the wire: {encode(inf_ack)[8:12].hex()}")
 print()
 
-print("unit prices")
+print("frame sizes")
 for kind in PacketKind:
-    mj = joules(64 if kind == PacketKind.SOURCE else 24)
-    print(f"  {kind.name:<6} {unit_cost(kind)} unit(s), {mj:.4f} mJ per event")
+    print(f"  {kind.name:<6} {kind.size} bytes, {joules(kind.size):.4f} mJ per event")
+print()
+
+print("price table (units per ledger cause, default costs)")
+for cause, units in CostModel().price_table().items():
+    print(f"  {cause:<14} {units}")

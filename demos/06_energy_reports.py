@@ -1,4 +1,4 @@
-"""Energy accounting: unit prices, lifetime math, and sweep reports.
+"""Energy accounting: the price table, lifetime math, and sweep reports.
 
 Runs one forwarding incident per origin node, collects the hop and
 comparison counts, and prints the same table the command line tool
@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from qcs_sim import (
+    CostModel,
     PacketKind,
     SenseEvent,
     Simulation,
@@ -18,18 +19,17 @@ from qcs_sim import (
     joules,
     lifetime,
     parse_scenario,
-    unit_cost,
 )
 from qcs_sim.metrics import write_paths_csv
 
-# radio prices: a short packet event costs 1 unit, a long one 2
-print("unit prices")
-for kind, size in ((PacketKind.QUERY, 24), (PacketKind.ACK, 24),
-                   (PacketKind.SOURCE, 64)):
-    for direction in ("send", "receive"):
-        units = unit_cost(kind, direction)
-        print(f"  {kind.name:>6} {direction}: {units} unit"
-              f"{'s' if units > 1 else ' '} ({size}B, {joules(size):.4f} mJ)")
+# radio prices: a short packet event costs 1 unit, a long one 2; the
+# table prices every ledger cause, so one forwarding hop costs its holder
+# hop_query + acks * ack_recv + source_send + reset_recv = 6 + acks
+print("price table")
+for cause, units in CostModel().price_table().items():
+    print(f"  {cause:>14}: {units} unit{'s' if units > 1 else ''}")
+for kind in (PacketKind.QUERY, PacketKind.SOURCE):
+    print(f"  one {kind.size}B packet event = {joules(kind.size):.4f} mJ")
 print()
 
 # a battery of E units polling at e1 per period lasts floor(E/(e1+ep))

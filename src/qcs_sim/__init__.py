@@ -41,10 +41,8 @@ from .node import (
 from .energy import (
     CostModel,
     EnergyLedger,
-    unit_cost,
     joules,
     lifetime,
-    s_mode_cost,
     draw_initial_energy,
 )
 from .scenario import Scenario, SenseEvent, parse_scenario, load_scenario
@@ -89,10 +87,8 @@ __all__ = [
     "isolation_check",
     "CostModel",
     "EnergyLedger",
-    "unit_cost",
     "joules",
     "lifetime",
-    "s_mode_cost",
     "draw_initial_energy",
     "Scenario",
     "SenseEvent",

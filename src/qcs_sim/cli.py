@@ -27,8 +27,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import metrics
-from .energy import LONG_PACKET_BYTES, SHORT_PACKET_BYTES, joules, lifetime
+from .energy import joules, lifetime
 from .engine import Simulation
+from .packet import QUERY_ACK_SIZE, SOURCE_SIZE
 from .scenario import Scenario, SenseEvent, load_scenario
 
 
@@ -82,9 +83,9 @@ def _cmd_lifetime(values: list[float]) -> int:
     print(f"initial energy: {_num(e)} units")
     print(f"per-period cost: {_num(e1)} radio + {_num(ep)} processing units")
     print(f"lifetime: {ticks} periods")
-    print(f"unit equivalents: {SHORT_PACKET_BYTES}B event = "
-          f"{joules(SHORT_PACKET_BYTES)} mJ, {LONG_PACKET_BYTES}B event = "
-          f"{joules(LONG_PACKET_BYTES)} mJ")
+    print(f"unit equivalents: {QUERY_ACK_SIZE}B event = "
+          f"{joules(QUERY_ACK_SIZE)} mJ, {SOURCE_SIZE}B event = "
+          f"{joules(SOURCE_SIZE)} mJ")
     return 0
 
 

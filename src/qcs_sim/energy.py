@@ -4,7 +4,8 @@ Radio work is billed twice over, in two independent currencies:
 
 * abstract units, 1 per short (24-byte) packet event and 2 per long
   (64-byte) one, with processing cost folded in, used by all protocol
-  logic and for node lifetime;
+  logic and for node lifetime; ``CostModel.price_table`` prices every
+  ledger cause;
 * millijoules, from transmission time at a fixed current and voltage,
   for physically meaningful reporting.
 
@@ -17,31 +18,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .packet import PacketKind
+from .packet import QUERY_ACK_SIZE, SOURCE_SIZE
 
+if TYPE_CHECKING:
+    from .node import NodeState
 
-SHORT_PACKET_BYTES = 24
-LONG_PACKET_BYTES = 64
 
 #: seconds on air per packet size
-_TX_SECONDS = {SHORT_PACKET_BYTES: 0.020, LONG_PACKET_BYTES: 0.040}
+_TX_SECONDS = {QUERY_ACK_SIZE: 0.020, SOURCE_SIZE: 0.040}
 
 _CURRENT_MA = 18.7
 _VOLTAGE_V = 2.6
-
-_DIRECTIONS = ("send", "receive")
-
-
-def unit_cost(kind: PacketKind, direction: str = "send", e1: int = 1) -> int:
-    """Abstract units for one packet event.
-
-    Direction does not change the price: the radio pays the same to
-    send and to receive.  Long (source) packets cost double.
-    """
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
-    return 2 * e1 if kind == PacketKind.SOURCE else e1
 
 
 def joules(size_bytes: int) -> float:
@@ -65,18 +54,6 @@ def lifetime(initial_energy: float, e1: float, ep: float = 0) -> int:
     return math.floor(initial_energy / per_tick)
 
 
-def s_mode_cost(replies: int) -> int:
-    """Units one alarm-holding node spends on a single forwarding hop.
-
-    One unit to broadcast the hop query, one per reply heard, four to
-    push the 64-byte alarm across the link (both radio ends are billed
-    to the sender), and one to hear the confirmation back.
-    """
-    if replies < 0:
-        raise ValueError("reply count cannot be negative")
-    return 6 + replies
-
-
 def draw_initial_energy(seed: int | str, node_id: int, lo: int = 3000, hi: int = 5000) -> int:
     """Deterministic per-node starting charge, uniform over [lo, hi]."""
     if lo > hi:
@@ -89,8 +66,6 @@ class CostModel:
     """Tunable protocol costs; defaults follow the unit scheme above."""
 
     query_cost: int = 1
-    source_cost: int = 2
-    ep: int = 0
     threshold: int = 500
     init_min: int = 3000
     init_max: int = 5000
@@ -99,10 +74,6 @@ class CostModel:
     def __post_init__(self):
         if self.query_cost <= 0:
             raise ValueError("query_cost must be positive")
-        if self.source_cost != 2 * self.query_cost:
-            raise ValueError("source_cost must be exactly twice query_cost")
-        if self.ep < 0:
-            raise ValueError("ep cannot be negative")
         if self.threshold < 0:
             raise ValueError("threshold cannot be negative")
         if not 0 < self.init_min <= self.init_max:
@@ -112,8 +83,34 @@ class CostModel:
         if self.isolation_multiplier < 1:
             raise ValueError("isolation_multiplier must be at least 1")
 
-    def cost_of(self, kind: PacketKind) -> int:
-        return self.source_cost if kind == PacketKind.SOURCE else self.query_cost
+    def price_table(self) -> dict[str, int]:
+        """Units charged for each ledger cause.
+
+        A short packet event costs query_cost and a long one twice that.
+        One forwarding hop bills its holder 6 + (acks heard) short units:
+        1 for hop_query, 1 per ack_recv, 4 for source_send (both radio
+        ends of the long transfer) and 1 for reset_recv.  The accepting
+        node pays only reset_send.  A disconnect alert is a long packet
+        sent isolation_multiplier times as far, at that multiple of the
+        long price.
+        """
+        short = self.query_cost
+        long = 2 * short
+        return {
+            "query_send": short,
+            "query_recv": short,
+            "hop_query": short,
+            "hop_query_recv": short,
+            "ack_send": short,
+            "ack_recv": short,
+            "source_send": 2 * long,
+            "reset_send": short,
+            "reset_recv": short,
+            "flood_send": long,
+            "flood_recv": long,
+            "alert_send": self.isolation_multiplier * long,
+            "alert_recv": long,
+        }
 
 
 @dataclass
@@ -127,16 +124,17 @@ class LedgerEntry:
 
 @dataclass
 class EnergyLedger:
-    """Per-node balances plus an append-only record of every debit."""
+    """An append-only record of every debit, charged against node balances.
 
-    balances: dict[int, float]
+    A node's balance is its ``NodeState.energy``; the ledger writes it
+    when a debit moves energy and reads it back through ``balance``.
+    """
+
+    nodes: dict[int, NodeState]
     entries: list[LedgerEntry] = field(default_factory=list)
 
     def balance(self, node_id: int) -> float:
-        return self.balances[node_id]
-
-    def is_alive(self, node_id: int) -> bool:
-        return self.balances[node_id] > 0
+        return self.nodes[node_id].energy
 
     def debit(self, tick: int, node_id: int, cause: str, amount: int) -> int:
         """Charge a node, clamping at zero; returns the amount actually taken.
@@ -146,27 +144,17 @@ class EnergyLedger:
         """
         if amount < 0:
             raise ValueError("debit amount cannot be negative")
-        bal = self.balances[node_id]
+        node = self.nodes[node_id]
+        bal = node.energy
         if bal == math.inf:
             return 0
         taken = min(amount, bal)
         if taken == 0:
             return 0
         bal -= taken
-        self.balances[node_id] = bal
+        node.energy = bal
         self.entries.append(LedgerEntry(tick, node_id, cause, taken, bal))
         return taken
-
-    def consumed(self, node_id: int) -> int:
-        return sum(e.debit for e in self.entries if e.node_id == node_id)
-
-    def consumed_by_cause(self, node_id: int | None = None) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for e in self.entries:
-            if node_id is not None and e.node_id != node_id:
-                continue
-            out[e.cause] = out.get(e.cause, 0) + e.debit
-        return out
 
     def total_consumed(self) -> int:
         return sum(e.debit for e in self.entries)

@@ -15,11 +15,9 @@ Packet loss, when enabled, is an independent coin flip per (packet,
 receiver) pair drawn from a dedicated seeded generator, so identical
 scenarios replay byte-identically.
 
-Energy attribution for one forwarding hop is arranged so the ledger of
-the forwarding node comes to exactly 6 + (acks heard): 1 to broadcast
-the hop query, 1 per ack, 4 for the 64-byte alarm transfer (the sender
-covers both radio ends), and 1 to hear the confirmation back.  The
-accepting node pays only the 1-unit confirmation send.
+Every debit names a ledger cause and costs that cause's entry in
+``CostModel.price_table``, which also spells out how one forwarding hop
+comes to 6 + (acks heard) units for its holder.
 
 Flood epochs end through a reset wave: once the base hears the alarm,
 rebroadcasting stops and a zero-cost control wave walks outward one hop
@@ -176,6 +174,7 @@ class Simulation:
         self.sc = scenario
         self.topology = scenario.topology
         self.costs = scenario.costs
+        self.prices = self.costs.price_table()
         self.seed_key = str(scenario.seed) if seed_key is None else seed_key
         if max(self.topology.nodes) > 0xFF:
             raise ValueError("node ids must fit one byte to be encodable")
@@ -188,7 +187,6 @@ class Simulation:
 
         modes = init_modes(topo, self.seed_key)
         self.nodes: dict[int, NodeState] = {}
-        balances: dict[int, float] = {}
         for nid in sorted(topo.nodes):
             is_base = nid == self.base_id
             if is_base:
@@ -203,14 +201,13 @@ class Simulation:
                 node_id=nid, pos=topo.nodes[nid], is_base=is_base,
                 mode=mode, energy=energy,
             )
-            balances[nid] = energy
-        self.ledger = EnergyLedger(balances)
+        self.ledger = EnergyLedger(self.nodes)
         self.loss_rng = random.Random(f"loss:{self.seed_key}")
 
         self.tick = 0
         self.trace = Trace()
         self.trace.initial_modes = {n: modes[n] for n in sorted(modes)}
-        self.trace.initial_energy = dict(balances)
+        self.trace.initial_energy = {nid: n.energy for nid, n in self.nodes.items()}
         self._events_at: dict[int, list[SenseEvent]] = {}
         for ev in scenario.events:
             self._events_at.setdefault(ev.tick, []).append(ev)
@@ -235,7 +232,8 @@ class Simulation:
         self._line(f"init: modes Q={_ids(q)} C={_ids(c)}")
         self._line(
             "init: energy "
-            + " ".join(f"{n}={_fmt_energy(balances[n])}" for n in sorted(balances))
+            + " ".join(f"{n}={_fmt_energy(e)}"
+                       for n, e in self.trace.initial_energy.items())
         )
 
     # ------------------------------------------------------------------ setup
@@ -271,12 +269,10 @@ class Simulation:
             flag1=flag1, flag2=flag2, receivers=tuple(receivers), note=note,
         ))
 
-    def _debit(self, nid: int, cause: str, amount: int) -> None:
-        node = self.nodes[nid]
-        was_alive = node.alive
-        self.ledger.debit(self.tick, nid, cause, amount)
-        node.energy = self.ledger.balance(nid)
-        if was_alive and not node.alive:
+    def _debit(self, nid: int, cause: str) -> None:
+        """Charge a node the price of cause; a debit that empties it kills it."""
+        taken = self.ledger.debit(self.tick, nid, cause, self.prices[cause])
+        if taken and not self.nodes[nid].alive:
             self.trace.deaths.append((self.tick, nid))
             self._tline(f"node {nid} died ({cause})")
 
@@ -441,8 +437,8 @@ class Simulation:
     def step_regular(self, nid: int) -> None:
         """One Q node broadcasts one status query; neighbors just listen."""
         node = self.nodes[nid]
-        pkt = make_query(nid, loc=node.pos, energy=_wire(node.energy))
-        self._debit(nid, "query_send", self.costs.query_cost)
+        pkt = make_query(nid, loc=node.pos, energy=node.wire_energy)
+        self._debit(nid, "query_send")
         received = []
         for j in self.topology.neighbors(nid):
             nb = self.nodes[j]
@@ -456,7 +452,7 @@ class Simulation:
             if nb.is_base:
                 self._set_base_message(NETWORK_FINE, alarm=False)
             else:
-                self._debit(j, "query_recv", self.costs.query_cost)
+                self._debit(j, "query_recv")
             received.append(j)
         self._event(PacketKind.QUERY, nid, None, False, False, received, "regular")
         self._tline(f"query src={nid} recv={_ids(received)}")
@@ -482,8 +478,8 @@ class Simulation:
             return
         rec.attempts += 1
 
-        hop_pkt = make_query(nid, flag1=True, loc=node.pos, energy=_wire(node.energy))
-        self._debit(nid, "hop_query", self.costs.query_cost)
+        hop_pkt = make_query(nid, flag1=True, loc=node.pos, energy=node.wire_energy)
+        self._debit(nid, "hop_query")
         heard = []
         acks = []  # (node id, reported energy, reported location)
         ack_events = []
@@ -494,18 +490,18 @@ class Simulation:
             if self._dropped():
                 continue
             if not nb.is_base:
-                self._debit(j, "hop_query_recv", self.costs.query_cost)
+                self._debit(j, "hop_query_recv")
             heard.append(j)
             ack = handle_query(nb, hop_pkt)
             if ack is None:
                 continue
             if not nb.is_base:
-                self._debit(j, "ack_send", self.costs.query_cost)
+                self._debit(j, "ack_send")
             if self._dropped():
                 continue
             if not node.alive:
                 continue  # holder drained mid-round; the ack falls on deaf ears
-            self._debit(nid, "ack_recv", self.costs.query_cost)
+            self._debit(nid, "ack_recv")
             acks.append((j, ack.energy, ack.loc))
             ack_events.append(PacketEvent(
                 tick=self.tick, kind=PacketKind.ACK, src=j, dst=nid,
@@ -538,8 +534,8 @@ class Simulation:
         chosen, _, _ = min(
             eligible, key=lambda it: (dist(it[2], self.base_pos), -it[1], it[0])
         )
-        spkt = make_source(nid, node.pos, _wire(node.energy), rec.message)
-        self._debit(nid, "source_send", 2 * self.costs.source_cost)
+        spkt = make_source(nid, node.pos, node.wire_energy, rec.message)
+        self._debit(nid, "source_send")
         attempt.chosen = chosen
 
         target = self.nodes[chosen]
@@ -576,12 +572,12 @@ class Simulation:
             self._active_irregular[chosen] = rec
 
         if not target.is_base:
-            self._debit(chosen, "reset_send", self.costs.query_cost)
+            self._debit(chosen, "reset_send")
         if self._dropped() or not node.alive:
             self._event(PacketKind.ACK, chosen, nid, False, False, [], "reset_ack")
             self._tline(f"hop src={nid} -> {chosen} (confirmation lost)")
             return
-        self._debit(nid, "reset_recv", self.costs.query_cost)
+        self._debit(nid, "reset_recv")
         self._event(PacketKind.ACK, chosen, nid, False, False, [nid], "reset_ack")
         reset_node(node)
         self._acted_reset.add(nid)
@@ -611,9 +607,9 @@ class Simulation:
         if node.hop_depth >= epoch.hop_cap:
             return
 
-        pkt = make_source(nid, node.pos, _wire(node.energy), node.message,
+        pkt = make_source(nid, node.pos, node.wire_energy, node.message,
                           hop_count=node.hop_depth, devastating=True)
-        self._debit(nid, "flood_send", self.costs.source_cost)
+        self._debit(nid, "flood_send")
         received = []
         for j in self.topology.neighbors(nid):
             nb = self.nodes[j]
@@ -632,7 +628,7 @@ class Simulation:
                     self.trace.base_inbox.append((self.tick, pkt.message))
                     self._tline(f"base received flood alarm: {pkt.message!r}")
                 continue
-            self._debit(j, "flood_recv", self.costs.source_cost)
+            self._debit(j, "flood_recv")
             was_s = nb.mode == MODE_S
             had_flag2 = nb.flag2
             handle_source(nb, pkt)
@@ -705,8 +701,7 @@ class Simulation:
         """Long-range disconnect alert: heard directly, never relayed."""
         node = self.nodes[nid]
         reach = self.costs.isolation_multiplier * self.topology.radio_range
-        cost = self.costs.isolation_multiplier * self.costs.source_cost
-        self._debit(nid, "alert_send", cost)
+        self._debit(nid, "alert_send")
         received = []
         for j in sorted(self.nodes):
             if j == nid:
@@ -724,7 +719,7 @@ class Simulation:
                 self.trace.base_inbox.append((self.tick, text))
                 self._tline(f"base: {text}")
             else:
-                self._debit(j, "alert_recv", self.costs.source_cost)
+                self._debit(j, "alert_recv")
         self._event(PacketKind.SOURCE, nid, None, True, False, received, "alert")
         self._tline(f"isolation alert src={nid} recv={_ids(received)}")
 
@@ -732,10 +727,6 @@ class Simulation:
 def run(scenario: Scenario, seed_key: str | None = None) -> Trace:
     """Convenience wrapper: build a Simulation, run it, return the trace."""
     return Simulation(scenario, seed_key=seed_key).run()
-
-
-def _wire(energy: float) -> float:
-    return math.inf if energy == math.inf else int(energy)
 
 
 def _fmt(v: float) -> str:

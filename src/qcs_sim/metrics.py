@@ -10,9 +10,8 @@ import csv
 import math
 from pathlib import Path
 
-from .energy import EnergyLedger, LONG_PACKET_BYTES, SHORT_PACKET_BYTES, joules
-from .engine import IncidentRecord, PacketEvent, Trace
-from .packet import PacketKind
+from .energy import EnergyLedger, joules
+from .engine import IncidentRecord, PacketEvent, Trace, _ids
 
 
 def _open_csv(path: Path):
@@ -78,8 +77,7 @@ def total_radio_millijoules(events: list[PacketEvent]) -> float:
     """Physical cost of every send and receive in the packet log."""
     total = 0.0
     for ev in events:
-        size = LONG_PACKET_BYTES if ev.kind == PacketKind.SOURCE else SHORT_PACKET_BYTES
-        total += (1 + len(ev.receivers)) * joules(size)
+        total += (1 + len(ev.receivers)) * joules(ev.kind.size)
     return total
 
 
@@ -104,7 +102,7 @@ def render_incident(rec: IncidentRecord) -> str:
     )
     return (
         f"  {rec.incident_id}: origin={rec.origin} start=t{rec.start_tick}"
-        f" path={_id_list(rec.path)} nodes={rec.path_nodes}"
+        f" path={_ids(rec.path)} nodes={rec.path_nodes}"
         f" comparisons={rec.comparisons} {status}"
     )
 
@@ -178,7 +176,3 @@ def _fmt_num(v) -> str:
         return "Inf"
     f = float(v)
     return str(int(f)) if f.is_integer() else str(f)
-
-
-def _id_list(ids) -> str:
-    return "[" + ",".join(str(i) for i in ids) + "]"

@@ -72,6 +72,11 @@ class NodeState:
         return self.energy > 0
 
     @property
+    def wire_energy(self) -> float:
+        """Energy as packets carry it: inf for the base, else a whole number."""
+        return math.inf if self.energy == math.inf else int(self.energy)
+
+    @property
     def adj(self) -> set[int]:
         """Neighbors heard within the current two-tick window."""
         return self.heard_prev | self.heard_curr
@@ -140,7 +145,7 @@ def handle_query(n: NodeState, q: Packet) -> Packet | None:
         raise ValueError("handle_query expects a query packet")
     n.heard_curr.add(q.src)
     if q.flags.flag1 and (n.is_base or n.mode != MODE_S):
-        return make_ack(n.node_id, _wire_energy(n), n.pos)
+        return make_ack(n.node_id, n.wire_energy, n.pos)
     return None
 
 
@@ -170,7 +175,7 @@ def handle_source(n: NodeState, s: Packet) -> Packet | None:
     if n.mode == MODE_S and not n.is_base:
         return None
     _promote(n, s.message, devastating=False)
-    return make_ack(n.node_id, _wire_energy(n), n.pos, message=RESET_MESSAGE)
+    return make_ack(n.node_id, n.wire_energy, n.pos, message=RESET_MESSAGE)
 
 
 def reset_node(n: NodeState) -> NodeState:
@@ -208,11 +213,6 @@ def isolation_check(n: NodeState) -> Packet | None:
     fire = empty and n.had_neighbors
     n.had_neighbors = not empty
     if fire:
-        return make_source(n.node_id, n.pos, _wire_energy(n),
+        return make_source(n.node_id, n.pos, n.wire_energy,
                            disconnect_message(n.node_id))
     return None
-
-
-def _wire_energy(n: NodeState) -> float:
-    """Energy value as packets carry it: inf for the base, else a whole number."""
-    return math.inf if n.energy == math.inf else int(n.energy)

@@ -28,8 +28,6 @@ from enum import IntEnum
 HEADER_SIZE = 4
 QUERY_ACK_SIZE = 24
 SOURCE_SIZE = 64
-_SHORT_MSG_CAP = QUERY_ACK_SIZE - HEADER_SIZE - 8   # 12
-_LONG_MSG_CAP = SOURCE_SIZE - HEADER_SIZE - 8       # 52
 
 ENERGY_INF_WIRE = 0xFFFFFFFF
 RESET_MESSAGE = "RESET"
@@ -45,6 +43,11 @@ class PacketKind(IntEnum):
     QUERY = 0
     ACK = 1
     SOURCE = 2
+
+    @property
+    def size(self) -> int:
+        """Wire size in bytes: sources are long, queries and acks short."""
+        return SOURCE_SIZE if self == PacketKind.SOURCE else QUERY_ACK_SIZE
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,9 @@ class Packet:
     energy: float  # non-negative int-valued, or math.inf for the base
     message: str = ""
 
-    @property
-    def size(self) -> int:
-        return SOURCE_SIZE if self.kind == PacketKind.SOURCE else QUERY_ACK_SIZE
-
 
 def _message_cap(kind: PacketKind) -> int:
-    return _LONG_MSG_CAP if kind == PacketKind.SOURCE else _SHORT_MSG_CAP
+    return kind.size - HEADER_SIZE - 8  # after x, y and energy: 12 or 52
 
 
 def _encode_coord(v: float) -> int:
@@ -150,7 +149,7 @@ def peek_flags(data: bytes) -> tuple[PacketKind, Flags]:
 def decode(data: bytes) -> Packet:
     """Parse wire bytes back into a Packet; inverse of encode for valid input."""
     kind, flags = peek_flags(data)
-    expected = SOURCE_SIZE if kind == PacketKind.SOURCE else QUERY_ACK_SIZE
+    expected = kind.size
     if len(data) != expected:
         raise PacketError(f"{kind.name} packet must be {expected} bytes, got {len(data)}")
     src = data[1]

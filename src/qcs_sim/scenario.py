@@ -4,8 +4,8 @@ Sections, INI style with # comments:
 
     [field]       width, height, radio_range
     [nodes]       one ``id x y [base]`` line per node
-    [costs]       query_cost, source_cost, ep, threshold, init_min,
-                  init_max, isolation_multiplier (all optional)
+    [costs]       query_cost, threshold, init_min, init_max,
+                  isolation_multiplier (all optional)
     [thresholds]  irregular, devastating sensor levels
     [events]      one ``tick node reading`` line per injected reading
     [sim]         seed, horizon, loss_prob
@@ -16,7 +16,7 @@ the documented defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .energy import CostModel
@@ -98,20 +98,11 @@ def parse_scenario(text: str) -> Scenario:
     sections = split_sections(text)
 
     kv = parse_kv(sections.get("costs", []), "costs")
-    known = {"query_cost", "source_cost", "ep", "threshold",
-             "init_min", "init_max", "isolation_multiplier"}
-    unknown = set(kv) - known
+    unknown = set(kv) - {f.name for f in fields(CostModel)}
     if unknown:
         raise ValueError(f"[costs] has unknown keys: {sorted(unknown)}")
-    costs = CostModel(
-        query_cost=_int_field(kv, "query_cost", 1, "costs"),
-        source_cost=_int_field(kv, "source_cost", 2, "costs"),
-        ep=_int_field(kv, "ep", 0, "costs"),
-        threshold=_int_field(kv, "threshold", 500, "costs"),
-        init_min=_int_field(kv, "init_min", 3000, "costs"),
-        init_max=_int_field(kv, "init_max", 5000, "costs"),
-        isolation_multiplier=_int_field(kv, "isolation_multiplier", 2, "costs"),
-    )
+    # keys left out keep the CostModel defaults
+    costs = CostModel(**{key: _int_field(kv, key, 0, "costs") for key in kv})
 
     kv = parse_kv(sections.get("thresholds", []), "thresholds")
     thresholds = Thresholds(

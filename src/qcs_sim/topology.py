@@ -68,9 +68,6 @@ class Topology:
         """Ids within radio range of node_id (boundary inclusive), ascending."""
         return self._adj[node_id]
 
-    def distance(self, a: NodeId, b: NodeId) -> float:
-        return dist(self.nodes[a], self.nodes[b])
-
     def sensor_ids(self) -> list[NodeId]:
         """All node ids except the base, ascending."""
         return [i for i in sorted(self.nodes) if i != self.base_id]

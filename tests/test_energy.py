@@ -1,4 +1,4 @@
-"""Unit costs, the millijoule model, lifetime arithmetic, and the ledger."""
+"""The price table, the millijoule model, lifetime arithmetic, and the ledger."""
 
 from __future__ import annotations
 
@@ -13,26 +13,41 @@ from qcs_sim.energy import (
     draw_initial_energy,
     joules,
     lifetime,
-    s_mode_cost,
-    unit_cost,
 )
-from qcs_sim.packet import PacketKind
+from qcs_sim.node import NodeState
 
 
-# unit-cost pricing: short packets cost 1, long packets 2, both directions
+# the price table: short packets cost query_cost, long packets twice that,
+# both directions; one forwarding hop costs its holder 6 + (acks heard)
 
-def test_unit_cost_by_kind():
-    assert unit_cost(PacketKind.QUERY) == 1
-    assert unit_cost(PacketKind.ACK) == 1
-    assert unit_cost(PacketKind.SOURCE) == 2
-    assert unit_cost(PacketKind.SOURCE, direction="receive") == 2
-    assert unit_cost(PacketKind.QUERY, e1=3) == 3
-    assert unit_cost(PacketKind.SOURCE, e1=3) == 6
+SHORT_CAUSES = ("query_send", "query_recv", "hop_query", "hop_query_recv",
+                "ack_send", "ack_recv", "reset_send", "reset_recv")
+LONG_CAUSES = ("flood_send", "flood_recv", "alert_recv")
 
 
-def test_unit_cost_rejects_bad_direction():
-    with pytest.raises(ValueError):
-        unit_cost(PacketKind.QUERY, direction="sideways")
+def test_price_table_covers_every_cause():
+    prices = CostModel().price_table()
+    assert len(prices) == 13
+    assert all(prices[c] == 1 for c in SHORT_CAUSES)
+    assert all(prices[c] == 2 for c in LONG_CAUSES)
+    assert prices["source_send"] == 4   # the sender pays both radio ends
+    assert prices["alert_send"] == 4    # twice the range, twice the price
+
+
+def test_price_table_hop_costs_six_plus_acks():
+    prices = CostModel().price_table()
+    for acks in (0, 3):
+        hop = (prices["hop_query"] + acks * prices["ack_recv"]
+               + prices["source_send"] + prices["reset_recv"])
+        assert hop == 6 + acks
+
+
+def test_price_table_scales_with_query_cost_and_multiplier():
+    prices = CostModel(query_cost=3, isolation_multiplier=5).price_table()
+    assert all(prices[c] == 3 for c in SHORT_CAUSES)
+    assert all(prices[c] == 6 for c in LONG_CAUSES)
+    assert prices["source_send"] == 12
+    assert prices["alert_send"] == 30
 
 
 # physical model: mJ = seconds * mA * V, 40ms long frame = 2x 20ms short
@@ -66,12 +81,6 @@ def test_lifetime_rejects_free_running():
         lifetime(100, 1, -2)
 
 
-def test_s_mode_cost():
-    # 1 query out + k acks in + 4 for the long handover + 1 reset ack
-    assert s_mode_cost(0) == 6
-    assert s_mode_cost(3) == 9
-
-
 def test_draw_initial_energy_bounds_and_determinism():
     rng = random.Random(9)
     for _ in range(200):
@@ -87,41 +96,38 @@ def test_draw_initial_energy_bounds_and_determinism():
 def test_cost_model_validation():
     CostModel()  # defaults are consistent
     with pytest.raises(ValueError):
-        CostModel(query_cost=1, source_cost=3)   # long frame must be 2x
+        CostModel(query_cost=0)
     with pytest.raises(ValueError):
         CostModel(threshold=3000, init_min=3000)  # floor must undercut start
     with pytest.raises(ValueError):
         CostModel(init_min=400, init_max=300)
     with pytest.raises(ValueError):
-        CostModel(ep=-1)
-    with pytest.raises(ValueError):
         CostModel(isolation_multiplier=0)
 
 
-def test_cost_model_cost_of():
-    m = CostModel(query_cost=2, source_cost=4)
-    assert m.cost_of(PacketKind.QUERY) == 2
-    assert m.cost_of(PacketKind.ACK) == 2
-    assert m.cost_of(PacketKind.SOURCE) == 4
+# ledger behavior: balances live on the nodes, the ledger records debits
 
+def _ledger(balances: dict[int, float]) -> EnergyLedger:
+    return EnergyLedger({nid: NodeState(nid, (0.0, 0.0), energy=e)
+                         for nid, e in balances.items()})
 
-# ledger behavior
 
 def test_ledger_debit_and_rows():
-    led = EnergyLedger({1: 10, 2: math.inf})
+    led = _ledger({1: 10, 2: math.inf})
     taken = led.debit(0, 1, "query_send", 3)
     assert taken == 3
     assert led.balance(1) == 7
+    assert led.nodes[1].energy == 7
     assert led.entries[-1].cause == "query_send"
     assert led.entries[-1].balance == 7
 
 
 def test_ledger_clamps_at_zero():
-    led = EnergyLedger({1: 2})
+    led = _ledger({1: 2})
     taken = led.debit(0, 1, "source_send", 5)
     assert taken == 2
     assert led.balance(1) == 0
-    assert not led.is_alive(1)
+    assert not led.nodes[1].alive
     # further debits take nothing and add no rows
     n_rows = len(led.entries)
     assert led.debit(1, 1, "query_recv", 1) == 0
@@ -129,23 +135,23 @@ def test_ledger_clamps_at_zero():
 
 
 def test_ledger_infinite_balance_untouched():
-    led = EnergyLedger({1: math.inf})
+    led = _ledger({1: math.inf})
     assert led.debit(0, 1, "query_recv", 4) == 0
     assert led.balance(1) == math.inf
     assert led.entries == []  # nothing of substance to record
 
 
 def test_ledger_rejects_negative_debit():
-    led = EnergyLedger({1: 5})
+    led = _ledger({1: 5})
     with pytest.raises(ValueError):
         led.debit(0, 1, "query_send", -1)
 
 
 def test_ledger_totals():
-    led = EnergyLedger({1: 10, 2: 10})
+    led = _ledger({1: 10, 2: 10})
     led.debit(0, 1, "query_send", 1)
     led.debit(0, 2, "query_recv", 1)
     led.debit(1, 1, "query_send", 1)
-    assert led.consumed(1) == 2
-    assert led.consumed_by_cause(1) == {"query_send": 2}
+    assert sum(e.debit for e in led.entries if e.node_id == 1) == 2
+    assert {e.cause for e in led.entries if e.node_id == 1} == {"query_send"}
     assert led.total_consumed() == 3

@@ -526,9 +526,32 @@ def test_polling_pair_lives_exactly_lifetime_ticks():
     tr = sim.run()
     want = lifetime(8, 1)                        # 8 periods: ticks 0..7
     assert sorted(tr.deaths) == [(want - 1, 1), (want - 1, 2)]
-    assert sim.ledger.consumed(1) == 8
-    assert sim.ledger.consumed(2) == 8
+    for nid in (1, 2):
+        assert sum(e.debit for e in sim.ledger.entries if e.node_id == nid) == 8
     audit_regular_window(sim, tr, 0, want - 1)
+
+
+def test_every_debit_charges_its_table_price():
+    # scaled costs, small batteries, loss, an alarm and a flood: each row
+    # takes its cause's price, or the rest of a balance smaller than that
+    costs = CostModel(query_cost=3, threshold=30, init_min=150, init_max=250,
+                      isolation_multiplier=3)
+    prices = costs.price_table()
+    rng = random.Random(5)
+    causes = set()
+    for _ in range(6):
+        topo = random_connected_topology(rng, n_min=12)
+        sensors = topo.sensor_ids()
+        events = (SenseEvent(1, rng.choice(sensors), 70.0),
+                  SenseEvent(6, rng.choice(sensors), 95.0))
+        sim = Simulation(make_scenario(topo, seed=rng.randint(0, 999), horizon=40,
+                                       loss_prob=0.1, events=events, costs=costs))
+        sim.run()
+        for e in sim.ledger.entries:
+            causes.add(e.cause)
+            assert e.debit == prices[e.cause] or (
+                e.balance == 0 and e.debit < prices[e.cause])
+    assert causes == set(prices)
 
 
 def test_determinism_is_byte_exact():

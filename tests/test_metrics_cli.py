@@ -53,7 +53,8 @@ def test_energy_diff_rows_match_ledger(tmp_path):
     rows = energy_diff_rows("run", tr.initial_energy, sim.ledger, ids)
     for label, nid, consumed in rows:
         assert label == "run"
-        assert consumed == sim.ledger.consumed(nid)
+        assert consumed == sum(e.debit for e in sim.ledger.entries
+                               if e.node_id == nid)
     out = tmp_path / "energy.csv"
     write_energy_diff_csv(out, rows)
     lines = out.read_text().splitlines()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from qcs_sim import default16_scenario_text, load_scenario, parse_scenario
@@ -20,8 +23,6 @@ radio_range = 110
 
 [costs]
 query_cost = 1
-source_cost = 2
-ep = 0
 threshold = 500
 init_min = 3000
 init_max = 5000
@@ -89,6 +90,8 @@ def test_with_overrides_replaces_only_named_fields():
     (("2 1 70.5", "2 99 70.5"), "unknown"),     # event on unknown node
     (("query_cost = 1", "query_cost = 1\nwattage = 9"), "wattage"),
     (("irregular = 50", "irregular = 95"), "devastating"),
+    (("query_cost = 1", "query_cost = 1\nsource_cost = 2"), "source_cost"),
+    (("query_cost = 1", "query_cost = 1\nep = 0"), "'ep'"),
 ])
 def test_rejects_bad_values(mutation, needle):
     old, new = mutation
@@ -115,3 +118,14 @@ def test_load_scenario_roundtrip(tmp_path):
     p.write_text(FULL)
     sc = load_scenario(p)
     assert sc.horizon == 30
+
+
+def test_readme_example_scenario_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    sc = parse_scenario(blocks[0])
+    assert sc.topology.base_id == 16
+    assert sc.costs.threshold == 500
+    assert sc.events == (SenseEvent(2, 2, 70.0),)
