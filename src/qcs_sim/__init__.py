@@ -52,7 +52,6 @@ from .engine import (
     Trace,
     IncidentRecord,
     FloodRecord,
-    run,
     count_comparisons,
 )
 
@@ -100,6 +99,5 @@ __all__ = [
     "Trace",
     "IncidentRecord",
     "FloodRecord",
-    "run",
     "count_comparisons",
 ]

@@ -29,6 +29,7 @@ from pathlib import Path
 from . import metrics
 from .energy import joules, lifetime
 from .engine import Simulation
+from .numtext import fmt_num
 from .packet import QUERY_ACK_SIZE, SOURCE_SIZE
 from .scenario import Scenario, SenseEvent, load_scenario
 
@@ -69,10 +70,6 @@ def _setup_logging() -> None:
         )
 
 
-def _num(value: float) -> str:
-    return str(int(value)) if value == int(value) else str(value)
-
-
 def _cmd_lifetime(values: list[float]) -> int:
     e, e1, ep = values
     try:
@@ -80,8 +77,8 @@ def _cmd_lifetime(values: list[float]) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    print(f"initial energy: {_num(e)} units")
-    print(f"per-period cost: {_num(e1)} radio + {_num(ep)} processing units")
+    print(f"initial energy: {fmt_num(e)} units")
+    print(f"per-period cost: {fmt_num(e1)} radio + {fmt_num(ep)} processing units")
     print(f"lifetime: {ticks} periods")
     print(f"unit equivalents: {QUERY_ACK_SIZE}B event = "
           f"{joules(QUERY_ACK_SIZE)} mJ, {SOURCE_SIZE}B event = "

@@ -48,6 +48,11 @@ def lifetime(initial_energy: float, e1: float, ep: float = 0) -> int:
     e1 is the radio cost of one period, ep any processing surcharge not
     already folded into e1.
     """
+    for name, value in (("initial_energy", initial_energy), ("e1", e1), ("ep", ep)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+    if initial_energy < 0:
+        raise ValueError(f"initial_energy cannot be negative, got {initial_energy}")
     per_tick = e1 + ep
     if per_tick <= 0:
         raise ValueError("per-period cost e1 + ep must be positive")

@@ -15,6 +15,15 @@ Packet loss, when enabled, is an independent coin flip per (packet,
 receiver) pair drawn from a dedicated seeded generator, so identical
 scenarios replay byte-identically.
 
+One receive rule decides who hears a transmission: candidates are
+taken in ascending id order, a dead one is skipped without a coin, and
+each live one then draws its loss coin.  The regular query, the flood
+rebroadcast, the isolation alert and the alarm handover all go through
+``_receivers``.  The exception is the forwarding hop's query round and
+its confirmation, which draw inline: an ack's coin falls between two
+neighbours' query coins, and the holder's ack and confirmation coins
+are drawn before its own liveness is checked.
+
 Every debit names a ledger cause and costs that cause's entry in
 ``CostModel.price_table``, which also spells out how one forwarding hop
 comes to 6 + (acks heard) units for its holder.
@@ -47,6 +56,7 @@ from .node import (
     sense_and_classify,
     tick_transition,
 )
+from .numtext import fmt_num
 from .packet import PacketKind, make_query, make_source
 from .scenario import Scenario, SenseEvent
 from .topology import dist
@@ -96,7 +106,11 @@ class IncidentRecord:
     delivery_tick: int | None = None
     closed: bool = False
     close_reason: str = ""
-    attempts: int = 0
+
+    @property
+    def attempts(self) -> int:
+        """Hop attempts made: one per tick the alarm was tried."""
+        return len(self.hops)
 
     @property
     def hop_replies(self) -> list[int]:
@@ -186,6 +200,9 @@ class Simulation:
         self.attempt_cap = len(topo.nodes)
 
         modes = init_modes(topo, self.seed_key)
+        # built in ascending id order and never gains or loses a key, so
+        # every loop over it visits nodes in id order, as the loss coins
+        # and the trace require
         self.nodes: dict[int, NodeState] = {}
         for nid in sorted(topo.nodes):
             is_base = nid == self.base_id
@@ -212,27 +229,26 @@ class Simulation:
         for ev in scenario.events:
             self._events_at.setdefault(ev.tick, []).append(ev)
         self._active_irregular: dict[int, IncidentRecord] = {}
-        self._incident_counter = 0
         self.active_flood: FloodRecord | None = None
         self._base_depth = self._bfs_from_base()
         self._base_ecc = max(
             (d for d in self._base_depth.values() if d is not None), default=0
         )
         self._acted_reset: set[int] = set()
-        self._base_has_alarm = False
 
-        q = [n for n in sorted(modes) if modes[n] == MODE_Q]
-        c = [n for n in sorted(modes) if modes[n] == MODE_C]
+        initial = self.trace.initial_modes
+        q = [n for n, m in initial.items() if m == MODE_Q]
+        c = [n for n, m in initial.items() if m == MODE_C]
         w, h = topo.field_size
         self._line(
-            f"init: field={_fmt(w)}x{_fmt(h)} range={_fmt(topo.radio_range)}"
+            f"init: field={fmt_num(w)}x{fmt_num(h)} range={fmt_num(topo.radio_range)}"
             f" nodes={len(topo.nodes)} base={self.base_id} seed={self.seed_key}"
-            f" loss={_fmt(scenario.loss_prob)}"
+            f" loss={fmt_num(scenario.loss_prob)}"
         )
         self._line(f"init: modes Q={_ids(q)} C={_ids(c)}")
         self._line(
             "init: energy "
-            + " ".join(f"{n}={_fmt_energy(e)}"
+            + " ".join(f"{n}={fmt_num(e)}"
                        for n, e in self.trace.initial_energy.items())
         )
 
@@ -282,15 +298,11 @@ class Simulation:
             return False
         return self.loss_rng.random() < p
 
-    def _set_base_message(self, msg: str, alarm: bool) -> None:
-        base = self.nodes[self.base_id]
-        if alarm:
-            self._base_has_alarm = True
-            if base.message != msg:
-                base.message = msg
-        elif not self._base_has_alarm and base.message != msg:
-            base.message = msg
-            self._tline(f"base: {msg!r}")
+    def _receivers(self, candidates) -> list[int]:
+        """The candidates that hear a transmission: alive first, then the
+        loss coin, one coin per live candidate in candidate order."""
+        return [j for j in candidates
+                if self.nodes[j].alive and not self._dropped()]
 
     def base_record(self) -> dict[str, object]:
         """The base station's status in the shape reports print it."""
@@ -308,23 +320,32 @@ class Simulation:
     # -------------------------------------------------------------- incidents
 
     def _open_incident(self, origin: int, tick: int, message: str) -> IncidentRecord:
-        self._incident_counter += 1
         rec = IncidentRecord(
-            incident_id=self._incident_counter, origin=origin,
+            incident_id=len(self.trace.incidents) + 1, origin=origin,
             start_tick=tick, message=message, path=[origin],
         )
         self.trace.incidents.append(rec)
         self._active_irregular[origin] = rec
         return rec
 
-    def _close_incident(self, rec: IncidentRecord, holder: int | None,
-                        reason: str, unbind: bool = True) -> None:
-        """Finish a record; keep it bound to a still-S holder so the node
-        idles instead of reopening a fresh incident every tick."""
+    def _close_incident(self, rec: IncidentRecord, reason: str) -> None:
+        """Finish a record but leave it bound to its still-S holder, so
+        the node idles instead of reopening a fresh incident every tick."""
         rec.closed = True
         rec.close_reason = reason
-        if holder is not None and unbind:
-            self._active_irregular.pop(holder, None)
+
+    def _close_held(self, nid: int, reason: str) -> None:
+        """Close the open alarm nid holds, if any, and release the node."""
+        rec = self._active_irregular.get(nid)
+        if rec is not None and not rec.closed:
+            self._close_incident(rec, reason)
+            del self._active_irregular[nid]
+
+    def _close_at_hop_cap(self, rec: IncidentRecord) -> None:
+        """Give up on an alarm once its holder has spent its last attempt."""
+        if rec.attempts >= self.attempt_cap:
+            self._close_incident(rec, "hop_cap")
+            self._tline(f"incident {rec.incident_id} undelivered (hop cap)")
 
     def _join_flood(self, origin: int, tick: int) -> None:
         epoch = self.active_flood
@@ -341,7 +362,7 @@ class Simulation:
     def _apply_sense(self, ev: SenseEvent) -> None:
         node = self.nodes[ev.node]
         if not node.alive:
-            self._tline(f"sense node={ev.node} reading={_fmt(ev.reading)} ignored (dead)")
+            self._tline(f"sense node={ev.node} reading={fmt_num(ev.reading)} ignored (dead)")
             return
         before = (node.flag1, node.flag2)
         sense_and_classify(node, ev.reading, self.sc.thresholds)
@@ -349,14 +370,12 @@ class Simulation:
         if after == before:
             return
         self._tline(
-            f"sense node={ev.node} reading={_fmt(ev.reading)}"
+            f"sense node={ev.node} reading={fmt_num(ev.reading)}"
             f" -> flags=({int(node.flag1)},{int(node.flag2)}) mode={node.mode}"
         )
         node.infected_tick = self.tick
         if after == (True, True):
-            rec = self._active_irregular.get(ev.node)
-            if rec is not None and not rec.closed:
-                self._close_incident(rec, ev.node, "escalated")
+            self._close_held(ev.node, "escalated")
             node.hop_depth = 0
             self._join_flood(ev.node, self.tick)
         elif before == (False, False):
@@ -370,19 +389,16 @@ class Simulation:
             self.step()
         self._line(
             "end: balances "
-            + " ".join(
-                f"{n}={_fmt_energy(self.ledger.balance(n))}"
-                for n in sorted(self.nodes)
-            )
+            + " ".join(f"{n}={fmt_num(self.ledger.balance(n))}" for n in self.nodes)
         )
         self.trace.base_record = self.base_record()
         return self.trace
 
     def step(self) -> None:
         """Advance one tick through all phases."""
-        for nid in sorted(self.nodes):
-            if self.nodes[nid].alive:
-                self.nodes[nid].roll_window()
+        for node in self.nodes.values():
+            if node.alive:
+                node.roll_window()
 
         for ev in self._events_at.get(self.tick, []):
             self._apply_sense(ev)
@@ -393,11 +409,10 @@ class Simulation:
             self.base_reset()
 
         self.trace.mode_history.append(
-            {nid: self.nodes[nid].mode for nid in sorted(self.nodes)}
+            {nid: node.mode for nid, node in self.nodes.items()}
         )
 
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for nid, node in self.nodes.items():
             if node.is_base or not node.alive:
                 continue
             if node.mode == MODE_S and node.flag2:
@@ -407,16 +422,14 @@ class Simulation:
             elif node.mode == MODE_Q:
                 self.step_regular(nid)
 
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for nid, node in self.nodes.items():
             if node.is_base or not node.alive or node.flag1:
                 continue
             alert = isolation_check(node)
             if alert is not None:
                 self._broadcast_alert(nid, alert)
 
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for nid, node in self.nodes.items():
             if (node.is_base or not node.alive or node.flag1 or node.flag2
                     or nid in self._acted_reset):
                 continue
@@ -439,21 +452,20 @@ class Simulation:
         node = self.nodes[nid]
         pkt = make_query(nid, loc=node.pos, energy=node.wire_energy)
         self._debit(nid, "query_send")
-        received = []
-        for j in self.topology.neighbors(nid):
+        # S sensors are busy forwarding and do not listen on the regular plane
+        received = self._receivers(
+            j for j in self.topology.neighbors(nid)
+            if self.nodes[j].is_base or self.nodes[j].mode != MODE_S
+        )
+        for j in received:
             nb = self.nodes[j]
-            if not nb.alive:
-                continue
-            if not nb.is_base and nb.mode == MODE_S:
-                continue  # busy forwarding; not listening on the regular plane
-            if self._dropped():
-                continue
             handle_query(nb, pkt)
-            if nb.is_base:
-                self._set_base_message(NETWORK_FINE, alarm=False)
-            else:
+            if not nb.is_base:
                 self._debit(j, "query_recv")
-            received.append(j)
+            elif not nb.flag1 and nb.message != NETWORK_FINE:
+                # a base that holds an alarm keeps its alarm text
+                nb.message = NETWORK_FINE
+                self._tline(f"base: {NETWORK_FINE!r}")
         self._event(PacketKind.QUERY, nid, None, False, False, received, "regular")
         self._tline(f"query src={nid} recv={_ids(received)}")
 
@@ -476,13 +488,14 @@ class Simulation:
             rec = self._open_incident(nid, self.tick, node.message)
         if rec.closed:
             return
-        rec.attempts += 1
 
         hop_pkt = make_query(nid, flag1=True, loc=node.pos, energy=node.wire_energy)
         self._debit(nid, "hop_query")
         heard = []
         acks = []  # (node id, reported energy, reported location)
         ack_events = []
+        # not _receivers: each ack's loss coin is drawn between two
+        # neighbours' query coins, and before the holder's liveness check
         for j in self.topology.neighbors(nid):
             nb = self.nodes[j]
             if not nb.alive:
@@ -525,10 +538,9 @@ class Simulation:
                 f"hop src={nid} replies={len(acks)} -> stalled ({reason})"
             )
             if not node.alive:
-                self._close_incident(rec, nid, "holder_died", unbind=False)
-            elif rec.attempts >= self.attempt_cap:
-                self._close_incident(rec, nid, "hop_cap", unbind=False)
-                self._tline(f"incident {rec.incident_id} undelivered (hop cap)")
+                self._close_incident(rec, "holder_died")
+            else:
+                self._close_at_hop_cap(rec)
             return
 
         chosen, _, _ = min(
@@ -539,39 +551,31 @@ class Simulation:
         attempt.chosen = chosen
 
         target = self.nodes[chosen]
-        delivered = target.alive and not self._dropped()
-        if delivered:
-            reset_ack = handle_source(target, spkt)
-        else:
-            reset_ack = None
-        self._event(PacketKind.SOURCE, nid, chosen, True, False,
-                    [chosen] if delivered else [], "source")
+        received = self._receivers((chosen,))
+        reset_ack = handle_source(target, spkt) if received else None
+        self._event(PacketKind.SOURCE, nid, chosen, True, False, received, "source")
 
-        if not delivered or reset_ack is None:
+        if reset_ack is None:
             # dropped, target died, or an already-busy sensor refused the
             # handover; the holder keeps the alarm and retries next tick
-            why = "refused" if delivered else "lost"
+            why = "refused" if received else "lost"
             self._tline(f"hop src={nid} -> {chosen} {why}, retrying")
-            if rec.attempts >= self.attempt_cap:
-                self._close_incident(rec, nid, "hop_cap", unbind=False)
-                self._tline(f"incident {rec.incident_id} undelivered (hop cap)")
+            self._close_at_hop_cap(rec)
             return
 
         attempt.accepted = True
         target.infected_tick = self.tick
         rec.path.append(chosen)
         if target.is_base:
+            # handle_source has raised the base's flag1 and set its message
             rec.delivered = True
             rec.delivery_tick = self.tick
-            self._close_incident(rec, nid, "delivered")
-            self._set_base_message(rec.message, alarm=True)
+            self._close_held(nid, "delivered")
             self.trace.base_inbox.append((self.tick, rec.message))
             self._tline(f"base received alarm: {rec.message!r}")
         else:
-            self._active_irregular.pop(nid, None)
+            del self._active_irregular[nid]
             self._active_irregular[chosen] = rec
-
-        if not target.is_base:
             self._debit(chosen, "reset_send")
         if self._dropped() or not node.alive:
             self._event(PacketKind.ACK, chosen, nid, False, False, [], "reset_ack")
@@ -610,21 +614,15 @@ class Simulation:
         pkt = make_source(nid, node.pos, node.wire_energy, node.message,
                           hop_count=node.hop_depth, devastating=True)
         self._debit(nid, "flood_send")
-        received = []
-        for j in self.topology.neighbors(nid):
+        received = self._receivers(self.topology.neighbors(nid))
+        for j in received:
             nb = self.nodes[j]
-            if not nb.alive:
-                continue
-            if self._dropped():
-                continue
-            received.append(j)
             if nb.is_base:
                 if epoch.base_receipt_tick is None:
                     epoch.base_receipt_tick = self.tick
-                    self._set_base_message(pkt.message, alarm=True)
-                    self.nodes[self.base_id].flag1 = True
-                    self.nodes[self.base_id].flag2 = True
-                    self.nodes[self.base_id].mode = MODE_S
+                    nb.message = pkt.message
+                    nb.flag1 = nb.flag2 = True
+                    nb.mode = MODE_S
                     self.trace.base_inbox.append((self.tick, pkt.message))
                     self._tline(f"base received flood alarm: {pkt.message!r}")
                 continue
@@ -632,16 +630,13 @@ class Simulation:
             was_s = nb.mode == MODE_S
             had_flag2 = nb.flag2
             handle_source(nb, pkt)
-            if not was_s:
-                nb.infected_tick = self.tick
-                epoch.infected_at.setdefault(j, self.tick)
-            elif not had_flag2:
+            if was_s and had_flag2:
+                continue  # flooded already
+            if was_s:
                 # an alarm-forwarding node swept up by the flood
-                rec = self._active_irregular.get(j)
-                if rec is not None and not rec.closed:
-                    self._close_incident(rec, j, "escalated")
-                nb.infected_tick = self.tick
-                epoch.infected_at.setdefault(j, self.tick)
+                self._close_held(j, "escalated")
+            nb.infected_tick = self.tick
+            epoch.infected_at.setdefault(j, self.tick)
         self._event(PacketKind.SOURCE, nid, None, True, True, received, "flood")
         self._tline(f"flood src={nid} hop={node.hop_depth} recv={_ids(received)}")
 
@@ -658,27 +653,20 @@ class Simulation:
             return
         depth = self.tick - epoch.base_receipt_tick
         targets = [
-            nid for nid in sorted(self.nodes)
-            if not self.nodes[nid].is_base
-            and self.nodes[nid].alive
-            and self.nodes[nid].mode == MODE_S
+            nid for nid, n in self.nodes.items()
+            if not n.is_base and n.alive and n.mode == MODE_S
             and self._base_depth[nid] == depth
         ]
         for nid in targets:
-            rec = self._active_irregular.get(nid)
-            if rec is not None and not rec.closed:
-                self._close_incident(rec, nid, "base_reset")
+            self._close_held(nid, "base_reset")
             reset_node(self.nodes[nid])
         epoch.reset_wave.append((self.tick, tuple(targets)))
         self._tline(f"reset-wave depth={depth} reset={_ids(targets)}")
 
         if depth >= self._base_ecc:
             leftovers = [
-                nid for nid in sorted(self.nodes)
-                if not self.nodes[nid].is_base
-                and self.nodes[nid].alive
-                and self.nodes[nid].mode == MODE_S
-                and self.nodes[nid].flag2
+                nid for nid, n in self.nodes.items()
+                if not n.is_base and n.alive and n.mode == MODE_S and n.flag2
             ]
             for nid in leftovers:
                 reset_node(self.nodes[nid])
@@ -690,7 +678,6 @@ class Simulation:
             base.flag2 = False
             base.mode = MODE_C
             base.stored_mode = None
-            self._base_has_alarm = False
             epoch.completed_tick = self.tick
             self.active_flood = None
             self._tline("reset-wave complete")
@@ -702,19 +689,12 @@ class Simulation:
         node = self.nodes[nid]
         reach = self.costs.isolation_multiplier * self.topology.radio_range
         self._debit(nid, "alert_send")
-        received = []
-        for j in sorted(self.nodes):
-            if j == nid:
-                continue
-            nb = self.nodes[j]
-            if not nb.alive:
-                continue
-            if dist(node.pos, nb.pos) > reach:
-                continue
-            if self._dropped():
-                continue
-            received.append(j)
-            if nb.is_base:
+        received = self._receivers(
+            j for j, nb in self.nodes.items()
+            if j != nid and dist(node.pos, nb.pos) <= reach
+        )
+        for j in received:
+            if self.nodes[j].is_base:
                 text = f"node number '{nid}' became disconnected"
                 self.trace.base_inbox.append((self.tick, text))
                 self._tline(f"base: {text}")
@@ -722,17 +702,3 @@ class Simulation:
                 self._debit(j, "alert_recv")
         self._event(PacketKind.SOURCE, nid, None, True, False, received, "alert")
         self._tline(f"isolation alert src={nid} recv={_ids(received)}")
-
-
-def run(scenario: Scenario, seed_key: str | None = None) -> Trace:
-    """Convenience wrapper: build a Simulation, run it, return the trace."""
-    return Simulation(scenario, seed_key=seed_key).run()
-
-
-def _fmt(v: float) -> str:
-    f = float(v)
-    return str(int(f)) if f.is_integer() else str(f)
-
-
-def _fmt_energy(v: float) -> str:
-    return "inf" if v == math.inf else str(int(v))

@@ -13,6 +13,7 @@ diagonally on the underlying 75-unit grid) hear each other and nodes
 
 from __future__ import annotations
 
+from .numtext import fmt_num
 from .topology import Position, Topology
 
 
@@ -50,10 +51,6 @@ def default16_topology() -> Topology:
     )
 
 
-def _fmt(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else str(v)
-
-
 def default16_scenario_text(*, seed: int = 0, horizon: int = 20,
                             loss_prob: float = 0.0,
                             events: tuple[tuple[int, int, float], ...] = ()) -> str:
@@ -65,25 +62,25 @@ def default16_scenario_text(*, seed: int = 0, horizon: int = 20,
     lines = [
         "# 16-node demonstration network",
         "[field]",
-        f"width = {_fmt(FIELD[0])}",
-        f"height = {_fmt(FIELD[1])}",
-        f"radio_range = {_fmt(RADIO_RANGE)}",
+        f"width = {fmt_num(FIELD[0])}",
+        f"height = {fmt_num(FIELD[1])}",
+        f"radio_range = {fmt_num(RADIO_RANGE)}",
         "",
         "[nodes]",
     ]
     for nid in sorted(POSITIONS):
         x, y = POSITIONS[nid]
         suffix = " base" if nid == BASE_ID else ""
-        lines.append(f"{nid} {_fmt(x)} {_fmt(y)}{suffix}")
+        lines.append(f"{nid} {fmt_num(x)} {fmt_num(y)}{suffix}")
     lines += ["", "[events]"]
     for tick, node, reading in events:
-        lines.append(f"{tick} {node} {_fmt(float(reading))}")
+        lines.append(f"{tick} {node} {fmt_num(reading)}")
     lines += [
         "",
         "[sim]",
         f"seed = {seed}",
         f"horizon = {horizon}",
-        f"loss_prob = {_fmt(float(loss_prob))}",
+        f"loss_prob = {fmt_num(loss_prob)}",
         "",
     ]
     return "\n".join(lines)

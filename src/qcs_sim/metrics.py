@@ -7,11 +7,11 @@ line endings, and number formatting that never depends on locale.
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 
 from .energy import EnergyLedger, joules
 from .engine import IncidentRecord, PacketEvent, Trace, _ids
+from .numtext import fmt_num
 
 
 def _open_csv(path: Path):
@@ -32,7 +32,7 @@ def write_ledger_csv(path: str | Path, ledger: EnergyLedger) -> None:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["tick", "node_id", "cause", "debit", "balance"])
         for e in ledger.entries:
-            w.writerow([e.tick, e.node_id, e.cause, e.debit, _fmt_num(e.balance)])
+            w.writerow([e.tick, e.node_id, e.cause, e.debit, fmt_num(e.balance, "Inf")])
 
 
 def energy_diff_rows(label: str, initial_energy: dict[int, float],
@@ -86,8 +86,8 @@ def render_base_record(record: dict[str, object]) -> list[str]:
     loc = record["loc"]
     return [
         f"    id: '{record['id']}'",
-        f"    energy: {_fmt_num(record['energy'])}",
-        f"    loc: [{_fmt_num(loc[0])} {_fmt_num(loc[1])}]",
+        f"    energy: {fmt_num(record['energy'], 'Inf')}",
+        f"    loc: [{fmt_num(loc[0], 'Inf')} {fmt_num(loc[1], 'Inf')}]",
         f"    flag1: {record['flag1']}",
         f"    flag2: {record['flag2']}",
         f"    mode: '{record['mode']}'",
@@ -169,10 +169,3 @@ def render_summary(title: str, trace: Trace, ledger: EnergyLedger,
         lines.append("deaths: none")
     lines.append("")
     return "\n".join(lines)
-
-
-def _fmt_num(v) -> str:
-    if v == math.inf:
-        return "Inf"
-    f = float(v)
-    return str(int(f)) if f.is_integer() else str(f)

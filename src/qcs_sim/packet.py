@@ -24,6 +24,8 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
+from .numtext import fmt_num
+
 
 HEADER_SIZE = 4
 QUERY_ACK_SIZE = 24
@@ -168,13 +170,9 @@ def decode(data: bytes) -> Packet:
     )
 
 
-def _fmt_coord(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else str(v)
-
-
 def affected_message(node_id: int, loc: tuple[float, float]) -> str:
     """Alarm text naming the originally affected node and its location."""
-    return f"Affected NODE is ->NODE{node_id} At Location ({_fmt_coord(loc[0])} {_fmt_coord(loc[1])})"
+    return f"Affected NODE is ->NODE{node_id} At Location ({fmt_num(loc[0])} {fmt_num(loc[1])})"
 
 
 def disconnect_message(node_id: int) -> str:

@@ -11,7 +11,7 @@ Sections, INI style with # comments:
     [sim]         seed, horizon, loss_prob
 
 Only [field] and [nodes] are mandatory; everything else falls back to
-the documented defaults.
+the documented defaults.  Every number must be finite.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .energy import CostModel
 from .node import Thresholds
+from .numtext import parse_num
 from .topology import Topology, load_layout, parse_kv, split_sections
 
 
@@ -84,12 +85,7 @@ def _int_field(kv: dict[str, str], key: str, default: int, section: str) -> int:
 
 def _float_field(kv: dict[str, str], key: str, default: float, section: str) -> float:
     raw = kv.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"[{section}] {key} must be a number, got {raw!r}") from None
+    return default if raw is None else parse_num(raw, f"[{section}] {key}")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -116,9 +112,11 @@ def parse_scenario(text: str) -> Scenario:
         if len(parts) != 3:
             raise ValueError(f"[events] line needs 'tick node reading', got {line!r}")
         try:
-            events.append(SenseEvent(int(parts[0]), int(parts[1]), float(parts[2])))
+            tick, node = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"[events] line has non-numeric fields: {line!r}") from None
+            raise ValueError(f"[events] line has non-integer fields: {line!r}") from None
+        reading = parse_num(parts[2], f"[events] reading in {line!r}")
+        events.append(SenseEvent(tick, node, reading))
 
     kv = parse_kv(sections.get("sim", []), "sim")
     seed = _int_field(kv, "seed", 0, "sim")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .numtext import parse_num
+
 
 Position = tuple[float, float]
 NodeId = int
@@ -135,9 +137,9 @@ def load_layout(source: str) -> Topology:
         raise ValueError("layout text needs [field] and [nodes] sections")
     fv = parse_kv(sections["field"], "field")
     try:
-        width = float(fv["width"])
-        height = float(fv["height"])
-        radio_range = float(fv.get("radio_range", "110"))
+        width = parse_num(fv["width"], "[field] width")
+        height = parse_num(fv["height"], "[field] height")
+        radio_range = parse_num(fv.get("radio_range", "110"), "[field] radio_range")
     except KeyError as e:
         raise ValueError(f"[field] missing {e.args[0]}") from None
 
@@ -149,10 +151,10 @@ def load_layout(source: str) -> Topology:
             raise ValueError(f"[nodes] line needs 'id x y [base]', got {line!r}")
         try:
             nid = int(parts[0])
-            x = float(parts[1])
-            y = float(parts[2])
         except ValueError:
-            raise ValueError(f"[nodes] line has non-numeric fields: {line!r}") from None
+            raise ValueError(f"[nodes] line has a non-integer id: {line!r}") from None
+        x = parse_num(parts[1], f"[nodes] x in {line!r}")
+        y = parse_num(parts[2], f"[nodes] y in {line!r}")
         if nid in nodes:
             raise ValueError(f"duplicate node id {nid}")
         if len(parts) == 4:

@@ -79,6 +79,13 @@ def test_lifetime_rejects_free_running():
         lifetime(100, 0, 0)
     with pytest.raises(ValueError):
         lifetime(100, 1, -2)
+    for args, name in [((math.inf, 1, 0), "initial_energy"),
+                       ((math.nan, 1, 0), "initial_energy"),
+                       ((-5, 1, 0), "initial_energy"),
+                       ((3000, math.inf, 0), "e1"),
+                       ((100, 1, math.nan), "ep")]:
+        with pytest.raises(ValueError, match=name):
+            lifetime(*args)
 
 
 def test_draw_initial_energy_bounds_and_determinism():

@@ -193,6 +193,14 @@ def test_cli_lifetime_rejects_zero_cost(capsys):
     rc = main(["--lifetime", "100", "0", "0"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    for args, name in [(["inf", "1", "0"], "initial_energy"),
+                       (["3000", "inf", "0"], "e1"),
+                       (["-5", "1", "0"], "initial_energy"),
+                       (["nan", "1", "0"], "initial_energy")]:
+        assert main(["--lifetime", *args]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {name} ")
 
 
 def test_cli_requires_scenario(capsys):

@@ -92,9 +92,15 @@ def test_with_overrides_replaces_only_named_fields():
     (("irregular = 50", "irregular = 95"), "devastating"),
     (("query_cost = 1", "query_cost = 1\nsource_cost = 2"), "source_cost"),
     (("query_cost = 1", "query_cost = 1\nep = 0"), "'ep'"),
+    (("radio_range = 110", "radio_range = nan"), "[field] radio_range"),
+    (("width = 300", "width = inf"), "[field] width"),
+    (("\n1 0 0\n", "\n1 nan 0\n"), "[nodes] x"),
+    (("2 1 70.5", "2 1 nan"), "[events] reading"),
+    (("devastating = 90", "devastating = inf"), "[thresholds] devastating"),
 ])
 def test_rejects_bad_values(mutation, needle):
     old, new = mutation
+    assert FULL.count(old) == 1
     with pytest.raises(ValueError) as err:
         parse_scenario(FULL.replace(old, new))
     assert needle in str(err.value)
