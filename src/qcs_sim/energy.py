@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .packet import QUERY_ACK_SIZE, SOURCE_SIZE
 
@@ -51,8 +51,8 @@ def lifetime(initial_energy: float, e1: float, ep: float = 0) -> int:
     for name, value in (("initial_energy", initial_energy), ("e1", e1), ("ep", ep)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value}")
-    if initial_energy < 0:
-        raise ValueError(f"initial_energy cannot be negative, got {initial_energy}")
+        if value < 0:
+            raise ValueError(f"{name} cannot be negative, got {value}")
     per_tick = e1 + ep
     if per_tick <= 0:
         raise ValueError("per-period cost e1 + ep must be positive")
@@ -118,13 +118,17 @@ class CostModel:
         }
 
 
-@dataclass
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
+    """One debit row; a tuple, as a run records one per send and receive."""
+
     tick: int
     node_id: int
     cause: str
     debit: int
     balance: float
+
+
+_new_row = tuple.__new__
 
 
 @dataclass
@@ -153,12 +157,13 @@ class EnergyLedger:
         bal = node.energy
         if bal == math.inf:
             return 0
-        taken = min(amount, bal)
+        taken = bal if bal < amount else amount
         if taken == 0:
             return 0
         bal -= taken
         node.energy = bal
-        self.entries.append(LedgerEntry(tick, node_id, cause, taken, bal))
+        # what LedgerEntry(...) does, without its Python-level __new__ frame
+        self.entries.append(_new_row(LedgerEntry, (tick, node_id, cause, taken, bal)))
         return taken
 
     def total_consumed(self) -> int:

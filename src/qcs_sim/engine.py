@@ -16,7 +16,8 @@ receiver) pair drawn from a dedicated seeded generator, so identical
 scenarios replay byte-identically.
 
 One receive rule decides who hears a transmission: candidates are
-taken in ascending id order, a dead one is skipped without a coin, and
+``NodeState``s taken in ascending id order, a dead one (``energy <= 0``,
+which is what ``NodeState.alive`` means) is skipped without a coin, and
 each live one then draws its loss coin.  The regular query, the flood
 rebroadcast, the isolation alert and the alarm handover all go through
 ``_receivers``.  The exception is the forwarding hop's query round and
@@ -173,7 +174,7 @@ class Trace:
 
 
 def _ids(seq) -> str:
-    return "[" + ",".join(str(i) for i in seq) + "]"
+    return "[" + ",".join(map(str, seq)) + "]"
 
 
 class Simulation:
@@ -190,8 +191,6 @@ class Simulation:
         self.costs = scenario.costs
         self.prices = self.costs.price_table()
         self.seed_key = str(scenario.seed) if seed_key is None else seed_key
-        if max(self.topology.nodes) > 0xFF:
-            raise ValueError("node ids must fit one byte to be encodable")
 
         topo = self.topology
         self.base_id = topo.base_id
@@ -218,6 +217,13 @@ class Simulation:
                 node_id=nid, pos=topo.nodes[nid], is_base=is_base,
                 mode=mode, energy=energy,
             )
+        # each node's neighbours in ascending id order, and every sensor,
+        # so the tick loop never looks ids up or tests is_base
+        state_of = self.nodes.__getitem__
+        self._nbrs: dict[int, tuple[NodeState, ...]] = {
+            nid: tuple(map(state_of, topo.neighbors(nid))) for nid in self.nodes
+        }
+        self._sensors = [n for n in self.nodes.values() if not n.is_base]
         self.ledger = EnergyLedger(self.nodes)
         self.loss_rng = random.Random(f"loss:{self.seed_key}")
 
@@ -281,14 +287,13 @@ class Simulation:
     def _event(self, kind: PacketKind, src: int, dst: int | None,
                flag1: bool, flag2: bool, receivers: list[int], note: str) -> None:
         self.trace.packet_events.append(PacketEvent(
-            tick=self.tick, kind=kind, src=src, dst=dst,
-            flag1=flag1, flag2=flag2, receivers=tuple(receivers), note=note,
+            self.tick, kind, src, dst, flag1, flag2, tuple(receivers), note,
         ))
 
     def _debit(self, nid: int, cause: str) -> None:
         """Charge a node the price of cause; a debit that empties it kills it."""
         taken = self.ledger.debit(self.tick, nid, cause, self.prices[cause])
-        if taken and not self.nodes[nid].alive:
+        if taken and self.nodes[nid].energy <= 0:
             self.trace.deaths.append((self.tick, nid))
             self._tline(f"node {nid} died ({cause})")
 
@@ -298,11 +303,14 @@ class Simulation:
             return False
         return self.loss_rng.random() < p
 
-    def _receivers(self, candidates) -> list[int]:
-        """The candidates that hear a transmission: alive first, then the
-        loss coin, one coin per live candidate in candidate order."""
-        return [j for j in candidates
-                if self.nodes[j].alive and not self._dropped()]
+    def _receivers(self, candidates) -> list[NodeState]:
+        """The candidate nodes that hear a transmission: alive first, then
+        the loss coin, one coin per live candidate in candidate order."""
+        p = self.sc.loss_prob
+        if p <= 0:
+            return [n for n in candidates if n.energy > 0]
+        coin = self.loss_rng.random
+        return [n for n in candidates if n.energy > 0 and coin() >= p]
 
     def base_record(self) -> dict[str, object]:
         """The base station's status in the shape reports print it."""
@@ -397,7 +405,7 @@ class Simulation:
     def step(self) -> None:
         """Advance one tick through all phases."""
         for node in self.nodes.values():
-            if node.alive:
+            if node.energy > 0:
                 node.roll_window()
 
         for ev in self._events_at.get(self.tick, []):
@@ -412,33 +420,33 @@ class Simulation:
             {nid: node.mode for nid, node in self.nodes.items()}
         )
 
-        for nid, node in self.nodes.items():
-            if node.is_base or not node.alive:
+        sensors = self._sensors
+        for node in sensors:
+            if node.energy <= 0:
                 continue
             if node.mode == MODE_S and node.flag2:
-                self.run_petrol_flow(nid)
+                self.run_petrol_flow(node.node_id)
             elif node.mode == MODE_S and node.flag1:
-                self.run_irregular_transfer(nid)
+                self.run_irregular_transfer(node.node_id)
             elif node.mode == MODE_Q:
-                self.step_regular(nid)
+                self.step_regular(node.node_id)
 
-        for nid, node in self.nodes.items():
-            if node.is_base or not node.alive or node.flag1:
+        for node in sensors:
+            if node.energy <= 0 or node.flag1:
                 continue
             alert = isolation_check(node)
             if alert is not None:
-                self._broadcast_alert(nid, alert)
+                self._broadcast_alert(node.node_id, alert)
 
-        for nid, node in self.nodes.items():
-            if (node.is_base or not node.alive or node.flag1 or node.flag2
-                    or nid in self._acted_reset):
+        for node in sensors:
+            if (node.energy <= 0 or node.flag1 or node.flag2
+                    or node.node_id in self._acted_reset):
                 continue
             tick_transition(node)
 
         if self.active_flood is not None:
             s_set = frozenset(
-                nid for nid, n in self.nodes.items()
-                if not n.is_base and n.mode == MODE_S and n.flag2
+                n.node_id for n in sensors if n.mode == MODE_S and n.flag2
             )
             self.active_flood.s_set_by_tick.append((self.tick, s_set))
 
@@ -449,25 +457,25 @@ class Simulation:
 
     def step_regular(self, nid: int) -> None:
         """One Q node broadcasts one status query; neighbors just listen."""
-        node = self.nodes[nid]
-        pkt = make_query(nid, loc=node.pos, energy=node.wire_energy)
         self._debit(nid, "query_send")
         # S sensors are busy forwarding and do not listen on the regular plane
         received = self._receivers(
-            j for j in self.topology.neighbors(nid)
-            if self.nodes[j].is_base or self.nodes[j].mode != MODE_S
+            [nb for nb in self._nbrs[nid] if nb.mode != MODE_S or nb.is_base]
         )
-        for j in received:
-            nb = self.nodes[j]
-            handle_query(nb, pkt)
+        debit = self._debit
+        for nb in received:
+            # handle_query's only effect for a flag-clear query is to learn
+            # the sender, so no packet is built on this plane
+            nb.heard_curr.add(nid)
             if not nb.is_base:
-                self._debit(j, "query_recv")
+                debit(nb.node_id, "query_recv")
             elif not nb.flag1 and nb.message != NETWORK_FINE:
                 # a base that holds an alarm keeps its alarm text
                 nb.message = NETWORK_FINE
                 self._tline(f"base: {NETWORK_FINE!r}")
-        self._event(PacketKind.QUERY, nid, None, False, False, received, "regular")
-        self._tline(f"query src={nid} recv={_ids(received)}")
+        ids = [nb.node_id for nb in received]
+        self._event(PacketKind.QUERY, nid, None, False, False, ids, "regular")
+        self._tline(f"query src={nid} recv={_ids(ids)}")
 
     # ----------------------------------------------------- alarm forwarding
 
@@ -496,9 +504,9 @@ class Simulation:
         ack_events = []
         # not _receivers: each ack's loss coin is drawn between two
         # neighbours' query coins, and before the holder's liveness check
-        for j in self.topology.neighbors(nid):
-            nb = self.nodes[j]
-            if not nb.alive:
+        for nb in self._nbrs[nid]:
+            j = nb.node_id
+            if nb.energy <= 0:
                 continue
             if self._dropped():
                 continue
@@ -551,7 +559,7 @@ class Simulation:
         attempt.chosen = chosen
 
         target = self.nodes[chosen]
-        received = self._receivers((chosen,))
+        received = [n.node_id for n in self._receivers((target,))]
         reset_ack = handle_source(target, spkt) if received else None
         self._event(PacketKind.SOURCE, nid, chosen, True, False, received, "source")
 
@@ -614,9 +622,8 @@ class Simulation:
         pkt = make_source(nid, node.pos, node.wire_energy, node.message,
                           hop_count=node.hop_depth, devastating=True)
         self._debit(nid, "flood_send")
-        received = self._receivers(self.topology.neighbors(nid))
-        for j in received:
-            nb = self.nodes[j]
+        received = self._receivers(self._nbrs[nid])
+        for nb in received:
             if nb.is_base:
                 if epoch.base_receipt_tick is None:
                     epoch.base_receipt_tick = self.tick
@@ -626,6 +633,7 @@ class Simulation:
                     self.trace.base_inbox.append((self.tick, pkt.message))
                     self._tline(f"base received flood alarm: {pkt.message!r}")
                 continue
+            j = nb.node_id
             self._debit(j, "flood_recv")
             was_s = nb.mode == MODE_S
             had_flag2 = nb.flag2
@@ -637,8 +645,9 @@ class Simulation:
                 self._close_held(j, "escalated")
             nb.infected_tick = self.tick
             epoch.infected_at.setdefault(j, self.tick)
-        self._event(PacketKind.SOURCE, nid, None, True, True, received, "flood")
-        self._tline(f"flood src={nid} hop={node.hop_depth} recv={_ids(received)}")
+        ids = [n.node_id for n in received]
+        self._event(PacketKind.SOURCE, nid, None, True, True, ids, "flood")
+        self._tline(f"flood src={nid} hop={node.hop_depth} recv={_ids(ids)}")
 
     def base_reset(self) -> None:
         """Advance the reset wave one hop outward from the base.
@@ -689,10 +698,10 @@ class Simulation:
         node = self.nodes[nid]
         reach = self.costs.isolation_multiplier * self.topology.radio_range
         self._debit(nid, "alert_send")
-        received = self._receivers(
-            j for j, nb in self.nodes.items()
-            if j != nid and dist(node.pos, nb.pos) <= reach
-        )
+        received = [n.node_id for n in self._receivers(
+            nb for nb in self.nodes.values()
+            if nb is not node and dist(node.pos, nb.pos) <= reach
+        )]
         for j in received:
             if self.nodes[j].is_base:
                 text = f"node number '{nid}' became disconnected"

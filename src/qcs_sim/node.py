@@ -99,7 +99,7 @@ def init_modes(topology: Topology, seed: int | str) -> dict[int, str]:
     random.Random(f"init:{seed}").shuffle(order)
     q_set: set[int] = set()
     for nid in order:
-        if not any(nb in q_set for nb in topology.neighbors(nid)):
+        if q_set.isdisjoint(topology.neighbors(nid)):
             q_set.add(nid)
     return {nid: (MODE_Q if nid in q_set else MODE_C) for nid in order}
 

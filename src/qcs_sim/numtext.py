@@ -25,7 +25,12 @@ def parse_num(raw: str, where: str) -> float:
 
 
 def fmt_num(value: float, inf: str = "inf") -> str:
-    """An integer if the value is whole, else the float; infinity as inf."""
+    """An integer if the value is whole, else the float; infinity as inf.
+
+    An int prints exactly, however large; a float would round it.
+    """
+    if type(value) is int:
+        return str(value)
     f = float(value)
     if f == math.inf:
         return inf

@@ -22,12 +22,6 @@ def dist(a: Position, b: Position) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def _sq_dist(a: Position, b: Position) -> float:
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return dx * dx + dy * dy
-
-
 @dataclass
 class Topology:
     """Immutable-by-convention map of node positions plus the base station.
@@ -52,19 +46,33 @@ class Topology:
         for nid, (x, y) in self.nodes.items():
             if not isinstance(nid, int) or nid < 1:
                 raise ValueError(f"node id must be a positive int, got {nid!r}")
+            if nid > 0xFF:
+                raise ValueError(f"node id {nid} does not fit the 8-bit src field (1..255)")
             if not (0 <= x <= w and 0 <= y <= h):
                 raise ValueError(f"node {nid} at ({x}, {y}) lies outside the {w}x{h} field")
         self._adj = self._build_adjacency()
 
     def _build_adjacency(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        """Test each unordered pair once and record it at both ends.
+
+        Swapping a pair only negates dx and dy, which squares to the same
+        value, so both ends agree; visiting pairs in id order leaves every
+        list ascending.
+        """
         rr = self.radio_range * self.radio_range
         ids = sorted(self.nodes)
-        out = {}
-        for i in ids:
-            out[i] = tuple(
-                j for j in ids if j != i and _sq_dist(self.nodes[i], self.nodes[j]) <= rr
-            )
-        return out
+        pos = [self.nodes[i] for i in ids]
+        near: dict[NodeId, list[NodeId]] = {i: [] for i in ids}
+        for a, i in enumerate(ids):
+            xi, yi = pos[a]
+            mine = near[i]
+            for j, (x, y) in zip(ids[a + 1:], pos[a + 1:]):
+                dx = xi - x
+                dy = yi - y
+                if dx * dx + dy * dy <= rr:
+                    mine.append(j)
+                    near[j].append(i)
+        return {i: tuple(js) for i, js in near.items()}
 
     def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Ids within radio range of node_id (boundary inclusive), ascending."""

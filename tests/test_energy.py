@@ -83,7 +83,9 @@ def test_lifetime_rejects_free_running():
                        ((math.nan, 1, 0), "initial_energy"),
                        ((-5, 1, 0), "initial_energy"),
                        ((3000, math.inf, 0), "e1"),
-                       ((100, 1, math.nan), "ep")]:
+                       ((100, 1, math.nan), "ep"),
+                       ((10, -1, 3), "e1"),
+                       ((10, 3, -1), "ep")]:
         with pytest.raises(ValueError, match=name):
             lifetime(*args)
 

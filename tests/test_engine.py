@@ -22,6 +22,8 @@ from qcs_sim import (
     lifetime,
     parse_scenario,
 )
+from qcs_sim import engine
+from qcs_sim.packet import PacketKind
 from qcs_sim.scenario import SenseEvent
 
 from conftest import (
@@ -59,6 +61,38 @@ def test_quiet_polling_on_random_layouts():
         sim = Simulation(sc)
         tr = sim.run()
         audit_regular_window(sim, tr, 0, 15)
+
+
+def test_regular_plane_builds_no_packet(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a regular-plane query built or handled a packet")
+
+    monkeypatch.setattr(engine, "make_query", refuse)
+    monkeypatch.setattr(engine, "handle_query", refuse)
+    sim, tr = run16(horizon=20)
+    assert tr.packet_events
+    assert all(ev.kind == PacketKind.QUERY and ev.note == "regular"
+               for ev in tr.packet_events)
+    # each listener still learned every sender of the last two ticks
+    last_two = tr.mode_history[-2:]
+    for nid in sim.topology.sensor_ids():
+        want = {j for j in sim.topology.neighbors(nid)
+                if any(modes[j] == "Q" for modes in last_two)}
+        assert sim.nodes[nid].adj == want
+
+
+def test_neighbour_tuples_hold_the_node_states():
+    rng = random.Random(17)
+    topos = [default16_topology()] + [random_connected_topology(rng) for _ in range(5)]
+    for topo in topos:
+        sim = Simulation(make_scenario(topo, seed=3, horizon=1))
+        assert set(sim._nbrs) == set(sim.nodes)
+        for nid, nbrs in sim._nbrs.items():
+            want = [sim.nodes[j] for j in topo.neighbors(nid)]
+            assert len(nbrs) == len(want)
+            assert all(a is b for a, b in zip(nbrs, want))
+        assert [n.node_id for n in sim._sensors] == topo.sensor_ids()
+        assert all(n is sim.nodes[n.node_id] for n in sim._sensors)
 
 
 def test_initial_state_recorded():

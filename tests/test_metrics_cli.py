@@ -196,7 +196,9 @@ def test_cli_lifetime_rejects_zero_cost(capsys):
     for args, name in [(["inf", "1", "0"], "initial_energy"),
                        (["3000", "inf", "0"], "e1"),
                        (["-5", "1", "0"], "initial_energy"),
-                       (["nan", "1", "0"], "initial_energy")]:
+                       (["nan", "1", "0"], "initial_energy"),
+                       (["10", "-1", "3"], "e1"),
+                       (["10", "3", "-1"], "ep")]:
         assert main(["--lifetime", *args]) == 1
         out = capsys.readouterr()
         assert out.out == ""
@@ -223,6 +225,17 @@ def test_cli_rejects_bad_scenario_file(tmp_path, capsys):
     bad.write_text("[field]\nwidth = 10\n")
     assert main(["--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "bad.scn" in capsys.readouterr().err
+
+
+def test_cli_rejects_node_id_above_one_byte(tmp_path, capsys):
+    scn = tmp_path / "wide.scn"
+    scn.write_text("[field]\nwidth = 100\nheight = 10\n"
+                   "[nodes]\n1 0 0\n300 50 0 base\n")
+    assert main(["--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert "node id 300" in out.err
 
 
 def test_cli_loss_override(tmp_path):

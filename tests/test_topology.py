@@ -85,6 +85,14 @@ def test_rejects_node_outside_field():
                  radio_range=100.0, field_size=(40.0, 40.0))
 
 
+def test_rejects_node_id_above_one_byte():
+    with pytest.raises(ValueError, match=r"node id 300 does not fit the 8-bit src field"):
+        Topology(nodes={1: (0.0, 0.0), 300: (50.0, 0.0)}, base_id=300,
+                 radio_range=100.0, field_size=(60.0, 10.0))
+    Topology(nodes={1: (0.0, 0.0), 255: (50.0, 0.0)}, base_id=255,
+             radio_range=100.0, field_size=(60.0, 10.0))
+
+
 def test_rejects_nonpositive_range():
     with pytest.raises(ValueError):
         Topology(nodes={1: (0.0, 0.0)}, base_id=1,
