@@ -11,7 +11,6 @@ turns that into the units each ledger cause charges.
 import math
 
 from qcs_sim import (
-    CostModel,
     PacketKind,
     decode,
     encode,
@@ -21,6 +20,7 @@ from qcs_sim import (
     make_source,
     peek_flags,
 )
+from qcs_sim.energy import PRICES
 
 
 def show(label, pkt):
@@ -61,6 +61,6 @@ for kind in PacketKind:
     print(f"  {kind.name:<6} {kind.size} bytes, {joules(kind.size):.4f} mJ per event")
 print()
 
-print("price table (units per ledger cause, default costs)")
-for cause, units in CostModel().price_table().items():
+print("price table (units per ledger cause)")
+for cause, units in PRICES.items():
     print(f"  {cause:<14} {units}")

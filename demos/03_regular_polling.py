@@ -13,15 +13,20 @@ from qcs_sim import Simulation, default16_scenario_text, parse_scenario
 
 sc = parse_scenario(default16_scenario_text(seed=7, horizon=20))
 sim = Simulation(sc)
+# step by hand to see each sensor's role at the start of every tick
+roles = []
+while sim.tick < sc.horizon:
+    roles.append({nid: n.mode for nid, n in sim.nodes.items()})
+    sim.step()
 trace = sim.run()
 
-q0 = sorted(n for n, m in trace.initial_modes.items() if m == "Q")
+q0 = sorted(n for n, m in roles[0].items() if m == "Q")
 print(f"initial Q set ({len(q0)} of 15 sensors): {q0}")
 print()
 
 print("roles by tick (sensors 1..15)")
 for t in (0, 1, 2, 3):
-    row = " ".join(trace.mode_history[t][n] for n in range(1, 16))
+    row = " ".join(roles[t][n] for n in range(1, 16))
     print(f"  t={t}: {row}")
 print()
 
@@ -44,6 +49,6 @@ for nid in sorted(per_node):
     print(f"  node {nid:>2}: {parts}")
 print()
 
-print(f"base station after 20 quiet ticks: {trace.base_record['msg']!r}")
+print(f"base station after 20 quiet ticks: {trace.base.message!r}")
 total = sim.ledger.total_consumed()
 print(f"network spent {total} units, {total / 20:.1f} per tick")

@@ -9,6 +9,7 @@ role.
 """
 
 from qcs_sim import Simulation, default16_scenario_text, parse_scenario
+from qcs_sim.metrics import render_base_record
 
 sc = parse_scenario(default16_scenario_text(
     seed=7, horizon=20, events=((2, 10, 70.0),),
@@ -47,5 +48,4 @@ for hop in rec.hops:
 print()
 
 print("base station record")
-for key, val in trace.base_record.items():
-    print(f"  {key}: {val}")
+print("\n".join(render_base_record(trace.base)))

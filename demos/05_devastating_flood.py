@@ -16,6 +16,14 @@ sc = parse_scenario(default16_scenario_text(
     seed=7, horizon=32, events=((2, 4, 95.0),),
 ))
 sim = Simulation(sc)
+# step by hand to see who is alarmed at the end of every flood tick
+alarmed = []
+while sim.tick < sc.horizon:
+    sim.step()
+    if sim.active_flood is not None:
+        alarmed.append((sim.tick - 1, sorted(
+            nid for nid, n in sim.nodes.items()
+            if n.mode == "S" and n.flag2 and not n.is_base)))
 trace = sim.run()
 
 flood = trace.floods[0]
@@ -24,8 +32,7 @@ print(f"hop cap: {flood.hop_cap} (half of {len(sc.topology.nodes)} nodes)")
 print()
 
 print("alarmed set by tick (breadth-first ball around node 4)")
-for tick, s_set in flood.s_set_by_tick:
-    members = sorted(s_set)
+for tick, members in alarmed:
     print(f"  t={tick:>2}: {len(members):>2} alarmed  {members}")
 print()
 
@@ -44,6 +51,5 @@ print()
 
 print(f"flood completed at t={flood.completed_tick}; "
       f"base message cleared, polling resumes")
-last_modes = trace.mode_history[-1]
-s_left = [n for n, m in last_modes.items() if m == "S"]
+s_left = [nid for nid, n in sim.nodes.items() if n.mode == "S"]
 print(f"alarmed nodes at end of run: {s_left!r}")

@@ -11,7 +11,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from qcs_sim import (
-    CostModel,
     PacketKind,
     SenseEvent,
     Simulation,
@@ -20,13 +19,14 @@ from qcs_sim import (
     lifetime,
     parse_scenario,
 )
+from qcs_sim.energy import PRICES
 from qcs_sim.metrics import write_paths_csv
 
 # radio prices: a short packet event costs 1 unit, a long one 2; the
 # table prices every ledger cause, so one forwarding hop costs its holder
 # hop_query + acks * ack_recv + source_send + reset_recv = 6 + acks
 print("price table")
-for cause, units in CostModel().price_table().items():
+for cause, units in PRICES.items():
     print(f"  {cause:>14}: {units} unit{'s' if units > 1 else ''}")
 for kind in (PacketKind.QUERY, PacketKind.SOURCE):
     print(f"  one {kind.size}B packet event = {joules(kind.size):.4f} mJ")

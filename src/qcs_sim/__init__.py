@@ -54,50 +54,3 @@ from .engine import (
     FloodRecord,
     count_comparisons,
 )
-
-__all__ = [
-    "Topology",
-    "Position",
-    "dist",
-    "load_layout",
-    "Packet",
-    "PacketKind",
-    "PacketError",
-    "Flags",
-    "encode",
-    "decode",
-    "peek_flags",
-    "make_query",
-    "make_ack",
-    "make_source",
-    "affected_message",
-    "disconnect_message",
-    "MODE_Q",
-    "MODE_C",
-    "MODE_S",
-    "NodeState",
-    "Thresholds",
-    "init_modes",
-    "sense_and_classify",
-    "tick_transition",
-    "handle_query",
-    "handle_source",
-    "reset_node",
-    "isolation_check",
-    "CostModel",
-    "EnergyLedger",
-    "joules",
-    "lifetime",
-    "draw_initial_energy",
-    "Scenario",
-    "SenseEvent",
-    "parse_scenario",
-    "load_scenario",
-    "default16_topology",
-    "default16_scenario_text",
-    "Simulation",
-    "Trace",
-    "IncidentRecord",
-    "FloodRecord",
-    "count_comparisons",
-]

@@ -112,13 +112,11 @@ def _cmd_run(sc: Scenario, out: Path) -> int:
         metrics.energy_diff_rows("run", trace.initial_energy, sim.ledger, sensors),
     )
     metrics.write_paths_csv(out / "paths.csv", metrics.paths_rows(trace.incidents))
-    summary = metrics.render_summary(
-        "simulation summary", trace, sim.ledger, trace.base_record, sensors
-    )
+    summary = metrics.render_summary("simulation summary", trace, sim.ledger, sensors)
     metrics.write_text(out / "summary.txt", summary)
     print(f"ran {sc.horizon} ticks, {len(trace.incidents)} incident(s), "
           f"{len(trace.floods)} flood(s)")
-    print(f"base: {trace.base_record['msg']!r}")
+    print(f"base: {trace.base.message!r}")
     print(f"reports written to {out}")
     return 0
 
@@ -150,7 +148,7 @@ def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
         trace_parts.append(trace.render())
         summary_parts.append(f"{label}: source node {nid}")
         summary_parts.append(metrics.render_incident(rec))
-        summary_parts.extend(metrics.render_base_record(trace.base_record))
+        summary_parts.extend(metrics.render_base_record(trace.base))
         summary_parts.append("")
         status = (
             f"delivered in {rec.path_nodes} nodes" if rec.delivered
@@ -191,7 +189,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: cannot create output directory {out}: "
+              f"{err.strerror or err}", file=sys.stderr)
+        return 1
     if ids is not None:
         return _cmd_sweep(sc, ids, out)
     return _cmd_run(sc, out)

@@ -4,8 +4,7 @@ Radio work is billed twice over, in two independent currencies:
 
 * abstract units, 1 per short (24-byte) packet event and 2 per long
   (64-byte) one, with processing cost folded in, used by all protocol
-  logic and for node lifetime; ``CostModel.price_table`` prices every
-  ledger cause;
+  logic and for node lifetime; ``PRICES`` prices every ledger cause;
 * millijoules, from transmission time at a fixed current and voltage,
   for physically meaningful reporting.
 
@@ -66,56 +65,52 @@ def draw_initial_energy(seed: int | str, node_id: int, lo: int = 3000, hi: int =
     return random.Random(f"energy:{seed}:{node_id}").randint(lo, hi)
 
 
+#: units for one short (24-byte) packet event; a long one costs twice that
+QUERY_COST = 1
+
+#: how many times the radio range a disconnect alert reaches
+ISOLATION_MULTIPLIER = 2
+
+_LONG = 2 * QUERY_COST
+
+#: Units charged for each ledger cause.  One forwarding hop bills its
+#: holder 6 + (acks heard) short units: 1 for hop_query, 1 per ack_recv,
+#: 4 for source_send (both radio ends of the long transfer) and 1 for
+#: reset_recv.  The accepting node pays only reset_send.  A disconnect
+#: alert is a long packet sent ISOLATION_MULTIPLIER times as far, at that
+#: multiple of the long price.
+PRICES: dict[str, int] = {
+    "query_send": QUERY_COST,
+    "query_recv": QUERY_COST,
+    "hop_query": QUERY_COST,
+    "hop_query_recv": QUERY_COST,
+    "ack_send": QUERY_COST,
+    "ack_recv": QUERY_COST,
+    "source_send": 2 * _LONG,
+    "reset_send": QUERY_COST,
+    "reset_recv": QUERY_COST,
+    "flood_send": _LONG,
+    "flood_recv": _LONG,
+    "alert_send": ISOLATION_MULTIPLIER * _LONG,
+    "alert_recv": _LONG,
+}
+
+
 @dataclass(frozen=True)
 class CostModel:
-    """Tunable protocol costs; defaults follow the unit scheme above."""
+    """Per-scenario energy settings: the handover floor and battery range."""
 
-    query_cost: int = 1
     threshold: int = 500
     init_min: int = 3000
     init_max: int = 5000
-    isolation_multiplier: int = 2
 
     def __post_init__(self):
-        if self.query_cost <= 0:
-            raise ValueError("query_cost must be positive")
         if self.threshold < 0:
             raise ValueError("threshold cannot be negative")
         if not 0 < self.init_min <= self.init_max:
             raise ValueError("initial energy range must satisfy 0 < min <= max")
         if self.threshold >= self.init_min:
             raise ValueError("threshold must sit below the lowest starting energy")
-        if self.isolation_multiplier < 1:
-            raise ValueError("isolation_multiplier must be at least 1")
-
-    def price_table(self) -> dict[str, int]:
-        """Units charged for each ledger cause.
-
-        A short packet event costs query_cost and a long one twice that.
-        One forwarding hop bills its holder 6 + (acks heard) short units:
-        1 for hop_query, 1 per ack_recv, 4 for source_send (both radio
-        ends of the long transfer) and 1 for reset_recv.  The accepting
-        node pays only reset_send.  A disconnect alert is a long packet
-        sent isolation_multiplier times as far, at that multiple of the
-        long price.
-        """
-        short = self.query_cost
-        long = 2 * short
-        return {
-            "query_send": short,
-            "query_recv": short,
-            "hop_query": short,
-            "hop_query_recv": short,
-            "ack_send": short,
-            "ack_recv": short,
-            "source_send": 2 * long,
-            "reset_send": short,
-            "reset_recv": short,
-            "flood_send": long,
-            "flood_recv": long,
-            "alert_send": self.isolation_multiplier * long,
-            "alert_recv": long,
-        }
 
 
 class LedgerEntry(NamedTuple):

@@ -26,7 +26,7 @@ neighbours' query coins, and the holder's ack and confirmation coins
 are drawn before its own liveness is checked.
 
 Every debit names a ledger cause and costs that cause's entry in
-``CostModel.price_table``, which also spells out how one forwarding hop
+``energy.PRICES``, which also spells out how one forwarding hop
 comes to 6 + (acks heard) units for its holder.
 
 Flood epochs end through a reset wave: once the base hears the alarm,
@@ -43,7 +43,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .energy import EnergyLedger, draw_initial_energy
+from .energy import (
+    ISOLATION_MULTIPLIER, PRICES, EnergyLedger, draw_initial_energy,
+)
 from .node import (
     MODE_C,
     MODE_Q,
@@ -64,7 +66,6 @@ from .topology import dist
 
 log = logging.getLogger(__name__)
 
-BASE_LABEL = "BASE STATION"
 NETWORK_FINE = "Network is fine"
 
 
@@ -135,7 +136,6 @@ class FloodRecord:
     hop_cap: int
     infected_at: dict[int, int] = field(default_factory=dict)
     base_receipt_tick: int | None = None
-    s_set_by_tick: list[tuple[int, frozenset[int]]] = field(default_factory=list)
     reset_wave: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
     completed_tick: int | None = None
 
@@ -156,18 +156,20 @@ class PacketEvent:
 
 @dataclass
 class Trace:
-    """Everything a run produced, in deterministic order."""
+    """Everything a run produced, in deterministic order.
+
+    It keeps no per-tick copy of node state; a caller that wants one
+    steps the Simulation itself and reads its nodes between steps.
+    """
 
     lines: list[str] = field(default_factory=list)
-    mode_history: list[dict[int, str]] = field(default_factory=list)
     packet_events: list[PacketEvent] = field(default_factory=list)
     incidents: list[IncidentRecord] = field(default_factory=list)
     floods: list[FloodRecord] = field(default_factory=list)
     base_inbox: list[tuple[int, str]] = field(default_factory=list)
     deaths: list[tuple[int, int]] = field(default_factory=list)
-    initial_modes: dict[int, str] = field(default_factory=dict)
     initial_energy: dict[int, float] = field(default_factory=dict)
-    base_record: dict[str, object] = field(default_factory=dict)
+    base: NodeState | None = None  # the base station's final state
 
     def render(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -189,7 +191,6 @@ class Simulation:
         self.sc = scenario
         self.topology = scenario.topology
         self.costs = scenario.costs
-        self.prices = self.costs.price_table()
         self.seed_key = str(scenario.seed) if seed_key is None else seed_key
 
         topo = self.topology
@@ -229,7 +230,6 @@ class Simulation:
 
         self.tick = 0
         self.trace = Trace()
-        self.trace.initial_modes = {n: modes[n] for n in sorted(modes)}
         self.trace.initial_energy = {nid: n.energy for nid, n in self.nodes.items()}
         self._events_at: dict[int, list[SenseEvent]] = {}
         for ev in scenario.events:
@@ -242,9 +242,8 @@ class Simulation:
         )
         self._acted_reset: set[int] = set()
 
-        initial = self.trace.initial_modes
-        q = [n for n, m in initial.items() if m == MODE_Q]
-        c = [n for n, m in initial.items() if m == MODE_C]
+        q = sorted(n for n, m in modes.items() if m == MODE_Q)
+        c = sorted(n for n, m in modes.items() if m == MODE_C)
         w, h = topo.field_size
         self._line(
             f"init: field={fmt_num(w)}x{fmt_num(h)} range={fmt_num(topo.radio_range)}"
@@ -292,7 +291,7 @@ class Simulation:
 
     def _debit(self, nid: int, cause: str) -> None:
         """Charge a node the price of cause; a debit that empties it kills it."""
-        taken = self.ledger.debit(self.tick, nid, cause, self.prices[cause])
+        taken = self.ledger.debit(self.tick, nid, cause, PRICES[cause])
         if taken and self.nodes[nid].energy <= 0:
             self.trace.deaths.append((self.tick, nid))
             self._tline(f"node {nid} died ({cause})")
@@ -311,19 +310,6 @@ class Simulation:
             return [n for n in candidates if n.energy > 0]
         coin = self.loss_rng.random
         return [n for n in candidates if n.energy > 0 and coin() >= p]
-
-    def base_record(self) -> dict[str, object]:
-        """The base station's status in the shape reports print it."""
-        base = self.nodes[self.base_id]
-        return {
-            "id": BASE_LABEL,
-            "energy": base.energy,
-            "loc": base.pos,
-            "flag1": int(base.flag1),
-            "flag2": int(base.flag2),
-            "mode": base.mode,
-            "msg": base.message,
-        }
 
     # -------------------------------------------------------------- incidents
 
@@ -392,14 +378,14 @@ class Simulation:
     # ------------------------------------------------------------- tick loop
 
     def run(self) -> Trace:
-        """Execute the whole horizon and return the finished trace."""
-        for _ in range(self.sc.horizon):
+        """Run the rest of the horizon and return the finished trace."""
+        while self.tick < self.sc.horizon:
             self.step()
         self._line(
             "end: balances "
             + " ".join(f"{n}={fmt_num(self.ledger.balance(n))}" for n in self.nodes)
         )
-        self.trace.base_record = self.base_record()
+        self.trace.base = self.nodes[self.base_id]
         return self.trace
 
     def step(self) -> None:
@@ -415,10 +401,6 @@ class Simulation:
         if (epoch is not None and epoch.base_receipt_tick is not None
                 and self.tick > epoch.base_receipt_tick):
             self.base_reset()
-
-        self.trace.mode_history.append(
-            {nid: node.mode for nid, node in self.nodes.items()}
-        )
 
         sensors = self._sensors
         for node in sensors:
@@ -443,12 +425,6 @@ class Simulation:
                     or node.node_id in self._acted_reset):
                 continue
             tick_transition(node)
-
-        if self.active_flood is not None:
-            s_set = frozenset(
-                n.node_id for n in sensors if n.mode == MODE_S and n.flag2
-            )
-            self.active_flood.s_set_by_tick.append((self.tick, s_set))
 
         self._acted_reset.clear()
         self.tick += 1
@@ -696,7 +672,7 @@ class Simulation:
     def _broadcast_alert(self, nid: int, alert) -> None:
         """Long-range disconnect alert: heard directly, never relayed."""
         node = self.nodes[nid]
-        reach = self.costs.isolation_multiplier * self.topology.radio_range
+        reach = ISOLATION_MULTIPLIER * self.topology.radio_range
         self._debit(nid, "alert_send")
         received = [n.node_id for n in self._receivers(
             nb for nb in self.nodes.values()

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .energy import EnergyLedger, joules
 from .engine import IncidentRecord, PacketEvent, Trace, _ids
+from .node import NodeState
 from .numtext import fmt_num
 
 
@@ -81,17 +82,17 @@ def total_radio_millijoules(events: list[PacketEvent]) -> float:
     return total
 
 
-def render_base_record(record: dict[str, object]) -> list[str]:
-    """The base station status as labeled lines."""
-    loc = record["loc"]
+def render_base_record(base: NodeState) -> list[str]:
+    """The base station's state as labeled lines."""
+    x, y = base.pos
     return [
-        f"    id: '{record['id']}'",
-        f"    energy: {fmt_num(record['energy'], 'Inf')}",
-        f"    loc: [{fmt_num(loc[0], 'Inf')} {fmt_num(loc[1], 'Inf')}]",
-        f"    flag1: {record['flag1']}",
-        f"    flag2: {record['flag2']}",
-        f"    mode: '{record['mode']}'",
-        f"    msg: '{record['msg']}'",
+        "    id: 'BASE STATION'",
+        f"    energy: {fmt_num(base.energy, 'Inf')}",
+        f"    loc: [{fmt_num(x, 'Inf')} {fmt_num(y, 'Inf')}]",
+        f"    flag1: {int(base.flag1)}",
+        f"    flag2: {int(base.flag2)}",
+        f"    mode: '{base.mode}'",
+        f"    msg: '{base.message}'",
     ]
 
 
@@ -108,12 +109,11 @@ def render_incident(rec: IncidentRecord) -> str:
 
 
 def render_summary(title: str, trace: Trace, ledger: EnergyLedger,
-                   base_record: dict[str, object],
                    sensor_ids: list[int]) -> str:
     """Human-readable run summary including the base station record."""
     lines = [title, "=" * len(title), ""]
     lines.append("base station")
-    lines.extend(render_base_record(base_record))
+    lines.extend(render_base_record(trace.base))
     lines.append("")
 
     lines.append("base inbox")

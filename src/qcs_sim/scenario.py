@@ -4,14 +4,14 @@ Sections, INI style with # comments:
 
     [field]       width, height, radio_range
     [nodes]       one ``id x y [base]`` line per node
-    [costs]       query_cost, threshold, init_min, init_max,
-                  isolation_multiplier (all optional)
+    [costs]       threshold, init_min, init_max (all optional)
     [thresholds]  irregular, devastating sensor levels
     [events]      one ``tick node reading`` line per injected reading
     [sim]         seed, horizon, loss_prob
 
 Only [field] and [nodes] are mandatory; everything else falls back to
-the documented defaults.  Every number must be finite.
+the documented defaults.  An unknown section or key is an error, and
+every number must be finite.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .topology import Topology, load_layout, parse_kv, split_sections
 
 
 DEFAULT_HORIZON = 20
+SECTIONS = ("field", "nodes", "costs", "thresholds", "events", "sim")
 
 
 @dataclass(frozen=True)
@@ -90,17 +91,19 @@ def _float_field(kv: dict[str, str], key: str, default: float, section: str) -> 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text into a validated Scenario."""
-    topology = load_layout(text)
     sections = split_sections(text)
+    for name in sections:
+        if name not in SECTIONS:
+            raise ValueError(f"unknown section [{name}]")
+    topology = load_layout(text)
 
-    kv = parse_kv(sections.get("costs", []), "costs")
-    unknown = set(kv) - {f.name for f in fields(CostModel)}
-    if unknown:
-        raise ValueError(f"[costs] has unknown keys: {sorted(unknown)}")
+    kv = parse_kv(sections.get("costs", []), "costs",
+                  {f.name for f in fields(CostModel)})
     # keys left out keep the CostModel defaults
     costs = CostModel(**{key: _int_field(kv, key, 0, "costs") for key in kv})
 
-    kv = parse_kv(sections.get("thresholds", []), "thresholds")
+    kv = parse_kv(sections.get("thresholds", []), "thresholds",
+                  ("irregular", "devastating"))
     thresholds = Thresholds(
         irregular_level=_float_field(kv, "irregular", 50.0, "thresholds"),
         devastating_level=_float_field(kv, "devastating", 90.0, "thresholds"),
@@ -118,7 +121,7 @@ def parse_scenario(text: str) -> Scenario:
         reading = parse_num(parts[2], f"[events] reading in {line!r}")
         events.append(SenseEvent(tick, node, reading))
 
-    kv = parse_kv(sections.get("sim", []), "sim")
+    kv = parse_kv(sections.get("sim", []), "sim", ("seed", "horizon", "loss_prob"))
     seed = _int_field(kv, "seed", 0, "sim")
     horizon = _int_field(kv, "horizon", DEFAULT_HORIZON, "sim")
     loss_prob = _float_field(kv, "loss_prob", 0.0, "sim")

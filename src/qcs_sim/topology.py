@@ -122,13 +122,17 @@ def split_sections(text: str) -> dict[str, list[str]]:
     return sections
 
 
-def parse_kv(lines: list[str], section: str) -> dict[str, str]:
+def parse_kv(lines: list[str], section: str, allowed) -> dict[str, str]:
+    """The ``key = value`` lines of a section; a key not in allowed is an error."""
     out = {}
     for line in lines:
         if "=" not in line:
             raise ValueError(f"[{section}] expects key = value lines, got {line!r}")
         k, _, v = line.partition("=")
-        out[k.strip().lower()] = v.strip()
+        k = k.strip().lower()
+        if k not in allowed:
+            raise ValueError(f"[{section}] has unknown key {k!r}")
+        out[k] = v.strip()
     return out
 
 
@@ -143,7 +147,7 @@ def load_layout(source: str) -> Topology:
     sections = split_sections(source)
     if "field" not in sections or "nodes" not in sections:
         raise ValueError("layout text needs [field] and [nodes] sections")
-    fv = parse_kv(sections["field"], "field")
+    fv = parse_kv(sections["field"], "field", ("width", "height", "radio_range"))
     try:
         width = parse_num(fv["width"], "[field] width")
         height = parse_num(fv["height"], "[field] height")

@@ -8,13 +8,25 @@ incremental bookkeeping is checked against an independent answer.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import deque
+from dataclasses import dataclass
+from pathlib import Path
 
 from qcs_sim import CostModel, Scenario, Thresholds, Topology
 from qcs_sim.scenario import SenseEvent
 
 GRID = 16  # integer coordinates stay exactly representable on the wire
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """The environment for a child Python that must import qcs_sim from src/."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def random_connected_topology(
@@ -125,10 +137,40 @@ def bfs_hops(adj: dict[int, set[int]], src: int) -> dict[int, int]:
     return dist
 
 
-def audit_regular_window(sim, trace, t0: int, t1: int) -> None:
+@dataclass
+class Samples:
+    """Per-tick state the engine does not keep, read around each step."""
+
+    modes: list[dict[int, str]]                 # every node's mode, per tick
+    flooded: list[tuple[int, frozenset[int]]]   # (tick, flooded sensors)
+
+
+def run_sampled(sim):
+    """Step sim to its horizon while sampling, then let run() close the trace.
+
+    A tick's modes are read before its step.  That is the state its
+    nodes act on unless a sense event or a reset-wave hop lands in the
+    tick, and audit_regular_window admits no such tick.  The flooded
+    set, the sensors in S with flag2 raised, is read after every step
+    that leaves a flood epoch active.  Returns (trace, Samples).
+    """
+    seen = Samples([], [])
+    while sim.tick < sim.sc.horizon:
+        seen.modes.append({nid: n.mode for nid, n in sim.nodes.items()})
+        sim.step()
+        if sim.active_flood is not None:
+            seen.flooded.append((sim.tick - 1, frozenset(
+                n.node_id for n in sim.nodes.values()
+                if not n.is_base and n.mode == "S" and n.flag2
+            )))
+    return sim.run(), seen
+
+
+def audit_regular_window(sim, trace, modes_by_tick, t0: int, t1: int) -> None:
     """Assert ticks [t0, t1) behave like pure status polling.
 
-    Checks, against the trace and ledger only: every packet is a
+    modes_by_tick is run_sampled's per-tick modes.  Checks, against the
+    trace, the ledger and those modes: every packet is a
     flag-clear query, each Q sensor sends exactly one per tick, the
     receiver set is exactly the live neighborhood, roles alternate
     tick to tick, and each node's per-tick debit equals one unit for
@@ -148,7 +190,7 @@ def audit_regular_window(sim, trace, t0: int, t1: int) -> None:
             debit[(e.tick, e.node_id)] = debit.get((e.tick, e.node_id), 0) + e.debit
 
     for t in range(t0, t1):
-        modes = trace.mode_history[t]
+        modes = modes_by_tick[t]
         assert all(m in "QC" for n, m in modes.items() if n != topo.base_id)
         q_nodes = {n for n, m in modes.items()
                    if m == "Q" and n != topo.base_id}
@@ -166,7 +208,7 @@ def audit_regular_window(sim, trace, t0: int, t1: int) -> None:
             want = (1 if nid in q_nodes else 0) + heard.get(nid, 0)
             assert debit.get((t, nid), 0) == want, (t, nid)
         if t > t0:
-            prev = trace.mode_history[t - 1]
+            prev = modes_by_tick[t - 1]
             for nid in topo.sensor_ids():
                 assert modes[nid] != prev[nid], (t, nid)
 

@@ -38,6 +38,7 @@ from conftest import (
     make_scenario,
     oracle_hop_choice,
     random_connected_topology,
+    run_sampled,
 )
 
 SCN = Path(__file__).resolve().parents[1] / "scenarios" / "default16.scn"
@@ -152,10 +153,10 @@ def test_criterion_05_init_is_maximal_independent_set():
 def test_criterion_06_silence_law_and_alternation():
     text = default16_scenario_text(seed=7, horizon=20, loss_prob=0.0)
     sim = Simulation(parse_scenario(text))
-    tr = sim.run()
+    tr, seen = run_sampled(sim)
     assert all(ev.kind == PacketKind.QUERY and ev.note == "regular"
                for ev in tr.packet_events)
-    audit_regular_window(sim, tr, 0, 20)
+    audit_regular_window(sim, tr, seen.modes, 0, 20)
 
 
 def test_criterion_07_greedy_oracle_equivalence():
@@ -222,12 +223,12 @@ def test_criterion_09_flood_equals_bfs_ball():
     text = default16_scenario_text(seed=7, horizon=32,
                                    events=((2, 4, 95.0),))
     sim = Simulation(parse_scenario(text))
-    tr = sim.run()
+    tr, seen = run_sampled(sim)
     fl = tr.floods[0]
     topo = default16_topology()
     hops = bfs_hops(brute_adjacency(topo.nodes, topo.radio_range), 4)
     assert fl.base_receipt_tick == 2 + hops[topo.base_id]
-    for t, s_set in fl.s_set_by_tick:
+    for t, s_set in seen.flooded:
         if t > fl.base_receipt_tick:
             break
         r = min(t - 2, fl.hop_cap)
@@ -237,7 +238,7 @@ def test_criterion_09_flood_equals_bfs_ball():
     done = fl.completed_tick
     assert done is not None
     assert all(n.mode in "QC" for n in sim.nodes.values())
-    audit_regular_window(sim, tr, done + 1, 32)
+    audit_regular_window(sim, tr, seen.modes, done + 1, 32)
 
     # randomized layouts, including sources whose cap hides the base
     rng = random.Random(109)
@@ -248,7 +249,7 @@ def test_criterion_09_flood_equals_bfs_ball():
                            horizon=2 * len(rtopo.nodes) + 6,
                            events=(SenseEvent(1, origin, 95.0),))
         rsim = Simulation(sc)
-        rtr = rsim.run()
+        rtr, rseen = run_sampled(rsim)
         rfl = rtr.floods[0]
         rhops = bfs_hops(brute_adjacency(rtopo.nodes, rtopo.radio_range),
                          origin)
@@ -259,7 +260,7 @@ def test_criterion_09_flood_equals_bfs_ball():
             assert rfl.base_receipt_tick is None
         stop = (rfl.base_receipt_tick
                 if rfl.base_receipt_tick is not None else 10 ** 9)
-        for t, s_set in rfl.s_set_by_tick:
+        for t, s_set in rseen.flooded:
             if t > stop:
                 break
             r = min(t - 1, rfl.hop_cap)
@@ -279,11 +280,11 @@ def test_criterion_10_end_to_end_reference_alarm():
     assert tr.incidents[0].delivered
     want = "Affected NODE is ->NODE10 At Location (225 225)"
     assert tr.base_inbox[-1][1] == want
-    rec = tr.base_record
-    assert rec["msg"] == want
-    assert rec["energy"] == math.inf
-    assert rec["loc"] == (150.0, 450.0)
-    assert (rec["flag1"], rec["flag2"], rec["mode"]) == (1, 0, "S")
+    base = tr.base
+    assert base.message == want
+    assert base.energy == math.inf
+    assert base.pos == (150.0, 450.0)
+    assert (base.flag1, base.flag2, base.mode) == (True, False, "S")
 
 
 def test_criterion_11_byte_identical_reruns(tmp_path):

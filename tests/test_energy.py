@@ -8,6 +8,7 @@ import random
 import pytest
 
 from qcs_sim.energy import (
+    PRICES,
     CostModel,
     EnergyLedger,
     draw_initial_energy,
@@ -17,7 +18,7 @@ from qcs_sim.energy import (
 from qcs_sim.node import NodeState
 
 
-# the price table: short packets cost query_cost, long packets twice that,
+# the price table: short packets cost one unit, long packets two,
 # both directions; one forwarding hop costs its holder 6 + (acks heard)
 
 SHORT_CAUSES = ("query_send", "query_recv", "hop_query", "hop_query_recv",
@@ -26,7 +27,7 @@ LONG_CAUSES = ("flood_send", "flood_recv", "alert_recv")
 
 
 def test_price_table_covers_every_cause():
-    prices = CostModel().price_table()
+    prices = PRICES
     assert len(prices) == 13
     assert all(prices[c] == 1 for c in SHORT_CAUSES)
     assert all(prices[c] == 2 for c in LONG_CAUSES)
@@ -35,19 +36,11 @@ def test_price_table_covers_every_cause():
 
 
 def test_price_table_hop_costs_six_plus_acks():
-    prices = CostModel().price_table()
+    prices = PRICES
     for acks in (0, 3):
         hop = (prices["hop_query"] + acks * prices["ack_recv"]
                + prices["source_send"] + prices["reset_recv"])
         assert hop == 6 + acks
-
-
-def test_price_table_scales_with_query_cost_and_multiplier():
-    prices = CostModel(query_cost=3, isolation_multiplier=5).price_table()
-    assert all(prices[c] == 3 for c in SHORT_CAUSES)
-    assert all(prices[c] == 6 for c in LONG_CAUSES)
-    assert prices["source_send"] == 12
-    assert prices["alert_send"] == 30
 
 
 # physical model: mJ = seconds * mA * V, 40ms long frame = 2x 20ms short
@@ -105,13 +98,9 @@ def test_draw_initial_energy_bounds_and_determinism():
 def test_cost_model_validation():
     CostModel()  # defaults are consistent
     with pytest.raises(ValueError):
-        CostModel(query_cost=0)
-    with pytest.raises(ValueError):
         CostModel(threshold=3000, init_min=3000)  # floor must undercut start
     with pytest.raises(ValueError):
         CostModel(init_min=400, init_max=300)
-    with pytest.raises(ValueError):
-        CostModel(isolation_multiplier=0)
 
 
 # ledger behavior: balances live on the nodes, the ledger records debits

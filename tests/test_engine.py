@@ -23,6 +23,7 @@ from qcs_sim import (
     parse_scenario,
 )
 from qcs_sim import engine
+from qcs_sim.energy import PRICES
 from qcs_sim.packet import PacketKind
 from qcs_sim.scenario import SenseEvent
 
@@ -33,22 +34,28 @@ from conftest import (
     make_scenario,
     oracle_hop_choice,
     random_connected_topology,
+    run_sampled,
 )
 
 
-def run16(*, seed=7, horizon=20, loss_prob=0.0, events=()):
+def sim16(*, seed=7, horizon=20, loss_prob=0.0, events=()):
     text = default16_scenario_text(seed=seed, horizon=horizon,
                                    loss_prob=loss_prob, events=events)
-    sim = Simulation(parse_scenario(text))
+    return Simulation(parse_scenario(text))
+
+
+def run16(**kw):
+    sim = sim16(**kw)
     return sim, sim.run()
 
 
 # ----------------------------------------------------------- regular mode
 
 def test_quiet_network_just_polls():
-    sim, tr = run16()
-    audit_regular_window(sim, tr, 0, 20)
-    assert tr.base_record["msg"] == "Network is fine"
+    sim = sim16()
+    tr, seen = run_sampled(sim)
+    audit_regular_window(sim, tr, seen.modes, 0, 20)
+    assert tr.base.message == "Network is fine"
     assert tr.incidents == []
     assert tr.floods == []
 
@@ -59,8 +66,8 @@ def test_quiet_polling_on_random_layouts():
         topo = random_connected_topology(rng)
         sc = make_scenario(topo, seed=rng.randint(0, 999), horizon=15)
         sim = Simulation(sc)
-        tr = sim.run()
-        audit_regular_window(sim, tr, 0, 15)
+        tr, seen = run_sampled(sim)
+        audit_regular_window(sim, tr, seen.modes, 0, 15)
 
 
 def test_regular_plane_builds_no_packet(monkeypatch):
@@ -69,12 +76,13 @@ def test_regular_plane_builds_no_packet(monkeypatch):
 
     monkeypatch.setattr(engine, "make_query", refuse)
     monkeypatch.setattr(engine, "handle_query", refuse)
-    sim, tr = run16(horizon=20)
+    sim = sim16(horizon=20)
+    tr, seen = run_sampled(sim)
     assert tr.packet_events
     assert all(ev.kind == PacketKind.QUERY and ev.note == "regular"
                for ev in tr.packet_events)
     # each listener still learned every sender of the last two ticks
-    last_two = tr.mode_history[-2:]
+    last_two = seen.modes[-2:]
     for nid in sim.topology.sensor_ids():
         want = {j for j in sim.topology.neighbors(nid)
                 if any(modes[j] == "Q" for modes in last_two)}
@@ -96,12 +104,13 @@ def test_neighbour_tuples_hold_the_node_states():
 
 
 def test_initial_state_recorded():
-    sim, tr = run16(seed=5)
+    sim = sim16(seed=5)
+    tr, seen = run_sampled(sim)
     topo = default16_topology()
-    assert tr.initial_modes == init_modes(topo, "5")
+    initial_modes = {n: m for n, m in seen.modes[0].items() if n != topo.base_id}
+    assert initial_modes == init_modes(topo, "5")
     for nid in topo.sensor_ids():
         assert tr.initial_energy[nid] == draw_initial_energy("5", nid)
-    assert len(tr.mode_history) == 20
 
 
 # ------------------------------------------------------- alarm forwarding
@@ -123,12 +132,12 @@ def test_alarm_reaches_base_greedily():
 
 def test_alarm_base_record_snapshot():
     sim, tr = run16(events=EV10)
-    rec = tr.base_record
-    assert rec["id"] == "BASE STATION"
-    assert rec["energy"] == math.inf
-    assert rec["loc"] == (150.0, 450.0)
-    assert (rec["flag1"], rec["flag2"], rec["mode"]) == (1, 0, "S")
-    assert rec["msg"] == "Affected NODE is ->NODE10 At Location (225 225)"
+    base = tr.base
+    assert base is sim.nodes[sim.base_id]
+    assert base.energy == math.inf
+    assert base.pos == (150.0, 450.0)
+    assert (base.flag1, base.flag2, base.mode) == (True, False, "S")
+    assert base.message == "Affected NODE is ->NODE10 At Location (225 225)"
 
 
 def test_new_holder_waits_one_tick():
@@ -158,9 +167,10 @@ def test_handover_ledger_identity():
 
 
 def test_handed_over_nodes_resume_alternation():
-    sim, tr = run16(events=EV10, horizon=25)
+    sim = sim16(events=EV10, horizon=25)
+    tr, seen = run_sampled(sim)
     # all flags are down once the alarm lands at tick 6
-    audit_regular_window(sim, tr, 8, 25)
+    audit_regular_window(sim, tr, seen.modes, 8, 25)
 
 
 def test_comparisons_counting():
@@ -334,14 +344,15 @@ def test_per_hop_identity_on_random_layouts():
 # ----------------------------------------------------------------- floods
 
 def test_flood_infects_like_a_bfs_ball():
-    sim, tr = run16(events=((2, 4, 95.0),))
+    sim = sim16(events=((2, 4, 95.0),))
+    tr, seen = run_sampled(sim)
     fl = tr.floods[0]
     topo = default16_topology()
     adj = brute_adjacency(topo.nodes, topo.radio_range)
     hops = bfs_hops(adj, 4)
     assert fl.hop_cap == 8
     assert fl.base_receipt_tick == 2 + hops[topo.base_id]
-    for t, s_set in fl.s_set_by_tick:
+    for t, s_set in seen.flooded:
         if t > fl.base_receipt_tick:
             break
         r = min(t - 2, fl.hop_cap)
@@ -358,7 +369,7 @@ def test_flood_ball_on_random_layouts():
         sc = make_scenario(topo, seed=rng.randint(0, 999), horizon=2 * n + 6,
                            events=(SenseEvent(1, origin, 95.0),))
         sim = Simulation(sc)
-        tr = sim.run()
+        tr, seen = run_sampled(sim)
         fl = tr.floods[0]
         adj = brute_adjacency(topo.nodes, topo.radio_range)
         hops = bfs_hops(adj, origin)
@@ -368,7 +379,7 @@ def test_flood_ball_on_random_layouts():
         else:
             assert fl.base_receipt_tick is None
         stop = fl.base_receipt_tick if fl.base_receipt_tick is not None else 10 ** 9
-        for t, s_set in fl.s_set_by_tick:
+        for t, s_set in seen.flooded:
             if t > stop:
                 break
             r = min(t - 1, fl.hop_cap)
@@ -390,14 +401,15 @@ def test_flood_reset_wave_walks_outward():
     assert fl.completed_tick == 8 + max(depth.values())
     # everything is back to polling afterwards
     assert all(n.mode in "QC" for n in sim.nodes.values())
-    assert tr.base_record["msg"] == "Network is fine"
-    assert (tr.base_record["flag1"], tr.base_record["mode"]) == (0, "C")
+    assert tr.base.message == "Network is fine"
+    assert (tr.base.flag1, tr.base.mode) == (False, "C")
 
 
 def test_network_polls_normally_after_flood_reset():
-    sim, tr = run16(events=((2, 4, 95.0),), horizon=32)
+    sim = sim16(events=((2, 4, 95.0),), horizon=32)
+    tr, seen = run_sampled(sim)
     done = tr.floods[0].completed_tick
-    audit_regular_window(sim, tr, done + 1, 32)
+    audit_regular_window(sim, tr, seen.modes, done + 1, 32)
 
 
 def test_flood_silences_at_hop_cap():
@@ -408,14 +420,14 @@ def test_flood_silences_at_hop_cap():
     sc = make_scenario(topo, seed=0, horizon=20,
                        events=(SenseEvent(0, 1, 95.0),))
     sim = Simulation(sc)
-    tr = sim.run()
+    tr, seen = run_sampled(sim)
     fl = tr.floods[0]
     assert fl.hop_cap == 6
     assert fl.base_receipt_tick is None          # base sits 11 hops away
     assert set(fl.infected_at) == {1, 2, 3, 4, 5, 6, 7}
-    final = max(fl.s_set_by_tick, key=lambda kv: kv[0])[1]
+    final = max(seen.flooded, key=lambda kv: kv[0])[1]
     assert set(final) == {1, 2, 3, 4, 5, 6, 7}   # stuck, never reset
-    assert "Affected" not in tr.base_record["msg"]
+    assert "Affected" not in tr.base.message
 
 
 def test_flood_escalates_an_alarm_in_flight():
@@ -530,7 +542,7 @@ def test_total_loss_strands_every_packet():
     assert rec.attempts == 16
     causes = {e.cause for e in sim.ledger.entries}
     assert causes <= {"query_send", "hop_query"}  # senders still pay
-    assert tr.base_record["msg"] == ""
+    assert tr.base.message == ""
 
 
 def test_lossy_runs_are_seed_deterministic():
@@ -557,20 +569,18 @@ def test_polling_pair_lives_exactly_lifetime_ticks():
     costs = CostModel(threshold=2, init_min=8, init_max=8)
     sc = make_scenario(topo, seed=0, horizon=12, costs=costs)
     sim = Simulation(sc)
-    tr = sim.run()
+    tr, seen = run_sampled(sim)
     want = lifetime(8, 1)                        # 8 periods: ticks 0..7
     assert sorted(tr.deaths) == [(want - 1, 1), (want - 1, 2)]
     for nid in (1, 2):
         assert sum(e.debit for e in sim.ledger.entries if e.node_id == nid) == 8
-    audit_regular_window(sim, tr, 0, want - 1)
+    audit_regular_window(sim, tr, seen.modes, 0, want - 1)
 
 
 def test_every_debit_charges_its_table_price():
-    # scaled costs, small batteries, loss, an alarm and a flood: each row
+    # small batteries, loss, an alarm and a flood: each row
     # takes its cause's price, or the rest of a balance smaller than that
-    costs = CostModel(query_cost=3, threshold=30, init_min=150, init_max=250,
-                      isolation_multiplier=3)
-    prices = costs.price_table()
+    costs = CostModel(threshold=30, init_min=150, init_max=250)
     rng = random.Random(5)
     causes = set()
     for _ in range(6):
@@ -583,9 +593,9 @@ def test_every_debit_charges_its_table_price():
         sim.run()
         for e in sim.ledger.entries:
             causes.add(e.cause)
-            assert e.debit == prices[e.cause] or (
-                e.balance == 0 and e.debit < prices[e.cause])
-    assert causes == set(prices)
+            assert e.debit == PRICES[e.cause] or (
+                e.balance == 0 and e.debit < PRICES[e.cause])
+    assert causes == set(PRICES)
 
 
 def test_determinism_is_byte_exact():

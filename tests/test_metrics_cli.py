@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +21,8 @@ from qcs_sim.metrics import (
     write_ledger_csv,
     write_paths_csv,
 )
+
+from conftest import subprocess_env
 
 SCN = Path(__file__).resolve().parents[1] / "scenarios" / "default16.scn"
 
@@ -85,7 +86,7 @@ def test_total_radio_millijoules():
 
 def test_base_record_rendering():
     sim, tr = run16(seed=7, horizon=20, events=((2, 10, 70.0),))
-    lines = render_base_record(tr.base_record)
+    lines = render_base_record(tr.base)
     assert lines == [
         "    id: 'BASE STATION'",
         "    energy: Inf",
@@ -99,8 +100,7 @@ def test_base_record_rendering():
 
 def test_summary_mentions_key_facts():
     sim, tr = run16(seed=7, horizon=20, events=((2, 10, 70.0),))
-    text = render_summary("demo run", tr, sim.ledger, tr.base_record,
-                          sim.topology.sensor_ids())
+    text = render_summary("demo run", tr, sim.ledger, sim.topology.sensor_ids())
     assert "demo run" in text
     assert "BASE STATION" in text
     assert "Affected NODE is ->NODE10" in text
@@ -238,6 +238,18 @@ def test_cli_rejects_node_id_above_one_byte(tmp_path, capsys):
     assert "node id 300" in out.err
 
 
+@pytest.mark.parametrize("args", [[], ["--sweep", "13,2"]], ids=["run", "sweep"])
+def test_cli_out_that_cannot_be_created(tmp_path, capsys, args):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    for out in (taken, taken / "sub"):
+        assert main(["--scenario", str(SCN), "--out", str(out)] + args) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith(f"error: cannot create output directory {out}")
+    assert taken.read_text() == "a file, not a directory\n"
+
+
 def test_cli_loss_override(tmp_path):
     out = tmp_path / "lossy"
     rc = main(["--scenario", str(SCN), "--out", str(out), "--loss", "1.0"])
@@ -249,14 +261,14 @@ def test_cli_loss_override(tmp_path):
 def test_cli_entry_point_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "qcs_sim.cli", "--lifetime", "10", "1", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert "lifetime: 10 periods" in proc.stdout
 
 
 def test_cli_log_env_smoke(tmp_path):
-    env = dict(os.environ, QCS_SIM_LOG="DEBUG")
+    env = subprocess_env(QCS_SIM_LOG="DEBUG")
     proc = subprocess.run(
         [sys.executable, "-m", "qcs_sim.cli",
          "--scenario", str(SCN), "--out", str(tmp_path / "o")],

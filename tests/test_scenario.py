@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qcs_sim import default16_scenario_text, load_scenario, parse_scenario
+from qcs_sim import CostModel, default16_scenario_text, load_scenario, parse_scenario
 from qcs_sim.scenario import DEFAULT_HORIZON, SenseEvent
 
 FULL = """\
@@ -22,11 +22,9 @@ radio_range = 110
 16 150 450 base
 
 [costs]
-query_cost = 1
 threshold = 500
 init_min = 3000
 init_max = 5000
-isolation_multiplier = 2
 
 [thresholds]
 irregular = 50
@@ -61,7 +59,7 @@ def test_defaults_when_sections_omitted():
     assert sc.seed == 0
     assert sc.loss_prob == 0.0
     assert sc.events == ()
-    assert sc.costs.query_cost == 1
+    assert sc.costs == CostModel()
     assert sc.thresholds.irregular_level == 50.0
 
 
@@ -88,15 +86,25 @@ def test_with_overrides_replaces_only_named_fields():
     (("2 1 70.5", "2 16 70.5"), "base"),        # base cannot sense events
     (("2 1 70.5", "40 1 70.5"), "horizon"),     # event after the run ends
     (("2 1 70.5", "2 99 70.5"), "unknown"),     # event on unknown node
-    (("query_cost = 1", "query_cost = 1\nwattage = 9"), "wattage"),
+    (("threshold = 500", "threshold = 500\nwattage = 9"), "wattage"),
     (("irregular = 50", "irregular = 95"), "devastating"),
-    (("query_cost = 1", "query_cost = 1\nsource_cost = 2"), "source_cost"),
-    (("query_cost = 1", "query_cost = 1\nep = 0"), "'ep'"),
+    (("threshold = 500", "threshold = 500\nsource_cost = 2"), "source_cost"),
+    (("threshold = 500", "threshold = 500\nep = 0"), "'ep'"),
     (("radio_range = 110", "radio_range = nan"), "[field] radio_range"),
     (("width = 300", "width = inf"), "[field] width"),
     (("\n1 0 0\n", "\n1 nan 0\n"), "[nodes] x"),
     (("2 1 70.5", "2 1 nan"), "[events] reading"),
     (("devastating = 90", "devastating = inf"), "[thresholds] devastating"),
+    (("threshold = 500", "threshold = 500\nquery_cost = 1"),
+     "[costs] has unknown key 'query_cost'"),
+    (("threshold = 500", "threshold = 500\nisolation_multiplier = 2"),
+     "[costs] has unknown key 'isolation_multiplier'"),
+    (("[events]", "[evnts]"), "unknown section [evnts]"),
+    (("horizon = 30", "horizon = 30\nhorizen = 40"), "[sim] has unknown key 'horizen'"),
+    (("irregular = 50", "irregular = 50\nirregullar = 10"),
+     "[thresholds] has unknown key 'irregullar'"),
+    (("radio_range = 110", "radio_range = 110\nradio_rnage = 90"),
+     "[field] has unknown key 'radio_rnage'"),
 ])
 def test_rejects_bad_values(mutation, needle):
     old, new = mutation
