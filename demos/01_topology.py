@@ -8,7 +8,7 @@ the other demos build on.
 
 from collections import deque
 
-from qcs_sim import default16_topology, load_layout
+from qcs_sim import default16_topology, parse_scenario
 
 topo = default16_topology()
 
@@ -40,7 +40,7 @@ for nid in sorted(dist):
     print(f"  node {nid:>2}: {dist[nid]}")
 print()
 
-# the same structure can come from a plain text layout file
+# the same structure can come from the [field] and [nodes] of scenario text
 text = """\
 [field]
 width = 200
@@ -52,6 +52,6 @@ radio_range = 110
 2 100 0
 3 200 0 base
 """
-small = load_layout(text)
+small = parse_scenario(text).topology
 print(f"parsed layout: {len(small.nodes)} nodes, "
       f"node 2 hears {small.neighbors(2)}")

@@ -11,6 +11,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from qcs_sim import (
+    DEVASTATING_LEVEL,
+    IRREGULAR_LEVEL,
     PacketKind,
     SenseEvent,
     Simulation,
@@ -42,8 +44,7 @@ print()
 # one incident per origin, fresh network each time
 origins = (13, 12, 15, 2, 14, 8, 9)
 base_sc = parse_scenario(default16_scenario_text(seed=7, horizon=20))
-reading = (base_sc.thresholds.irregular_level
-           + base_sc.thresholds.devastating_level) / 2
+reading = (IRREGULAR_LEVEL + DEVASTATING_LEVEL) / 2
 horizon = max(base_sc.horizon, len(base_sc.topology.nodes) + 2)
 rows = []
 print("sweep: one forwarding incident per origin")

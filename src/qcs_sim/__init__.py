@@ -9,7 +9,7 @@ source) and every energy debit is tracked in a per-node ledger, both in
 abstract units and in a millijoule model.
 """
 
-from .topology import Topology, Position, dist, load_layout
+from .topology import Topology, Position, dist
 from .packet import (
     Packet,
     PacketKind,
@@ -29,7 +29,8 @@ from .node import (
     MODE_C,
     MODE_S,
     NodeState,
-    Thresholds,
+    IRREGULAR_LEVEL,
+    DEVASTATING_LEVEL,
     init_modes,
     sense_and_classify,
     tick_transition,

@@ -4,6 +4,9 @@ Run a scenario file and export reports:
 
     qcs-sim --scenario network.scn --out results/
 
+The seed, horizon and loss probability come only from the scenario's
+[sim] section.
+
 Sweep mode runs one fresh irregular incident per listed node, each on
 its own derived seed, and collects the per-run energy and path reports
 side by side:
@@ -14,7 +17,9 @@ A quick analytic check without any scenario:
 
     qcs-sim --lifetime 3000 1 0
 
-Set QCS_SIM_LOG=DEBUG (or INFO, WARNING, ...) for engine logging.
+Set QCS_SIM_LOG=DEBUG (or INFO, WARNING, ...) for engine logging: at
+DEBUG the engine logs incidents opening and closing, floods starting and
+reaching the base, reset waves completing, and node deaths.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from pathlib import Path
 from . import metrics
 from .energy import joules, lifetime
 from .engine import Simulation
+from .node import DEVASTATING_LEVEL, IRREGULAR_LEVEL
 from .numtext import fmt_num
 from .packet import QUERY_ACK_SIZE, SOURCE_SIZE
 from .scenario import Scenario, SenseEvent, load_scenario
@@ -43,12 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", metavar="PATH", help="scenario file to run")
     p.add_argument("--out", metavar="DIR", default="out",
                    help="output directory for reports (default: out)")
-    p.add_argument("--seed", type=int, metavar="N",
-                   help="override the scenario seed")
-    p.add_argument("--loss", type=float, metavar="P",
-                   help="override the packet loss probability")
-    p.add_argument("--horizon", type=int, metavar="TICKS",
-                   help="override the number of simulated ticks")
     p.add_argument("--sweep", metavar="ID,ID,...",
                    help="comma-separated node ids; run one irregular "
                         "incident per node on fresh derived seeds")
@@ -123,8 +123,7 @@ def _cmd_run(sc: Scenario, out: Path) -> int:
 
 def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
     sensors = sc.topology.sensor_ids()
-    th = sc.thresholds
-    reading = (th.irregular_level + th.devastating_level) / 2
+    reading = (IRREGULAR_LEVEL + DEVASTATING_LEVEL) / 2
     horizon = max(sc.horizon, len(sc.topology.nodes) + 2)
 
     energy_rows = []
@@ -180,9 +179,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         sc = load_scenario(args.scenario)
-        sc = sc.with_overrides(
-            seed=args.seed, horizon=args.horizon, loss_prob=args.loss
-        )
         ids = _sweep_ids(args.sweep, sc) if args.sweep else None
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -295,6 +295,7 @@ class Simulation:
         if taken and self.nodes[nid].energy <= 0:
             self.trace.deaths.append((self.tick, nid))
             self._tline(f"node {nid} died ({cause})")
+            log.debug("t=%d node %d died (%s)", self.tick, nid, cause)
 
     def _dropped(self) -> bool:
         p = self.sc.loss_prob
@@ -320,6 +321,7 @@ class Simulation:
         )
         self.trace.incidents.append(rec)
         self._active_irregular[origin] = rec
+        log.debug("t=%d incident %d opened at node %d", tick, rec.incident_id, origin)
         return rec
 
     def _close_incident(self, rec: IncidentRecord, reason: str) -> None:
@@ -327,6 +329,7 @@ class Simulation:
         the node idles instead of reopening a fresh incident every tick."""
         rec.closed = True
         rec.close_reason = reason
+        log.debug("t=%d incident %d closed (%s)", self.tick, rec.incident_id, reason)
 
     def _close_held(self, nid: int, reason: str) -> None:
         """Close the open alarm nid holds, if any, and release the node."""
@@ -349,6 +352,7 @@ class Simulation:
             )
             self.active_flood = epoch
             self.trace.floods.append(epoch)
+            log.debug("t=%d flood started at node %d", tick, origin)
         else:
             epoch.origins.append((tick, origin))
         epoch.infected_at.setdefault(origin, tick)
@@ -359,7 +363,7 @@ class Simulation:
             self._tline(f"sense node={ev.node} reading={fmt_num(ev.reading)} ignored (dead)")
             return
         before = (node.flag1, node.flag2)
-        sense_and_classify(node, ev.reading, self.sc.thresholds)
+        sense_and_classify(node, ev.reading)
         after = (node.flag1, node.flag2)
         if after == before:
             return
@@ -608,6 +612,7 @@ class Simulation:
                     nb.mode = MODE_S
                     self.trace.base_inbox.append((self.tick, pkt.message))
                     self._tline(f"base received flood alarm: {pkt.message!r}")
+                    log.debug("t=%d flood reached the base from node %d", self.tick, nid)
                 continue
             j = nb.node_id
             self._debit(j, "flood_recv")
@@ -666,6 +671,7 @@ class Simulation:
             epoch.completed_tick = self.tick
             self.active_flood = None
             self._tline("reset-wave complete")
+            log.debug("t=%d reset wave complete", self.tick)
 
     # ------------------------------------------------------------ isolation
 

@@ -56,8 +56,8 @@ def default16_scenario_text(*, seed: int = 0, horizon: int = 20,
                             events: tuple[tuple[int, int, float], ...] = ()) -> str:
     """Render a complete scenario file for the bundled layout.
 
-    events is a sequence of (tick, node, reading) triples; costs and
-    thresholds are left at their defaults.
+    events is a sequence of (tick, node, reading) triples; costs are
+    left at their defaults.
     """
     lines = [
         "# 16-node demonstration network",

@@ -37,16 +37,10 @@ MODE_C = "C"
 MODE_S = "S"
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Sensor levels splitting readings into regular/irregular/devastating."""
-
-    irregular_level: float = 50.0
-    devastating_level: float = 90.0
-
-    def __post_init__(self):
-        if not self.irregular_level < self.devastating_level:
-            raise ValueError("irregular_level must lie below devastating_level")
+#: sensor levels splitting readings into regular, irregular and devastating;
+#: a reading must exceed a level to cross it
+IRREGULAR_LEVEL = 50.0
+DEVASTATING_LEVEL = 90.0
 
 
 @dataclass
@@ -115,13 +109,13 @@ def _promote(n: NodeState, message: str, devastating: bool) -> None:
         n.message = message
 
 
-def sense_and_classify(n: NodeState, reading: float, th: Thresholds) -> NodeState:
+def sense_and_classify(n: NodeState, reading: float) -> NodeState:
     """Apply one sensor reading; crossing a level promotes the node to S."""
     n.sensed = reading
-    if reading <= th.irregular_level:
+    if reading <= IRREGULAR_LEVEL:
         return n
     _promote(n, affected_message(n.node_id, n.pos),
-             devastating=reading > th.devastating_level)
+             devastating=reading > DEVASTATING_LEVEL)
     return n
 
 

@@ -5,28 +5,27 @@ Sections, INI style with # comments:
     [field]       width, height, radio_range
     [nodes]       one ``id x y [base]`` line per node
     [costs]       threshold, init_min, init_max (all optional)
-    [thresholds]  irregular, devastating sensor levels
     [events]      one ``tick node reading`` line per injected reading
     [sim]         seed, horizon, loss_prob
 
 Only [field] and [nodes] are mandatory; everything else falls back to
-the documented defaults.  An unknown section or key is an error, and
-every number must be finite.
+the documented defaults.  An unknown or repeated section or key is an
+error, and every number must be finite.  This is the only module that
+reads scenario text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .energy import CostModel
-from .node import Thresholds
 from .numtext import parse_num
-from .topology import Topology, load_layout, parse_kv, split_sections
+from .topology import NodeId, Position, Topology
 
 
 DEFAULT_HORIZON = 20
-SECTIONS = ("field", "nodes", "costs", "thresholds", "events", "sim")
+SECTIONS = ("field", "nodes", "costs", "events", "sim")
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,6 @@ class SenseEvent:
 class Scenario:
     topology: Topology
     costs: CostModel
-    thresholds: Thresholds
     seed: int
     horizon: int
     loss_prob: float
@@ -61,17 +59,98 @@ class Scenario:
                     f"event tick {ev.tick} outside the horizon [0, {self.horizon})"
                 )
 
-    def with_overrides(self, *, seed: int | None = None, horizon: int | None = None,
-                       loss_prob: float | None = None) -> "Scenario":
-        """Copy with command-line overrides applied."""
-        out = self
-        if seed is not None:
-            out = replace(out, seed=seed)
-        if horizon is not None:
-            out = replace(out, horizon=horizon)
-        if loss_prob is not None:
-            out = replace(out, loss_prob=loss_prob)
-        return out
+
+def split_sections(text: str) -> dict[str, list[str]]:
+    """Break INI-style text into {section: [payload lines]}.
+
+    Lines starting with '#' or ';' are comments.  Raises ValueError on
+    content outside any section, a malformed header, and a section that
+    is unknown or appears twice.
+    """
+    sections: dict[str, list[str]] = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith(";"):
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ValueError(f"line {lineno}: malformed section header {line!r}")
+            current = line[1:-1].strip().lower()
+            if current not in SECTIONS:
+                raise ValueError(f"line {lineno}: unknown section [{current}]")
+            if current in sections:
+                raise ValueError(f"line {lineno}: repeated section [{current}]")
+            sections[current] = []
+            continue
+        if current is None:
+            raise ValueError(f"line {lineno}: content before any [section]: {line!r}")
+        sections[current].append(line)
+    return sections
+
+
+def parse_kv(lines: list[str], section: str, allowed) -> dict[str, str]:
+    """The ``key = value`` lines of a section; a key not in allowed, or
+    given twice, is an error."""
+    out = {}
+    for line in lines:
+        if "=" not in line:
+            raise ValueError(f"[{section}] expects key = value lines, got {line!r}")
+        k, _, v = line.partition("=")
+        k = k.strip().lower()
+        if k not in allowed:
+            raise ValueError(f"[{section}] has unknown key {k!r}")
+        if k in out:
+            raise ValueError(f"[{section}] repeats key {k!r}")
+        out[k] = v.strip()
+    return out
+
+
+def load_layout(sections: dict[str, list[str]]) -> Topology:
+    """Build a Topology from the [field] and [nodes] sections.
+
+    [field] carries width, height and radio_range.  Each [nodes] line is
+    ``id x y`` with an optional trailing ``base`` marker on exactly one
+    line.  Duplicate ids, zero or multiple bases, and positions outside
+    the field are rejected.
+    """
+    if "field" not in sections or "nodes" not in sections:
+        raise ValueError("a scenario needs [field] and [nodes] sections")
+    fv = parse_kv(sections["field"], "field", ("width", "height", "radio_range"))
+    try:
+        width = parse_num(fv["width"], "[field] width")
+        height = parse_num(fv["height"], "[field] height")
+        radio_range = parse_num(fv.get("radio_range", "110"), "[field] radio_range")
+    except KeyError as e:
+        raise ValueError(f"[field] missing {e.args[0]}") from None
+
+    nodes: dict[NodeId, Position] = {}
+    base_ids = []
+    for line in sections["nodes"]:
+        parts = line.split()
+        if len(parts) not in (3, 4):
+            raise ValueError(f"[nodes] line needs 'id x y [base]', got {line!r}")
+        try:
+            nid = int(parts[0])
+        except ValueError:
+            raise ValueError(f"[nodes] line has a non-integer id: {line!r}") from None
+        x = parse_num(parts[1], f"[nodes] x in {line!r}")
+        y = parse_num(parts[2], f"[nodes] y in {line!r}")
+        if nid in nodes:
+            raise ValueError(f"duplicate node id {nid}")
+        if len(parts) == 4:
+            if parts[3].lower() != "base":
+                raise ValueError(f"[nodes] trailing token must be 'base', got {parts[3]!r}")
+            base_ids.append(nid)
+        nodes[nid] = (x, y)
+    if len(base_ids) != 1:
+        raise ValueError(f"expected exactly one base node, found {len(base_ids)}")
+    return Topology(
+        nodes=nodes,
+        base_id=base_ids[0],
+        radio_range=radio_range,
+        field_size=(width, height),
+    )
 
 
 def _int_field(kv: dict[str, str], key: str, default: int, section: str) -> int:
@@ -84,30 +163,15 @@ def _int_field(kv: dict[str, str], key: str, default: int, section: str) -> int:
         raise ValueError(f"[{section}] {key} must be an integer, got {raw!r}") from None
 
 
-def _float_field(kv: dict[str, str], key: str, default: float, section: str) -> float:
-    raw = kv.get(key)
-    return default if raw is None else parse_num(raw, f"[{section}] {key}")
-
-
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text into a validated Scenario."""
     sections = split_sections(text)
-    for name in sections:
-        if name not in SECTIONS:
-            raise ValueError(f"unknown section [{name}]")
-    topology = load_layout(text)
+    topology = load_layout(sections)
 
     kv = parse_kv(sections.get("costs", []), "costs",
                   {f.name for f in fields(CostModel)})
     # keys left out keep the CostModel defaults
     costs = CostModel(**{key: _int_field(kv, key, 0, "costs") for key in kv})
-
-    kv = parse_kv(sections.get("thresholds", []), "thresholds",
-                  ("irregular", "devastating"))
-    thresholds = Thresholds(
-        irregular_level=_float_field(kv, "irregular", 50.0, "thresholds"),
-        devastating_level=_float_field(kv, "devastating", 90.0, "thresholds"),
-    )
 
     events = []
     for line in sections.get("events", []):
@@ -122,17 +186,13 @@ def parse_scenario(text: str) -> Scenario:
         events.append(SenseEvent(tick, node, reading))
 
     kv = parse_kv(sections.get("sim", []), "sim", ("seed", "horizon", "loss_prob"))
-    seed = _int_field(kv, "seed", 0, "sim")
-    horizon = _int_field(kv, "horizon", DEFAULT_HORIZON, "sim")
-    loss_prob = _float_field(kv, "loss_prob", 0.0, "sim")
-
+    loss = kv.get("loss_prob")
     return Scenario(
         topology=topology,
         costs=costs,
-        thresholds=thresholds,
-        seed=seed,
-        horizon=horizon,
-        loss_prob=loss_prob,
+        seed=_int_field(kv, "seed", 0, "sim"),
+        horizon=_int_field(kv, "horizon", DEFAULT_HORIZON, "sim"),
+        loss_prob=0.0 if loss is None else parse_num(loss, "[sim] loss_prob"),
         events=tuple(events),
     )
 

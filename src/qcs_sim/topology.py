@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numtext import parse_num
-
 
 Position = tuple[float, float]
 NodeId = int
@@ -97,88 +95,3 @@ class Topology:
             frontier = nxt
         return len(seen) == len(ids)
 
-
-def split_sections(text: str) -> dict[str, list[str]]:
-    """Break INI-style text into {section: [payload lines]}.
-
-    Lines starting with '#' or ';' are comments.  Raises ValueError on
-    content outside any section or an unterminated section header.
-    """
-    sections: dict[str, list[str]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ValueError(f"line {lineno}: malformed section header {line!r}")
-            current = line[1:-1].strip().lower()
-            sections.setdefault(current, [])
-            continue
-        if current is None:
-            raise ValueError(f"line {lineno}: content before any [section]: {line!r}")
-        sections[current].append(line)
-    return sections
-
-
-def parse_kv(lines: list[str], section: str, allowed) -> dict[str, str]:
-    """The ``key = value`` lines of a section; a key not in allowed is an error."""
-    out = {}
-    for line in lines:
-        if "=" not in line:
-            raise ValueError(f"[{section}] expects key = value lines, got {line!r}")
-        k, _, v = line.partition("=")
-        k = k.strip().lower()
-        if k not in allowed:
-            raise ValueError(f"[{section}] has unknown key {k!r}")
-        out[k] = v.strip()
-    return out
-
-
-def load_layout(source: str) -> Topology:
-    """Build a Topology from [field] and [nodes] sections of scenario text.
-
-    [field] carries width, height and radio_range.  Each [nodes] line is
-    ``id x y`` with an optional trailing ``base`` marker on exactly one
-    line.  Duplicate ids, zero or multiple bases, and positions outside
-    the field are rejected.
-    """
-    sections = split_sections(source)
-    if "field" not in sections or "nodes" not in sections:
-        raise ValueError("layout text needs [field] and [nodes] sections")
-    fv = parse_kv(sections["field"], "field", ("width", "height", "radio_range"))
-    try:
-        width = parse_num(fv["width"], "[field] width")
-        height = parse_num(fv["height"], "[field] height")
-        radio_range = parse_num(fv.get("radio_range", "110"), "[field] radio_range")
-    except KeyError as e:
-        raise ValueError(f"[field] missing {e.args[0]}") from None
-
-    nodes: dict[NodeId, Position] = {}
-    base_ids = []
-    for line in sections["nodes"]:
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise ValueError(f"[nodes] line needs 'id x y [base]', got {line!r}")
-        try:
-            nid = int(parts[0])
-        except ValueError:
-            raise ValueError(f"[nodes] line has a non-integer id: {line!r}") from None
-        x = parse_num(parts[1], f"[nodes] x in {line!r}")
-        y = parse_num(parts[2], f"[nodes] y in {line!r}")
-        if nid in nodes:
-            raise ValueError(f"duplicate node id {nid}")
-        if len(parts) == 4:
-            if parts[3].lower() != "base":
-                raise ValueError(f"[nodes] trailing token must be 'base', got {parts[3]!r}")
-            base_ids.append(nid)
-        nodes[nid] = (x, y)
-    if len(base_ids) != 1:
-        raise ValueError(f"expected exactly one base node, found {len(base_ids)}")
-    return Topology(
-        nodes=nodes,
-        base_id=base_ids[0],
-        radio_range=radio_range,
-        field_size=(width, height),
-    )

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from qcs_sim import CostModel, Scenario, Thresholds, Topology
+from qcs_sim import CostModel, Scenario, Topology
 from qcs_sim.scenario import SenseEvent
 
 GRID = 16  # integer coordinates stay exactly representable on the wire
@@ -79,12 +79,10 @@ def make_scenario(
     loss_prob: float = 0.0,
     events: tuple[SenseEvent, ...] = (),
     costs: CostModel | None = None,
-    thresholds: Thresholds | None = None,
 ) -> Scenario:
     return Scenario(
         topology=topo,
         costs=costs if costs is not None else CostModel(),
-        thresholds=thresholds if thresholds is not None else Thresholds(),
         seed=seed,
         horizon=horizon,
         loss_prob=loss_prob,

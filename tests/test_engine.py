@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from collections import defaultdict
@@ -12,7 +13,6 @@ import pytest
 from qcs_sim import (
     CostModel,
     Simulation,
-    Thresholds,
     Topology,
     count_comparisons,
     default16_scenario_text,
@@ -610,3 +610,30 @@ def test_different_seeds_change_the_run():
     a = run16(seed=1)[1].render()
     b = run16(seed=2)[1].render()
     assert a != b
+
+
+def test_debug_log_names_each_event(caplog):
+    """At DEBUG the engine logs what README's Logging section lists."""
+    sc = make_scenario(
+        default16_topology(), seed=3, horizon=40,
+        events=(SenseEvent(2, 10, 70.0), SenseEvent(5, 4, 95.0)),
+        costs=CostModel(threshold=10, init_min=60, init_max=80),
+    )
+    caplog.set_level(logging.DEBUG, logger=engine.__name__)
+    tr = Simulation(sc).run()
+    (rec,), (flood,) = tr.incidents, tr.floods
+    assert rec.close_reason == "delivered" and tr.deaths
+    records = [r for r in caplog.records if r.name == engine.__name__]
+    assert {r.levelno for r in records} == {logging.DEBUG}
+    got = [r.getMessage() for r in records]
+    want = [
+        f"t={rec.start_tick} incident 1 opened at node 10",
+        f"t={rec.delivery_tick} incident 1 closed (delivered)",
+        f"t={flood.start_tick} flood started at node 4",
+        f"t={flood.base_receipt_tick} flood reached the base from node ",
+        f"t={flood.completed_tick} reset wave complete",
+        *(f"t={t} node {n} died (" for t, n in tr.deaths),
+    ]
+    assert len(got) == len(want)
+    for prefix in want:
+        assert sum(m.startswith(prefix) for m in got) == 1, prefix

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import subprocess
 import sys
@@ -130,14 +131,23 @@ def test_cli_outputs_are_byte_identical_across_runs(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def _scenario_file(tmp_path, name, **kw) -> str:
+    path = tmp_path / f"{name}.scn"
+    path.write_text(default16_scenario_text(**kw))
+    return str(path)
+
+
 def test_cli_seed_and_horizon_overrides(tmp_path):
+    # the seed and horizon come only from the scenario file
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["--scenario", str(SCN), "--out", str(a), "--seed", "1"]) == 0
-    assert main(["--scenario", str(SCN), "--out", str(b), "--seed", "2"]) == 0
+    assert main(["--scenario", _scenario_file(tmp_path, "a", seed=1),
+                 "--out", str(a)]) == 0
+    assert main(["--scenario", _scenario_file(tmp_path, "b", seed=2),
+                 "--out", str(b)]) == 0
     assert (a / "trace.txt").read_bytes() != (b / "trace.txt").read_bytes()
     c = tmp_path / "c"
-    assert main(["--scenario", str(SCN), "--out", str(c),
-                 "--horizon", "5"]) == 0
+    assert main(["--scenario", _scenario_file(tmp_path, "c", seed=7, horizon=5),
+                 "--out", str(c)]) == 0
     trace = (c / "trace.txt").read_text()
     assert "t=  4 " in trace and "t=  5 " not in trace
 
@@ -252,7 +262,8 @@ def test_cli_out_that_cannot_be_created(tmp_path, capsys, args):
 
 def test_cli_loss_override(tmp_path):
     out = tmp_path / "lossy"
-    rc = main(["--scenario", str(SCN), "--out", str(out), "--loss", "1.0"])
+    scn = _scenario_file(tmp_path, "lossy", seed=7, loss_prob=1.0)
+    rc = main(["--scenario", scn, "--out", str(out)])
     assert rc == 0
     ledger = (out / "ledger.csv").read_text()
     assert "query_recv" not in ledger             # nothing ever arrives
@@ -267,11 +278,26 @@ def test_cli_entry_point_installed():
     assert "lifetime: 10 periods" in proc.stdout
 
 
+def test_debug_logging_leaves_reports_identical(tmp_path, caplog):
+    scn = _scenario_file(tmp_path, "alarm", seed=3, horizon=40,
+                         events=((2, 10, 70.0), (5, 4, 95.0)))
+    assert main(["--scenario", scn, "--out", str(tmp_path / "quiet")]) == 0
+    caplog.set_level(logging.DEBUG, logger="qcs_sim")
+    assert main(["--scenario", scn, "--out", str(tmp_path / "debug")]) == 0
+    assert caplog.records
+    reports = ("trace.txt", "ledger.csv", "energy_diff.csv", "paths.csv", "summary.txt")
+    for name in reports:
+        assert ((tmp_path / "debug" / name).read_bytes()
+                == (tmp_path / "quiet" / name).read_bytes()), name
+
+
 def test_cli_log_env_smoke(tmp_path):
+    scn = _scenario_file(tmp_path, "alarm", seed=7, events=((2, 10, 70.0),))
     env = subprocess_env(QCS_SIM_LOG="DEBUG")
     proc = subprocess.run(
         [sys.executable, "-m", "qcs_sim.cli",
-         "--scenario", str(SCN), "--out", str(tmp_path / "o")],
+         "--scenario", scn, "--out", str(tmp_path / "o")],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
+    assert "DEBUG qcs_sim.engine: t=2 incident 1 opened at node 10" in proc.stderr

@@ -12,7 +12,6 @@ from qcs_sim import (
     MODE_Q,
     MODE_S,
     NodeState,
-    Thresholds,
     default16_topology,
     handle_query,
     handle_source,
@@ -71,15 +70,9 @@ def test_init_modes_on_random_layouts():
 
 # ---------------------------------------------------------------- sensing
 
-def test_thresholds_must_be_ordered():
-    Thresholds(irregular_level=10, devastating_level=20)
-    with pytest.raises(ValueError):
-        Thresholds(irregular_level=20, devastating_level=20)
-
-
 def test_normal_reading_changes_nothing():
     n = _node(mode=MODE_Q)
-    sense_and_classify(n, 50.0, Thresholds())  # exactly at the line: normal
+    sense_and_classify(n, 50.0)  # exactly at the line: normal
     assert (n.mode, n.flag1, n.flag2) == (MODE_Q, False, False)
     assert n.sensed == 50.0
     assert n.message == ""
@@ -87,7 +80,7 @@ def test_normal_reading_changes_nothing():
 
 def test_irregular_reading_raises_alarm():
     n = _node(nid=10, mode=MODE_Q, pos=(225.0, 225.0))
-    sense_and_classify(n, 90.0, Thresholds())  # at the line: still irregular
+    sense_and_classify(n, 90.0)  # at the line: still irregular
     assert (n.mode, n.flag1, n.flag2) == (MODE_S, True, False)
     assert n.stored_mode == MODE_Q
     assert n.message == "Affected NODE is ->NODE10 At Location (225 225)"
@@ -95,15 +88,15 @@ def test_irregular_reading_raises_alarm():
 
 def test_devastating_reading_sets_both_flags():
     n = _node(nid=4, mode=MODE_C, pos=(75.0, 75.0))
-    sense_and_classify(n, 90.5, Thresholds())
+    sense_and_classify(n, 90.5)
     assert (n.mode, n.flag1, n.flag2) == (MODE_S, True, True)
     assert n.stored_mode == MODE_C
 
 
 def test_escalation_keeps_first_stored_mode():
     n = _node(mode=MODE_Q)
-    sense_and_classify(n, 70.0, Thresholds())
-    sense_and_classify(n, 95.0, Thresholds())
+    sense_and_classify(n, 70.0)
+    sense_and_classify(n, 95.0)
     assert (n.flag1, n.flag2) == (True, True)
     assert n.stored_mode == MODE_Q
 
@@ -192,7 +185,7 @@ def test_flood_packet_infects_at_next_depth():
 
 def test_flood_sweeps_up_alarm_forwarder():
     n = _node(mode=MODE_Q)
-    sense_and_classify(n, 70.0, Thresholds())   # irregular holder
+    sense_and_classify(n, 70.0)   # irregular holder
     spkt = make_source(4, (0, 0), 5, "boom", hop_count=0, devastating=True)
     handle_source(n, spkt)
     assert n.flag2 is True
@@ -215,7 +208,7 @@ def test_reinfection_keeps_shallowest_depth():
 def test_reset_restores_stored_mode():
     for start in (MODE_Q, MODE_C):
         n = _node(mode=start)
-        sense_and_classify(n, 70.0, Thresholds())
+        sense_and_classify(n, 70.0)
         n.infected_tick = 3
         reset_node(n)
         assert n.mode == start

@@ -1,14 +1,19 @@
-"""Scenario file parsing: sections, defaults, overrides, validation."""
+"""Scenario file parsing: sections, defaults, validation."""
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from qcs_sim import CostModel, default16_scenario_text, load_scenario, parse_scenario
 from qcs_sim.scenario import DEFAULT_HORIZON, SenseEvent
+
+REPO = Path(__file__).resolve().parent.parent
+SCN = REPO / "scenarios" / "default16.scn"
 
 FULL = """\
 [field]
@@ -25,10 +30,6 @@ radio_range = 110
 threshold = 500
 init_min = 3000
 init_max = 5000
-
-[thresholds]
-irregular = 50
-devastating = 90
 
 [events]
 2 1 70.5
@@ -48,7 +49,6 @@ def test_parse_full_scenario():
     assert sc.loss_prob == 0.25
     assert sc.topology.base_id == 16
     assert sc.costs.threshold == 500
-    assert sc.thresholds.devastating_level == 90.0
     assert sc.events == (SenseEvent(2, 1, 70.5), SenseEvent(5, 2, 95.0))
 
 
@@ -60,7 +60,6 @@ def test_defaults_when_sections_omitted():
     assert sc.loss_prob == 0.0
     assert sc.events == ()
     assert sc.costs == CostModel()
-    assert sc.thresholds.irregular_level == 50.0
 
 
 def test_bundled_default_text_parses():
@@ -71,15 +70,6 @@ def test_bundled_default_text_parses():
     assert sc.topology.is_connected()
 
 
-def test_with_overrides_replaces_only_named_fields():
-    sc = parse_scenario(FULL)
-    out = sc.with_overrides(seed=9, loss_prob=0.0)
-    assert out.seed == 9
-    assert out.loss_prob == 0.0
-    assert out.horizon == sc.horizon
-    assert sc.seed == 7  # original untouched
-
-
 @pytest.mark.parametrize("mutation, needle", [
     (("loss_prob = 0.25", "loss_prob = 1.5"), "loss_prob"),
     (("horizon = 30", "horizon = 0"), "horizon"),
@@ -87,24 +77,26 @@ def test_with_overrides_replaces_only_named_fields():
     (("2 1 70.5", "40 1 70.5"), "horizon"),     # event after the run ends
     (("2 1 70.5", "2 99 70.5"), "unknown"),     # event on unknown node
     (("threshold = 500", "threshold = 500\nwattage = 9"), "wattage"),
-    (("irregular = 50", "irregular = 95"), "devastating"),
+    (("loss_prob = 0.25", "loss_prob = 0.25\n[sim]\nhorizon = 40\nhorizon = 50"),
+     "repeated section [sim]"),
     (("threshold = 500", "threshold = 500\nsource_cost = 2"), "source_cost"),
     (("threshold = 500", "threshold = 500\nep = 0"), "'ep'"),
     (("radio_range = 110", "radio_range = nan"), "[field] radio_range"),
     (("width = 300", "width = inf"), "[field] width"),
     (("\n1 0 0\n", "\n1 nan 0\n"), "[nodes] x"),
     (("2 1 70.5", "2 1 nan"), "[events] reading"),
-    (("devastating = 90", "devastating = inf"), "[thresholds] devastating"),
+    (("[events]", "[thresholds]\nirregular = 50\n[events]"),
+     "unknown section [thresholds]"),   # the levels are fixed, not configured
     (("threshold = 500", "threshold = 500\nquery_cost = 1"),
      "[costs] has unknown key 'query_cost'"),
     (("threshold = 500", "threshold = 500\nisolation_multiplier = 2"),
      "[costs] has unknown key 'isolation_multiplier'"),
     (("[events]", "[evnts]"), "unknown section [evnts]"),
     (("horizon = 30", "horizon = 30\nhorizen = 40"), "[sim] has unknown key 'horizen'"),
-    (("irregular = 50", "irregular = 50\nirregullar = 10"),
-     "[thresholds] has unknown key 'irregullar'"),
+    (("width = 300", "width = 300\nwidth = 5000"), "[field] repeats key 'width'"),
     (("radio_range = 110", "radio_range = 110\nradio_rnage = 90"),
      "[field] has unknown key 'radio_rnage'"),
+    (("horizon = 30", "horizon = 30\nhorizon = 40"), "[sim] repeats key 'horizon'"),
 ])
 def test_rejects_bad_values(mutation, needle):
     old, new = mutation
@@ -134,12 +126,44 @@ def test_load_scenario_roundtrip(tmp_path):
     assert sc.horizon == 30
 
 
-def test_readme_example_scenario_parses():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
+def _readme_example() -> str:
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
     assert len(blocks) == 1
-    sc = parse_scenario(blocks[0])
+    return blocks[0]
+
+
+def test_readme_example_scenario_parses():
+    sc = parse_scenario(_readme_example())
     assert sc.topology.base_id == 16
     assert sc.costs.threshold == 500
     assert sc.events == (SenseEvent(2, 2, 70.0),)
+
+
+def test_default16_text_matches_the_checked_in_file():
+    # layouts.py and scenarios/default16.scn restate the same network
+    assert default16_scenario_text(seed=7, horizon=20) == SCN.read_text(encoding="utf-8")
+
+
+def _load_workloads(monkeypatch):
+    """perfbench/workloads.py, imported by path without writing bytecode."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    # dataclasses resolve the module's string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_scenario_the_repo_runs_loads(monkeypatch):
+    """The checked-in file, the README example and every benchmark
+    realization at its workload's default seed all pass the parser."""
+    texts = [SCN.read_text(encoding="utf-8"), _readme_example()]
+    for w in _load_workloads(monkeypatch).WORKLOADS.values():
+        texts += [w.scenario_text(seed, REPO)
+                  for seed in w.scenario_seeds(w.default_seed)]
+    assert len(texts) > 2
+    for text in texts:
+        parse_scenario(text)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qcs_sim import Topology, default16_topology, load_layout
+from qcs_sim import Topology, default16_topology, parse_scenario
 from qcs_sim.topology import dist
 
 from conftest import brute_adjacency, random_connected_topology
@@ -115,7 +115,7 @@ radio_range = 110
 
 
 def test_load_layout_parses_nodes_and_field():
-    topo = load_layout(LAYOUT)
+    topo = parse_scenario(LAYOUT).topology
     assert topo.base_id == 16
     assert topo.nodes[2] == (225.0, 0.0)
     assert topo.field_size == (300.0, 500.0)
@@ -124,7 +124,7 @@ def test_load_layout_parses_nodes_and_field():
 
 def test_load_layout_radio_range_defaults_to_110():
     text = "[field]\nwidth = 300\nheight = 500\n[nodes]\n1 0 0 base\n"
-    assert load_layout(text).radio_range == 110.0
+    assert parse_scenario(text).topology.radio_range == 110.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -138,4 +138,4 @@ def test_load_layout_radio_range_defaults_to_110():
 ])
 def test_load_layout_rejects_malformed(bad):
     with pytest.raises(ValueError):
-        load_layout(bad)
+        parse_scenario(bad)
