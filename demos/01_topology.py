@@ -6,8 +6,6 @@ of each other.  Run this to see the neighbor lists and hop distances
 the other demos build on.
 """
 
-from collections import deque
-
 from qcs_sim import default16_topology, parse_scenario
 
 topo = default16_topology()
@@ -26,18 +24,10 @@ for nid in sorted(topo.nodes):
 print()
 
 # hop distance to the base, breadth first
-dist = {topo.base_id: 0}
-frontier = deque([topo.base_id])
-while frontier:
-    cur = frontier.popleft()
-    for nb in topo.neighbors(cur):
-        if nb not in dist:
-            dist[nb] = dist[cur] + 1
-            frontier.append(nb)
-
+hops = topo.hops_from(topo.base_id)
 print("hops to base")
-for nid in sorted(dist):
-    print(f"  node {nid:>2}: {dist[nid]}")
+for nid in sorted(hops):
+    print(f"  node {nid:>2}: {hops[nid]}")
 print()
 
 # the same structure can come from the [field] and [nodes] of scenario text

@@ -19,7 +19,8 @@ A quick analytic check without any scenario:
 
 Set QCS_SIM_LOG=DEBUG (or INFO, WARNING, ...) for engine logging: at
 DEBUG the engine logs incidents opening and closing, floods starting and
-reaching the base, reset waves completing, and node deaths.
+reaching the base, reset waves completing, and node deaths.  Any other
+value is an error.
 """
 
 from __future__ import annotations
@@ -60,11 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("QCS_SIM_LOG", "").upper()
-    if level_name:
-        level = getattr(logging, level_name, None)
+    """Log at the level QCS_SIM_LOG names, if set; a name logging does
+    not know is an error."""
+    name = os.environ.get("QCS_SIM_LOG", "")
+    if name:
+        level = logging.getLevelName(name.upper())
         if not isinstance(level, int):
-            level = logging.INFO
+            raise ValueError(f"QCS_SIM_LOG={name!r} is not a logging level name"
+                             " (DEBUG, INFO, WARNING, ERROR or CRITICAL)")
         logging.basicConfig(
             level=level, format="%(levelname)s %(name)s: %(message)s"
         )
@@ -165,7 +169,11 @@ def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
+    try:
+        _setup_logging()
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
-from .packet import QUERY_ACK_SIZE, SOURCE_SIZE
+from .packet import ENERGY_INF_WIRE, QUERY_ACK_SIZE, SOURCE_SIZE
 
 if TYPE_CHECKING:
     from .node import NodeState
@@ -111,6 +111,9 @@ class CostModel:
             raise ValueError("initial energy range must satisfy 0 < min <= max")
         if self.threshold >= self.init_min:
             raise ValueError("threshold must sit below the lowest starting energy")
+        if self.init_max >= ENERGY_INF_WIRE:
+            raise ValueError(f"init_max {self.init_max} does not fit the 32-bit energy"
+                             f" field (at most {ENERGY_INF_WIRE - 1})")
 
 
 class LedgerEntry(NamedTuple):

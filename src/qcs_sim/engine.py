@@ -42,6 +42,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .energy import (
     ISOLATION_MULTIPLIER, PRICES, EnergyLedger, draw_initial_energy,
@@ -140,8 +141,7 @@ class FloodRecord:
     completed_tick: int | None = None
 
 
-@dataclass
-class PacketEvent:
+class PacketEvent(NamedTuple):
     """One transmission: who sent what, and who actually received it."""
 
     tick: int
@@ -152,18 +152,25 @@ class PacketEvent:
     flag2: bool
     receivers: tuple[int, ...]
     note: str
+    hop: int  # the packet's hop count; only a flood's is above 0
+
+
+#: the trace label of each transmission that prints a line; the hop plane
+#: (hop_query, ack, source, reset_ack) prints none, its hop lines suffice
+_LINE_LABEL = {"regular": "query", "flood": "flood", "alert": "isolation alert"}
 
 
 @dataclass
 class Trace:
     """Everything a run produced, in deterministic order.
 
-    It keeps no per-tick copy of node state; a caller that wants one
-    steps the Simulation itself and reads its nodes between steps.
+    ``records`` holds text lines and transmissions in the order they
+    happened, each transmission once; ``render`` prints the lines of
+    those that have one.  No per-tick copy of node state is kept; a
+    caller that wants one steps the Simulation and reads its nodes.
     """
 
-    lines: list[str] = field(default_factory=list)
-    packet_events: list[PacketEvent] = field(default_factory=list)
+    records: list[str | PacketEvent] = field(default_factory=list)
     incidents: list[IncidentRecord] = field(default_factory=list)
     floods: list[FloodRecord] = field(default_factory=list)
     base_inbox: list[tuple[int, str]] = field(default_factory=list)
@@ -171,8 +178,21 @@ class Trace:
     initial_energy: dict[int, float] = field(default_factory=dict)
     base: NodeState | None = None  # the base station's final state
 
+    @property
+    def packet_events(self) -> list[PacketEvent]:
+        """Every transmission, in the order it was sent."""
+        return [r for r in self.records if type(r) is PacketEvent]
+
     def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        lines = []
+        for r in self.records:
+            if type(r) is str:
+                lines.append(r)
+            elif r.note in _LINE_LABEL:
+                hop = f" hop={r.hop}" if r.note == "flood" else ""
+                lines.append(f"t={r.tick:>3} {_LINE_LABEL[r.note]} src={r.src}{hop}"
+                             f" recv={_ids(r.receivers)}")
+        return "\n".join(lines) + "\n"
 
 
 def _ids(seq) -> str:
@@ -236,10 +256,9 @@ class Simulation:
             self._events_at.setdefault(ev.tick, []).append(ev)
         self._active_irregular: dict[int, IncidentRecord] = {}
         self.active_flood: FloodRecord | None = None
-        self._base_depth = self._bfs_from_base()
-        self._base_ecc = max(
-            (d for d in self._base_depth.values() if d is not None), default=0
-        )
+        # nodes the base cannot reach are absent
+        self._base_depth = topo.hops_from(self.base_id)
+        self._base_ecc = max(self._base_depth.values())
         self._acted_reset: set[int] = set()
 
         q = sorted(n for n, m in modes.items() if m == MODE_Q)
@@ -257,36 +276,18 @@ class Simulation:
                        for n, e in self.trace.initial_energy.items())
         )
 
-    # ------------------------------------------------------------------ setup
-
-    def _bfs_from_base(self) -> dict[int, int | None]:
-        depth: dict[int, int | None] = {n: None for n in self.topology.nodes}
-        depth[self.base_id] = 0
-        frontier = [self.base_id]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in self.topology.neighbors(u):
-                    if depth[v] is None:
-                        depth[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        return depth
-
     # ---------------------------------------------------------------- helpers
 
     def _line(self, text: str) -> None:
-        self.trace.lines.append(text)
+        self.trace.records.append(text)
 
     def _tline(self, text: str) -> None:
-        self.trace.lines.append(f"t={self.tick:>3} {text}")
+        self.trace.records.append(f"t={self.tick:>3} {text}")
 
-    def _event(self, kind: PacketKind, src: int, dst: int | None,
-               flag1: bool, flag2: bool, receivers: list[int], note: str) -> None:
-        self.trace.packet_events.append(PacketEvent(
-            self.tick, kind, src, dst, flag1, flag2, tuple(receivers), note,
+    def _event(self, kind: PacketKind, src: int, dst: int | None, flag1: bool,
+               flag2: bool, receivers: list[int], note: str, hop: int = 0) -> None:
+        self.trace.records.append(PacketEvent(
+            self.tick, kind, src, dst, flag1, flag2, tuple(receivers), note, hop,
         ))
 
     def _debit(self, nid: int, cause: str) -> None:
@@ -453,9 +454,8 @@ class Simulation:
                 # a base that holds an alarm keeps its alarm text
                 nb.message = NETWORK_FINE
                 self._tline(f"base: {NETWORK_FINE!r}")
-        ids = [nb.node_id for nb in received]
-        self._event(PacketKind.QUERY, nid, None, False, False, ids, "regular")
-        self._tline(f"query src={nid} recv={_ids(ids)}")
+        self._event(PacketKind.QUERY, nid, None, False, False,
+                    [nb.node_id for nb in received], "regular")
 
     # ----------------------------------------------------- alarm forwarding
 
@@ -481,7 +481,6 @@ class Simulation:
         self._debit(nid, "hop_query")
         heard = []
         acks = []  # (node id, reported energy, reported location)
-        ack_events = []
         # not _receivers: each ack's loss coin is drawn between two
         # neighbours' query coins, and before the holder's liveness check
         for nb in self._nbrs[nid]:
@@ -504,12 +503,10 @@ class Simulation:
                 continue  # holder drained mid-round; the ack falls on deaf ears
             self._debit(nid, "ack_recv")
             acks.append((j, ack.energy, ack.loc))
-            ack_events.append(PacketEvent(
-                tick=self.tick, kind=PacketKind.ACK, src=j, dst=nid,
-                flag1=False, flag2=False, receivers=(nid,), note="ack",
-            ))
+        # the query went out before any ack came back
         self._event(PacketKind.QUERY, nid, None, True, False, heard, "hop_query")
-        self.trace.packet_events.extend(ack_events)
+        for j, _, _ in acks:
+            self._event(PacketKind.ACK, j, nid, False, False, [nid], "ack")
 
         attempt = HopAttempt(
             tick=self.tick, holder=nid,
@@ -626,9 +623,8 @@ class Simulation:
                 self._close_held(j, "escalated")
             nb.infected_tick = self.tick
             epoch.infected_at.setdefault(j, self.tick)
-        ids = [n.node_id for n in received]
-        self._event(PacketKind.SOURCE, nid, None, True, True, ids, "flood")
-        self._tline(f"flood src={nid} hop={node.hop_depth} recv={_ids(ids)}")
+        self._event(PacketKind.SOURCE, nid, None, True, True,
+                    [n.node_id for n in received], "flood", node.hop_depth)
 
     def base_reset(self) -> None:
         """Advance the reset wave one hop outward from the base.
@@ -645,7 +641,7 @@ class Simulation:
         targets = [
             nid for nid, n in self.nodes.items()
             if not n.is_base and n.alive and n.mode == MODE_S
-            and self._base_depth[nid] == depth
+            and self._base_depth.get(nid) == depth
         ]
         for nid in targets:
             self._close_held(nid, "base_reset")
@@ -692,4 +688,3 @@ class Simulation:
             else:
                 self._debit(j, "alert_recv")
         self._event(PacketKind.SOURCE, nid, None, True, False, received, "alert")
-        self._tline(f"isolation alert src={nid} recv={_ids(received)}")

@@ -79,11 +79,11 @@ class Packet:
     message: str = ""
 
 
-def _message_cap(kind: PacketKind) -> int:
+def message_cap(kind: PacketKind) -> int:
     return kind.size - HEADER_SIZE - 8  # after x, y and energy: 12 or 52
 
 
-def _encode_coord(v: float) -> int:
+def encode_coord(v: float) -> int:
     scaled = v * _COORD_STEP
     iv = round(scaled)
     if iv != scaled:
@@ -110,7 +110,7 @@ def encode(p: Packet) -> bytes:
     if not 0 <= p.hop_count <= 0xFF:
         raise PacketError(f"hop count {p.hop_count} does not fit 8 bits")
     msg = p.message.encode("utf-8")
-    cap = _message_cap(p.kind)
+    cap = message_cap(p.kind)
     if len(msg) > cap:
         raise PacketError(f"message of {len(msg)} bytes exceeds the {cap}-byte field")
     if b"\x00" in msg:
@@ -119,8 +119,8 @@ def encode(p: Packet) -> bytes:
     header = struct.pack(">BBBB", b0, p.src, p.hop_count, 0)
     body = struct.pack(
         ">HHI",
-        _encode_coord(p.loc[0]),
-        _encode_coord(p.loc[1]),
+        encode_coord(p.loc[0]),
+        encode_coord(p.loc[1]),
         _encode_energy(p.energy),
     )
     return header + body + msg.ljust(cap, b"\x00")

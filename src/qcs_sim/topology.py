@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .packet import PacketError, PacketKind, affected_message, encode_coord, message_cap
 
 Position = tuple[float, float]
 NodeId = int
@@ -27,6 +28,8 @@ class Topology:
     nodes: id -> (x, y), ids positive ints, exactly one of them the base.
     radio_range: symmetric reach; a pair at exactly this distance is in range.
     field_size: (width, height); all positions must lie inside.
+    Every node must fit the wire: an 8-bit id, coordinates the 16-bit
+    fields carry, and an alarm text that fits a source packet.
     """
 
     nodes: dict[NodeId, Position]
@@ -41,6 +44,7 @@ class Topology:
         if self.radio_range <= 0:
             raise ValueError("radio_range must be positive")
         w, h = self.field_size
+        cap = message_cap(PacketKind.SOURCE)
         for nid, (x, y) in self.nodes.items():
             if not isinstance(nid, int) or nid < 1:
                 raise ValueError(f"node id must be a positive int, got {nid!r}")
@@ -48,6 +52,14 @@ class Topology:
                 raise ValueError(f"node id {nid} does not fit the 8-bit src field (1..255)")
             if not (0 <= x <= w and 0 <= y <= h):
                 raise ValueError(f"node {nid} at ({x}, {y}) lies outside the {w}x{h} field")
+            try:
+                encode_coord(x), encode_coord(y)
+            except PacketError as err:
+                raise ValueError(f"node {nid} at ({x}, {y}): {err}") from None
+            size = len(affected_message(nid, (x, y)).encode("utf-8"))
+            if size > cap:
+                raise ValueError(f"node {nid}: its alarm text of {size} bytes"
+                                 f" exceeds the {cap}-byte message field")
         self._adj = self._build_adjacency()
 
     def _build_adjacency(self) -> dict[NodeId, tuple[NodeId, ...]]:
@@ -80,18 +92,22 @@ class Topology:
         """All node ids except the base, ascending."""
         return [i for i in sorted(self.nodes) if i != self.base_id]
 
-    def is_connected(self) -> bool:
-        """BFS reachability over the in-range graph."""
-        ids = list(self.nodes)
-        seen = {ids[0]}
-        frontier = [ids[0]]
+    def hops_from(self, root: NodeId) -> dict[NodeId, int]:
+        """Hop count from root to every node it reaches, breadth first."""
+        hops = {root: 0}
+        frontier = [root]
+        d = 0
         while frontier:
+            d += 1
             nxt = []
             for u in frontier:
                 for v in self._adj[u]:
-                    if v not in seen:
-                        seen.add(v)
+                    if v not in hops:
+                        hops[v] = d
                         nxt.append(v)
             frontier = nxt
-        return len(seen) == len(ids)
+        return hops
 
+    def is_connected(self) -> bool:
+        """Whether the base reaches every node over the in-range graph."""
+        return len(self.hops_from(self.base_id)) == len(self.nodes)

@@ -248,6 +248,18 @@ def test_cli_rejects_node_id_above_one_byte(tmp_path, capsys):
     assert "node id 300" in out.err
 
 
+def test_cli_rejects_alarm_text_the_wire_cannot_carry(tmp_path, capsys):
+    scn = tmp_path / "far.scn"
+    scn.write_text("[field]\nwidth = 3000\nheight = 3000\n"
+                   "[nodes]\n1 0 0 base\n12 1234.5 2345.5\n")
+    assert main(["--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert "node 12: its alarm text of 53 bytes exceeds the 52-byte message field" in out.err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args", [[], ["--sweep", "13,2"]], ids=["run", "sweep"])
 def test_cli_out_that_cannot_be_created(tmp_path, capsys, args):
     taken = tmp_path / "taken"
@@ -289,6 +301,19 @@ def test_debug_logging_leaves_reports_identical(tmp_path, caplog):
     for name in reports:
         assert ((tmp_path / "debug" / name).read_bytes()
                 == (tmp_path / "quiet" / name).read_bytes()), name
+
+
+def test_cli_rejects_unknown_log_level(tmp_path, capsys, monkeypatch):
+    # a mistyped level must not run silently at some other level
+    monkeypatch.setenv("QCS_SIM_LOG", "verbose")
+    for args in (["--scenario", str(SCN), "--out", str(tmp_path / "o")],
+                 ["--lifetime", "10", "1", "0"]):
+        assert main(args) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith("error: ")
+        assert "QCS_SIM_LOG='verbose'" in got.err
+    assert not (tmp_path / "o").exists()             # no work was done
 
 
 def test_cli_log_env_smoke(tmp_path):

@@ -106,6 +106,33 @@ def test_rejects_bad_values(mutation, needle):
     assert needle in str(err.value)
 
 
+WIRE = "[field]\nwidth = 4096\nheight = 4096\n[nodes]\n1 0 0 base\n{node}\n[costs]\n{costs}\n"
+
+
+@pytest.mark.parametrize("node, costs, needle", [
+    ("12 1234.5 2345.5", "",
+     "node 12: its alarm text of 53 bytes exceeds the 52-byte message field"),
+    ("2 33.3 0", "", "node 2 at (33.3, 0.0): coordinate 33.3 not representable in 1/16 units"),
+    ("2 0 4096", "", "node 2 at (0.0, 4096.0): coordinate 4096.0 out of the encodable range"),
+    ("2 16 0", "init_max = 5000000000",
+     "init_max 5000000000 does not fit the 32-bit energy field"),
+    ("255 4095.9375 4095.9375", "",
+     "node 255: its alarm text of 60 bytes exceeds the 52-byte message field"),
+], ids=["long-alarm", "off-grid", "off-range", "init-max", "max-id-max-coords"])
+def test_rejects_what_the_wire_cannot_carry(node, costs, needle):
+    with pytest.raises(ValueError) as err:
+        parse_scenario(WIRE.format(node=node, costs=costs))
+    assert needle in str(err.value)
+
+
+def test_accepts_the_wire_limits():
+    # the top coordinate, and an alarm text of 50 bytes
+    sc = parse_scenario(WIRE.format(node="9 4095.9375 0",
+                                    costs="init_max = 4294967294"))
+    assert sc.topology.nodes[9] == (4095.9375, 0.0)
+    assert sc.costs.init_max == 0xFFFFFFFF - 1
+
+
 def test_events_must_have_three_fields():
     with pytest.raises(ValueError):
         parse_scenario(FULL.replace("2 1 70.5", "2 1"))

@@ -93,6 +93,16 @@ def test_rejects_node_id_above_one_byte():
              radio_range=100.0, field_size=(60.0, 10.0))
 
 
+def test_rejects_node_the_wire_cannot_carry():
+    # a layout built without scenario text gets the same wire checks
+    with pytest.raises(ValueError, match=r"node 2 at \(33.3, 0.0\): coordinate 33.3 not"):
+        Topology(nodes={1: (0.0, 0.0), 2: (33.3, 0.0)}, base_id=1,
+                 radio_range=100.0, field_size=(60.0, 10.0))
+    with pytest.raises(ValueError, match=r"node 12: its alarm text of 53 bytes"):
+        Topology(nodes={1: (0.0, 0.0), 12: (1234.5, 2345.5)}, base_id=1,
+                 radio_range=100.0, field_size=(3000.0, 3000.0))
+
+
 def test_rejects_nonpositive_range():
     with pytest.raises(ValueError):
         Topology(nodes={1: (0.0, 0.0)}, base_id=1,
