@@ -51,9 +51,9 @@ print("sweep: one forwarding incident per origin")
 print(f"  {'origin':>6} {'path':>4} {'hops':>4} {'comparisons':>11} "
       f"{'ratio':>6}")
 for i, origin in enumerate(origins, start=1):
-    sc = replace(base_sc, events=(SenseEvent(0, origin, reading),),
-                 horizon=horizon)
-    trace = Simulation(sc, seed_key=f"7:sweep:{i}").run()
+    sc = replace(base_sc, seed=f"7:sweep:{i}",
+                 events=(SenseEvent(0, origin, reading),), horizon=horizon)
+    trace = Simulation(sc).run()
     rec = trace.incidents[0]
     rows.append((f"irregular{i}", rec.path_nodes, rec.comparisons))
     ratio = rec.comparisons / rec.path_nodes

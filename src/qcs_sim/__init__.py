@@ -53,5 +53,4 @@ from .engine import (
     Trace,
     IncidentRecord,
     FloodRecord,
-    count_comparisons,
 )

@@ -108,15 +108,14 @@ def _sweep_ids(arg: str, sc: Scenario) -> list[int]:
 def _cmd_run(sc: Scenario, out: Path) -> int:
     sim = Simulation(sc)
     trace = sim.run()
-    sensors = sc.topology.sensor_ids()
     metrics.write_trace(out / "trace.txt", trace)
     metrics.write_ledger_csv(out / "ledger.csv", sim.ledger)
     metrics.write_energy_diff_csv(
         out / "energy_diff.csv",
-        metrics.energy_diff_rows("run", trace.initial_energy, sim.ledger, sensors),
+        metrics.energy_diff_rows("run", trace.initial_energy, sim.ledger),
     )
     metrics.write_paths_csv(out / "paths.csv", metrics.paths_rows(trace.incidents))
-    summary = metrics.render_summary("simulation summary", trace, sim.ledger, sensors)
+    summary = metrics.render_summary("simulation summary", trace, sim.ledger)
     metrics.write_text(out / "summary.txt", summary)
     print(f"ran {sc.horizon} ticks, {len(trace.incidents)} incident(s), "
           f"{len(trace.floods)} flood(s)")
@@ -126,7 +125,6 @@ def _cmd_run(sc: Scenario, out: Path) -> int:
 
 
 def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
-    sensors = sc.topology.sensor_ids()
     reading = (IRREGULAR_LEVEL + DEVASTATING_LEVEL) / 2
     horizon = max(sc.horizon, len(sc.topology.nodes) + 2)
 
@@ -137,13 +135,14 @@ def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
     for i, nid in enumerate(ids, start=1):
         label = f"irregular{i}"
         run_sc = replace(
-            sc, events=(SenseEvent(0, nid, reading),), horizon=horizon
+            sc, seed=f"{sc.seed}:sweep:{i}",
+            events=(SenseEvent(0, nid, reading),), horizon=horizon,
         )
-        sim = Simulation(run_sc, seed_key=f"{sc.seed}:sweep:{i}")
+        sim = Simulation(run_sc)
         trace = sim.run()
         rec = trace.incidents[0]
         energy_rows.extend(
-            metrics.energy_diff_rows(label, trace.initial_energy, sim.ledger, sensors)
+            metrics.energy_diff_rows(label, trace.initial_energy, sim.ledger)
         )
         path_rows.extend(metrics.paths_rows([rec], labels=[label]))
         metrics.write_ledger_csv(out / f"ledger_{label}.csv", sim.ledger)

@@ -58,7 +58,7 @@ def lifetime(initial_energy: float, e1: float, ep: float = 0) -> int:
     return math.floor(initial_energy / per_tick)
 
 
-def draw_initial_energy(seed: int | str, node_id: int, lo: int = 3000, hi: int = 5000) -> int:
+def draw_initial_energy(seed: int | str, node_id: int, lo: int, hi: int) -> int:
     """Deterministic per-node starting charge, uniform over [lo, hi]."""
     if lo > hi:
         raise ValueError("empty energy range")

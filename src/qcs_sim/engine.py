@@ -60,7 +60,7 @@ from .node import (
     sense_and_classify,
     tick_transition,
 )
-from .numtext import fmt_num
+from .numtext import fmt_ids, fmt_num
 from .packet import PacketKind, make_query, make_source
 from .scenario import Scenario, SenseEvent
 from .topology import dist
@@ -68,15 +68,6 @@ from .topology import dist
 log = logging.getLogger(__name__)
 
 NETWORK_FINE = "Network is fine"
-
-
-def count_comparisons(reply_counts) -> int:
-    """Comparisons spent choosing next hops: two per reply per round.
-
-    Each candidate costs one threshold check plus one distance check
-    against the running best (seeded with the forwarder's own distance).
-    """
-    return sum(2 * int(k) for k in reply_counts)
 
 
 @dataclass
@@ -116,12 +107,13 @@ class IncidentRecord:
         return len(self.hops)
 
     @property
-    def hop_replies(self) -> list[int]:
-        return [h.replies for h in self.hops]
-
-    @property
     def comparisons(self) -> int:
-        return count_comparisons(self.hop_replies)
+        """Comparisons spent choosing next hops: two per reply per round.
+
+        Each candidate costs one threshold check plus one distance check
+        against the running best (seeded with the forwarder's own distance).
+        """
+        return sum(2 * h.replies for h in self.hops)
 
     @property
     def path_nodes(self) -> int:
@@ -191,27 +183,20 @@ class Trace:
             elif r.note in _LINE_LABEL:
                 hop = f" hop={r.hop}" if r.note == "flood" else ""
                 lines.append(f"t={r.tick:>3} {_LINE_LABEL[r.note]} src={r.src}{hop}"
-                             f" recv={_ids(r.receivers)}")
+                             f" recv={fmt_ids(r.receivers)}")
         return "\n".join(lines) + "\n"
-
-
-def _ids(seq) -> str:
-    return "[" + ",".join(map(str, seq)) + "]"
 
 
 class Simulation:
     """Runs one scenario tick by tick; all state lives on this object.
 
-    seed_key overrides the scenario seed as the string key for every
-    internal generator, letting callers derive independent sub-runs
-    (sweeps) from one configured seed.
+    Every internal generator is keyed on ``str(scenario.seed)``.
     """
 
-    def __init__(self, scenario: Scenario, seed_key: str | None = None):
+    def __init__(self, scenario: Scenario):
         self.sc = scenario
         self.topology = scenario.topology
         self.costs = scenario.costs
-        self.seed_key = str(scenario.seed) if seed_key is None else seed_key
 
         topo = self.topology
         self.base_id = topo.base_id
@@ -219,7 +204,8 @@ class Simulation:
         self.hop_cap = len(topo.nodes) // 2
         self.attempt_cap = len(topo.nodes)
 
-        modes = init_modes(topo, self.seed_key)
+        seed = str(scenario.seed)
+        modes = init_modes(topo, seed)
         # built in ascending id order and never gains or loses a key, so
         # every loop over it visits nodes in id order, as the loss coins
         # and the trace require
@@ -231,7 +217,7 @@ class Simulation:
                 mode = MODE_C
             else:
                 energy = draw_initial_energy(
-                    self.seed_key, nid, self.costs.init_min, self.costs.init_max
+                    seed, nid, self.costs.init_min, self.costs.init_max
                 )
                 mode = modes[nid]
             self.nodes[nid] = NodeState(
@@ -246,7 +232,7 @@ class Simulation:
         }
         self._sensors = [n for n in self.nodes.values() if not n.is_base]
         self.ledger = EnergyLedger(self.nodes)
-        self.loss_rng = random.Random(f"loss:{self.seed_key}")
+        self.loss_rng = random.Random(f"loss:{seed}")
 
         self.tick = 0
         self.trace = Trace()
@@ -266,10 +252,10 @@ class Simulation:
         w, h = topo.field_size
         self._line(
             f"init: field={fmt_num(w)}x{fmt_num(h)} range={fmt_num(topo.radio_range)}"
-            f" nodes={len(topo.nodes)} base={self.base_id} seed={self.seed_key}"
+            f" nodes={len(topo.nodes)} base={self.base_id} seed={seed}"
             f" loss={fmt_num(scenario.loss_prob)}"
         )
-        self._line(f"init: modes Q={_ids(q)} C={_ids(c)}")
+        self._line(f"init: modes Q={fmt_ids(q)} C={fmt_ids(c)}")
         self._line(
             "init: energy "
             + " ".join(f"{n}={fmt_num(e)}"
@@ -421,9 +407,8 @@ class Simulation:
         for node in sensors:
             if node.energy <= 0 or node.flag1:
                 continue
-            alert = isolation_check(node)
-            if alert is not None:
-                self._broadcast_alert(node.node_id, alert)
+            if isolation_check(node) is not None:
+                self._broadcast_alert(node.node_id)
 
         for node in sensors:
             if (node.energy <= 0 or node.flag1 or node.flag2
@@ -573,7 +558,7 @@ class Simulation:
         attempt.reset_heard = True
         self._tline(
             f"hop src={nid} -> {chosen} replies={len(acks)}"
-            f" path={_ids(rec.path)}"
+            f" path={fmt_ids(rec.path)}"
         )
 
     # ------------------------------------------------------------- flooding
@@ -647,7 +632,7 @@ class Simulation:
             self._close_held(nid, "base_reset")
             reset_node(self.nodes[nid])
         epoch.reset_wave.append((self.tick, tuple(targets)))
-        self._tline(f"reset-wave depth={depth} reset={_ids(targets)}")
+        self._tline(f"reset-wave depth={depth} reset={fmt_ids(targets)}")
 
         if depth >= self._base_ecc:
             leftovers = [
@@ -658,7 +643,7 @@ class Simulation:
                 reset_node(self.nodes[nid])
             if leftovers:
                 epoch.reset_wave.append((self.tick, tuple(leftovers)))
-                self._tline(f"reset-wave cleanup reset={_ids(leftovers)}")
+                self._tline(f"reset-wave cleanup reset={fmt_ids(leftovers)}")
             base = self.nodes[self.base_id]
             base.flag1 = False
             base.flag2 = False
@@ -671,7 +656,7 @@ class Simulation:
 
     # ------------------------------------------------------------ isolation
 
-    def _broadcast_alert(self, nid: int, alert) -> None:
+    def _broadcast_alert(self, nid: int) -> None:
         """Long-range disconnect alert: heard directly, never relayed."""
         node = self.nodes[nid]
         reach = ISOLATION_MULTIPLIER * self.topology.radio_range

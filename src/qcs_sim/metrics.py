@@ -2,21 +2,27 @@
 
 All outputs are deterministic byte for byte: fixed column order, LF
 line endings, and number formatting that never depends on locale.
+
+The CSVs are written as plain comma-joined rows, streamed one row at a
+time: no field can need quoting, since causes, labels and numbers never
+hold a comma, a quote or a newline.
 """
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 from .energy import EnergyLedger, joules
-from .engine import IncidentRecord, PacketEvent, Trace, _ids
+from .engine import IncidentRecord, PacketEvent, Trace
 from .node import NodeState
-from .numtext import fmt_num
+from .numtext import fmt_ids, fmt_num
 
 
-def _open_csv(path: Path):
-    return open(path, "w", encoding="utf-8", newline="")
+def _write_csv(path: str | Path, header: str, rows) -> None:
+    """The header line, then each already formatted row."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(header + "\n")
+        f.writelines(rows)
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -29,31 +35,28 @@ def write_trace(path: str | Path, trace: Trace) -> None:
 
 def write_ledger_csv(path: str | Path, ledger: EnergyLedger) -> None:
     """One row per debit: tick, node_id, cause, debit, balance."""
-    with _open_csv(Path(path)) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["tick", "node_id", "cause", "debit", "balance"])
-        for e in ledger.entries:
-            w.writerow([e.tick, e.node_id, e.cause, e.debit, fmt_num(e.balance, "Inf")])
+    _write_csv(path, "tick,node_id,cause,debit,balance", (
+        f"{tick},{nid},{cause},{debit},"
+        f"{bal if type(bal) is int else fmt_num(bal, 'Inf')}\n"
+        for tick, nid, cause, debit, bal in ledger.entries
+    ))
 
 
 def energy_diff_rows(label: str, initial_energy: dict[int, float],
-                     ledger: EnergyLedger,
-                     sensor_ids: list[int]) -> list[tuple[str, int, int]]:
-    """Per-sensor consumption over a full pass: initial minus final."""
-    rows = []
-    for nid in sensor_ids:
-        consumed = int(initial_energy[nid] - ledger.balance(nid))
-        rows.append((label, nid, consumed))
-    return rows
+                     ledger: EnergyLedger) -> list[tuple[str, int, int]]:
+    """Per-sensor consumption over a full pass, initial minus final, in
+    ascending id order."""
+    return [
+        (label, nid, int(initial_energy[nid] - n.energy))
+        for nid, n in ledger.nodes.items() if not n.is_base
+    ]
 
 
 def write_energy_diff_csv(path: str | Path,
                           rows: list[tuple[str, int, int]]) -> None:
-    with _open_csv(Path(path)) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["run", "node_id", "consumed_units"])
-        for label, nid, consumed in rows:
-            w.writerow([label, nid, consumed])
+    _write_csv(path, "run,node_id,consumed_units", (
+        f"{label},{nid},{consumed}\n" for label, nid, consumed in rows
+    ))
 
 
 def paths_rows(incidents: list[IncidentRecord],
@@ -67,11 +70,9 @@ def paths_rows(incidents: list[IncidentRecord],
 
 
 def write_paths_csv(path: str | Path, rows: list[tuple[str, int, int]]) -> None:
-    with _open_csv(Path(path)) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["incident", "path_nodes", "comparisons"])
-        for label, nodes, comparisons in rows:
-            w.writerow([label, nodes, comparisons])
+    _write_csv(path, "incident,path_nodes,comparisons", (
+        f"{label},{nodes},{comparisons}\n" for label, nodes, comparisons in rows
+    ))
 
 
 def total_radio_millijoules(events: list[PacketEvent]) -> float:
@@ -103,13 +104,12 @@ def render_incident(rec: IncidentRecord) -> str:
     )
     return (
         f"  {rec.incident_id}: origin={rec.origin} start=t{rec.start_tick}"
-        f" path={_ids(rec.path)} nodes={rec.path_nodes}"
+        f" path={fmt_ids(rec.path)} nodes={rec.path_nodes}"
         f" comparisons={rec.comparisons} {status}"
     )
 
 
-def render_summary(title: str, trace: Trace, ledger: EnergyLedger,
-                   sensor_ids: list[int]) -> str:
+def render_summary(title: str, trace: Trace, ledger: EnergyLedger) -> str:
     """Human-readable run summary including the base station record."""
     lines = [title, "=" * len(title), ""]
     lines.append("base station")
@@ -155,8 +155,8 @@ def render_summary(title: str, trace: Trace, ledger: EnergyLedger,
     mj = total_radio_millijoules(trace.packet_events)
     lines.append(f"  total radio energy: {mj:.4f} mJ")
     consumed = " ".join(
-        f"{nid}={int(trace.initial_energy[nid] - ledger.balance(nid))}"
-        for nid in sensor_ids
+        f"{nid}={units}"
+        for _, nid, units in energy_diff_rows("", trace.initial_energy, ledger)
     )
     lines.append(f"  consumed per node: {consumed}")
     lines.append("")

@@ -203,7 +203,7 @@ def isolation_check(n: NodeState) -> Packet | None:
     hears it forwards the news; it fires once per disconnection, not
     every tick the node stays alone.
     """
-    empty = len(n.adj) == 0
+    empty = not (n.heard_prev or n.heard_curr)
     fire = empty and n.had_neighbors
     n.had_neighbors = not empty
     if fire:

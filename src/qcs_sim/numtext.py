@@ -4,7 +4,7 @@ for traces and reports.
 Scenario files hold only finite numbers.  Reports print a whole value
 as an integer and anything else as Python's float repr; infinity (the
 base station's supply) prints as ``inf`` unless the caller names
-another spelling.
+another spelling.  A list of node ids prints as ``[1,2,3]``.
 """
 
 from __future__ import annotations
@@ -35,3 +35,8 @@ def fmt_num(value: float, inf: str = "inf") -> str:
     if f == math.inf:
         return inf
     return str(int(f)) if f.is_integer() else str(f)
+
+
+def fmt_ids(seq) -> str:
+    """Node ids as a bracketed, comma-separated list: ``[1,2,3]``."""
+    return "[" + ",".join(map(str, seq)) + "]"

@@ -39,7 +39,7 @@ class SenseEvent:
 class Scenario:
     topology: Topology
     costs: CostModel
-    seed: int
+    seed: int | str  # a sweep derives a string key from the file's int
     horizon: int
     loss_prob: float
     events: tuple[SenseEvent, ...]

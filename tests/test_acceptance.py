@@ -188,8 +188,10 @@ def test_criterion_07_greedy_oracle_equivalence():
     sc = make_scenario(topo, seed=1, horizon=3, events=ev,
                        costs=CostModel(init_min=1000, init_max=1000))
     assert Simulation(sc).run().incidents[0].hops[0].chosen == 2
+    lo, hi = CostModel().init_min, CostModel().init_max
     for seed in range(50):
-        if draw_initial_energy(str(seed), 3) >= draw_initial_energy(str(seed), 2) + 2:
+        if (draw_initial_energy(str(seed), 3, lo, hi)
+                >= draw_initial_energy(str(seed), 2, lo, hi) + 2):
             break
     sc2 = make_scenario(topo, seed=seed, horizon=3, events=ev)
     assert Simulation(sc2).run().incidents[0].hops[0].chosen == 3

@@ -84,14 +84,15 @@ def test_lifetime_rejects_free_running():
 
 
 def test_draw_initial_energy_bounds_and_determinism():
+    lo, hi = CostModel().init_min, CostModel().init_max
     rng = random.Random(9)
     for _ in range(200):
         seed = rng.randint(0, 10 ** 6)
         nid = rng.randint(1, 255)
-        e = draw_initial_energy(seed, nid)
-        assert 3000 <= e <= 5000
-        assert e == draw_initial_energy(seed, nid)
-    assert draw_initial_energy("7", 1) == draw_initial_energy(7, 1)
+        e = draw_initial_energy(seed, nid, lo, hi)
+        assert lo <= e <= hi
+        assert e == draw_initial_energy(seed, nid, lo, hi)
+    assert draw_initial_energy("7", 1, lo, hi) == draw_initial_energy(7, 1, lo, hi)
     assert draw_initial_energy(7, 1, lo=10, hi=10) == 10
 
 

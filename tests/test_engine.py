@@ -14,7 +14,6 @@ from qcs_sim import (
     CostModel,
     Simulation,
     Topology,
-    count_comparisons,
     default16_scenario_text,
     default16_topology,
     draw_initial_energy,
@@ -109,8 +108,9 @@ def test_initial_state_recorded():
     topo = default16_topology()
     initial_modes = {n: m for n, m in seen.modes[0].items() if n != topo.base_id}
     assert initial_modes == init_modes(topo, "5")
+    lo, hi = CostModel().init_min, CostModel().init_max
     for nid in topo.sensor_ids():
-        assert tr.initial_energy[nid] == draw_initial_energy("5", nid)
+        assert tr.initial_energy[nid] == draw_initial_energy("5", nid, lo, hi)
 
 
 # ------------------------------------------------------- alarm forwarding
@@ -174,11 +174,9 @@ def test_handed_over_nodes_resume_alternation():
 
 
 def test_comparisons_counting():
-    assert count_comparisons([]) == 0
-    assert count_comparisons([0, 3, 2]) == 10
     sim, tr = run16(events=EV10)
     rec = tr.incidents[0]
-    assert rec.hop_replies == [3, 2, 2, 3]
+    assert [h.replies for h in rec.hops] == [3, 2, 2, 3]
     assert rec.comparisons == 2 * (3 + 2 + 2 + 3)
     assert rec.path_nodes == 5
 
@@ -228,8 +226,10 @@ def test_tie_breaks_low_id_then_high_energy():
     assert tr.incidents[0].hops[0].chosen == 2   # dead tie: lower id
 
     # unequal energies break the distance tie before ids do
+    lo, hi = CostModel().init_min, CostModel().init_max
     for seed in range(50):
-        if draw_initial_energy(str(seed), 3) >= draw_initial_energy(str(seed), 2) + 2:
+        if (draw_initial_energy(str(seed), 3, lo, hi)
+                >= draw_initial_energy(str(seed), 2, lo, hi) + 2):
             break
     else:
         pytest.fail("no seed separates the candidate energies")

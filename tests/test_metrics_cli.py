@@ -12,6 +12,7 @@ import pytest
 
 from qcs_sim import Simulation, default16_scenario_text, joules, parse_scenario
 from qcs_sim.cli import main
+from qcs_sim.energy import EnergyLedger
 from qcs_sim.metrics import (
     energy_diff_rows,
     paths_rows,
@@ -22,6 +23,7 @@ from qcs_sim.metrics import (
     write_ledger_csv,
     write_paths_csv,
 )
+from qcs_sim.node import NodeState
 
 from conftest import subprocess_env
 
@@ -49,10 +51,29 @@ def test_ledger_csv_shape(tmp_path):
     assert int(debit) == 1
 
 
+def test_ledger_csv_bytes_with_float_balances(tmp_path):
+    # a run's balances are ints; a float one takes fmt_num's branch
+    nodes = {1: NodeState(1, (0.0, 0.0), energy=10.5),
+             2: NodeState(2, (1.0, 0.0), energy=3.0),
+             3: NodeState(3, (2.0, 0.0), energy=0.5),
+             9: NodeState(9, (3.0, 0.0), is_base=True, energy=math.inf)}
+    ledger = EnergyLedger(nodes)
+    ledger.debit(0, 1, "query_send", 1)
+    ledger.debit(0, 9, "query_recv", 1)           # the base: no row
+    ledger.debit(1, 2, "flood_recv", 1)
+    ledger.debit(2, 3, "flood_send", 2)           # clamped at zero
+    out = tmp_path / "ledger.csv"
+    write_ledger_csv(out, ledger)
+    assert out.read_bytes() == (b"tick,node_id,cause,debit,balance\n"
+                                b"0,1,query_send,1,9.5\n"
+                                b"1,2,flood_recv,1,2\n"
+                                b"2,3,flood_send,0.5,0\n")
+
+
 def test_energy_diff_rows_match_ledger(tmp_path):
     sim, tr = run16(seed=7, horizon=12)
-    ids = sim.topology.sensor_ids()
-    rows = energy_diff_rows("run", tr.initial_energy, sim.ledger, ids)
+    rows = energy_diff_rows("run", tr.initial_energy, sim.ledger)
+    assert [nid for _, nid, _ in rows] == sim.topology.sensor_ids()
     for label, nid, consumed in rows:
         assert label == "run"
         assert consumed == sum(e.debit for e in sim.ledger.entries
@@ -101,7 +122,7 @@ def test_base_record_rendering():
 
 def test_summary_mentions_key_facts():
     sim, tr = run16(seed=7, horizon=20, events=((2, 10, 70.0),))
-    text = render_summary("demo run", tr, sim.ledger, sim.topology.sensor_ids())
+    text = render_summary("demo run", tr, sim.ledger)
     assert "demo run" in text
     assert "BASE STATION" in text
     assert "Affected NODE is ->NODE10" in text
