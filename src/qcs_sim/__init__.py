@@ -22,7 +22,6 @@ from .packet import (
     make_ack,
     make_source,
     affected_message,
-    disconnect_message,
 )
 from .node import (
     MODE_Q,

@@ -18,16 +18,20 @@ scenarios replay byte-identically.
 One receive rule decides who hears a transmission: candidates are
 ``NodeState``s taken in ascending id order, a dead one (``energy <= 0``,
 which is what ``NodeState.alive`` means) is skipped without a coin, and
-each live one then draws its loss coin.  The regular query, the flood
-rebroadcast, the isolation alert and the alarm handover all go through
-``_receivers``.  The exception is the forwarding hop's query round and
-its confirmation, which draw inline: an ack's coin falls between two
+each live one then draws its loss coin.  The flood rebroadcast, the
+isolation alert and the alarm handover go through ``_receivers``.  The
+regular query applies the same rule inline, in the one pass that also
+bills its listeners.  The forwarding hop's query round and its
+confirmation draw inline too: an ack's coin falls between two
 neighbours' query coins, and the holder's ack and confirmation coins
 are drawn before its own liveness is checked.
 
 Every debit names a ledger cause and costs that cause's entry in
 ``energy.PRICES``, which also spells out how one forwarding hop
-comes to 6 + (acks heard) units for its holder.
+comes to 6 + (acks heard) units for its holder.  A debit goes through
+``EnergyLedger.debit``, except a regular query's listener, which
+``step_regular`` bills itself, row for row the same: listeners are most
+of a run's debits.
 
 Flood epochs end through a reset wave: once the base hears the alarm,
 rebroadcasting stops and a zero-cost control wave walks outward one hop
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .energy import (
-    ISOLATION_MULTIPLIER, PRICES, EnergyLedger, draw_initial_energy,
+    ISOLATION_MULTIPLIER, PRICES, EnergyLedger, LedgerEntry, draw_initial_energy,
 )
 from .node import (
     MODE_C,
@@ -68,6 +72,9 @@ from .topology import dist
 log = logging.getLogger(__name__)
 
 NETWORK_FINE = "Network is fine"
+
+#: builds a NamedTuple row without its Python-level __new__ frame
+_new_tuple = tuple.__new__
 
 
 @dataclass
@@ -246,6 +253,8 @@ class Simulation:
         self._base_depth = topo.hops_from(self.base_id)
         self._base_ecc = max(self._base_depth.values())
         self._acted_reset: set[int] = set()
+        # each node's alert audience, found the first time it alerts
+        self._alert_reach: dict[int, tuple[NodeState, ...]] = {}
 
         q = sorted(n for n, m in modes.items() if m == MODE_Q)
         c = sorted(n for n, m in modes.items() if m == MODE_C)
@@ -272,17 +281,22 @@ class Simulation:
 
     def _event(self, kind: PacketKind, src: int, dst: int | None, flag1: bool,
                flag2: bool, receivers: list[int], note: str, hop: int = 0) -> None:
-        self.trace.records.append(PacketEvent(
+        self.trace.records.append(_new_tuple(PacketEvent, (
             self.tick, kind, src, dst, flag1, flag2, tuple(receivers), note, hop,
-        ))
+        )))
 
-    def _debit(self, nid: int, cause: str) -> None:
+    def _debit(self, node: NodeState, cause: str) -> None:
         """Charge a node the price of cause; a debit that empties it kills it."""
-        taken = self.ledger.debit(self.tick, nid, cause, PRICES[cause])
-        if taken and self.nodes[nid].energy <= 0:
-            self.trace.deaths.append((self.tick, nid))
-            self._tline(f"node {nid} died ({cause})")
-            log.debug("t=%d node %d died (%s)", self.tick, nid, cause)
+        taken = self.ledger.debit(self.tick, node.node_id, cause, PRICES[cause])
+        if taken and node.energy <= 0:
+            self._died(node, cause)
+
+    def _died(self, node: NodeState, cause: str) -> None:
+        """Record the death of a node that a debit for cause just emptied."""
+        nid = node.node_id
+        self.trace.deaths.append((self.tick, nid))
+        self._tline(f"node {nid} died ({cause})")
+        log.debug("t=%d node %d died (%s)", self.tick, nid, cause)
 
     def _dropped(self) -> bool:
         p = self.sc.loss_prob
@@ -381,16 +395,13 @@ class Simulation:
 
     def step(self) -> None:
         """Advance one tick through all phases."""
-        for node in self.nodes.values():
-            if node.energy > 0:
-                node.roll_window()
-
-        for ev in self._events_at.get(self.tick, []):
+        tick = self.tick
+        for ev in self._events_at.get(tick, ()):
             self._apply_sense(ev)
 
         epoch = self.active_flood
         if (epoch is not None and epoch.base_receipt_tick is not None
-                and self.tick > epoch.base_receipt_tick):
+                and tick > epoch.base_receipt_tick):
             self.base_reset()
 
         sensors = self._sensors
@@ -407,7 +418,7 @@ class Simulation:
         for node in sensors:
             if node.energy <= 0 or node.flag1:
                 continue
-            if isolation_check(node) is not None:
+            if isolation_check(node, tick):
                 self._broadcast_alert(node.node_id)
 
         for node in sensors:
@@ -422,25 +433,47 @@ class Simulation:
     # --------------------------------------------------------- regular step
 
     def step_regular(self, nid: int) -> None:
-        """One Q node broadcasts one status query; neighbors just listen."""
-        self._debit(nid, "query_send")
-        # S sensors are busy forwarding and do not listen on the regular plane
-        received = self._receivers(
-            [nb for nb in self._nbrs[nid] if nb.mode != MODE_S or nb.is_base]
-        )
-        debit = self._debit
-        for nb in received:
-            # handle_query's only effect for a flag-clear query is to learn
-            # the sender, so no packet is built on this plane
-            nb.heard_curr.add(nid)
-            if not nb.is_base:
-                debit(nb.node_id, "query_recv")
-            elif not nb.flag1 and nb.message != NETWORK_FINE:
-                # a base that holds an alarm keeps its alarm text
-                nb.message = NETWORK_FINE
-                self._tline(f"base: {NETWORK_FINE!r}")
-        self._event(PacketKind.QUERY, nid, None, False, False,
-                    [nb.node_id for nb in received], "regular")
+        """One Q node broadcasts one status query; neighbours just listen.
+
+        One pass over the neighbours in id order applies the receive
+        rule and bills each listener: an S sensor is busy forwarding and
+        does not listen, a dead one is skipped without a coin, and each
+        live one draws its loss coin.  handle_query's only effect for a
+        flag-clear query is to stamp the listener's heard_tick, so no
+        packet is built on this plane.  Each listener's query_recv row
+        is written here as EnergyLedger.debit writes one, with no call
+        per listener.
+        """
+        tick = self.tick
+        self._debit(self.nodes[nid], "query_send")
+        price = PRICES["query_recv"]
+        p = self.sc.loss_prob
+        coin = self.loss_rng.random
+        rows = self.ledger.entries
+        received = []
+        for nb in self._nbrs[nid]:
+            if nb.mode == MODE_S and not nb.is_base:
+                continue
+            bal = nb.energy
+            if bal <= 0 or (p > 0 and coin() < p):
+                continue
+            nb.heard_tick = tick
+            j = nb.node_id
+            received.append(j)
+            if nb.is_base:
+                if not nb.flag1 and nb.message != NETWORK_FINE:
+                    # a base that holds an alarm keeps its alarm text
+                    nb.message = NETWORK_FINE
+                    self._tline(f"base: {NETWORK_FINE!r}")
+                continue
+            # bal > 0 and price > 0, so the clamped debit moves energy
+            taken = bal if bal < price else price
+            bal -= taken
+            nb.energy = bal
+            rows.append(_new_tuple(LedgerEntry, (tick, j, "query_recv", taken, bal)))
+            if bal <= 0:
+                self._died(nb, "query_recv")
+        self._event(PacketKind.QUERY, nid, None, False, False, received, "regular")
 
     # ----------------------------------------------------- alarm forwarding
 
@@ -463,7 +496,7 @@ class Simulation:
             return
 
         hop_pkt = make_query(nid, flag1=True, loc=node.pos, energy=node.wire_energy)
-        self._debit(nid, "hop_query")
+        self._debit(node, "hop_query")
         heard = []
         acks = []  # (node id, reported energy, reported location)
         # not _receivers: each ack's loss coin is drawn between two
@@ -475,18 +508,18 @@ class Simulation:
             if self._dropped():
                 continue
             if not nb.is_base:
-                self._debit(j, "hop_query_recv")
+                self._debit(nb, "hop_query_recv")
             heard.append(j)
-            ack = handle_query(nb, hop_pkt)
+            ack = handle_query(nb, hop_pkt, self.tick)
             if ack is None:
                 continue
             if not nb.is_base:
-                self._debit(j, "ack_send")
+                self._debit(nb, "ack_send")
             if self._dropped():
                 continue
             if not node.alive:
                 continue  # holder drained mid-round; the ack falls on deaf ears
-            self._debit(nid, "ack_recv")
+            self._debit(node, "ack_recv")
             acks.append((j, ack.energy, ack.loc))
         # the query went out before any ack came back
         self._event(PacketKind.QUERY, nid, None, True, False, heard, "hop_query")
@@ -517,7 +550,7 @@ class Simulation:
             eligible, key=lambda it: (dist(it[2], self.base_pos), -it[1], it[0])
         )
         spkt = make_source(nid, node.pos, node.wire_energy, rec.message)
-        self._debit(nid, "source_send")
+        self._debit(node, "source_send")
         attempt.chosen = chosen
 
         target = self.nodes[chosen]
@@ -546,12 +579,12 @@ class Simulation:
         else:
             del self._active_irregular[nid]
             self._active_irregular[chosen] = rec
-            self._debit(chosen, "reset_send")
+            self._debit(target, "reset_send")
         if self._dropped() or not node.alive:
             self._event(PacketKind.ACK, chosen, nid, False, False, [], "reset_ack")
             self._tline(f"hop src={nid} -> {chosen} (confirmation lost)")
             return
-        self._debit(nid, "reset_recv")
+        self._debit(node, "reset_recv")
         self._event(PacketKind.ACK, chosen, nid, False, False, [nid], "reset_ack")
         reset_node(node)
         self._acted_reset.add(nid)
@@ -583,7 +616,7 @@ class Simulation:
 
         pkt = make_source(nid, node.pos, node.wire_energy, node.message,
                           hop_count=node.hop_depth, devastating=True)
-        self._debit(nid, "flood_send")
+        self._debit(node, "flood_send")
         received = self._receivers(self._nbrs[nid])
         for nb in received:
             if nb.is_base:
@@ -597,7 +630,7 @@ class Simulation:
                     log.debug("t=%d flood reached the base from node %d", self.tick, nid)
                 continue
             j = nb.node_id
-            self._debit(j, "flood_recv")
+            self._debit(nb, "flood_recv")
             was_s = nb.mode == MODE_S
             had_flag2 = nb.flag2
             handle_source(nb, pkt)
@@ -659,17 +692,21 @@ class Simulation:
     def _broadcast_alert(self, nid: int) -> None:
         """Long-range disconnect alert: heard directly, never relayed."""
         node = self.nodes[nid]
-        reach = ISOLATION_MULTIPLIER * self.topology.radio_range
-        self._debit(nid, "alert_send")
-        received = [n.node_id for n in self._receivers(
-            nb for nb in self.nodes.values()
-            if nb is not node and dist(node.pos, nb.pos) <= reach
-        )]
-        for j in received:
-            if self.nodes[j].is_base:
+        audience = self._alert_reach.get(nid)
+        if audience is None:
+            reach = ISOLATION_MULTIPLIER * self.topology.radio_range
+            audience = self._alert_reach[nid] = tuple(
+                nb for nb in self.nodes.values()
+                if nb is not node and dist(node.pos, nb.pos) <= reach
+            )
+        self._debit(node, "alert_send")
+        received = self._receivers(audience)
+        for nb in received:
+            if nb.is_base:
                 text = f"node number '{nid}' became disconnected"
                 self.trace.base_inbox.append((self.tick, text))
                 self._tline(f"base: {text}")
             else:
-                self._debit(j, "alert_recv")
-        self._event(PacketKind.SOURCE, nid, None, True, False, received, "alert")
+                self._debit(nb, "alert_recv")
+        self._event(PacketKind.SOURCE, nid, None, True, False,
+                    [nb.node_id for nb in received], "alert")

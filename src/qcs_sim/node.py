@@ -8,26 +8,27 @@ an alarm; past the devastating level it raises flag2 as well and the
 alarm is flooded instead.  The mode held at promotion time is stored so
 a reset can put the node back exactly where it was.
 
-Adjacency is learned, not configured: hearing a query enrolls the
-sender in a two-tick sliding window, so a silent neighbor ages out
-after one full Q/C period.  Isolation is declared when that learned
-set transitions from non-empty to empty.
+Adjacency is learned, not configured: a node counts as connected while
+it has heard some query in the current tick or the one before, so a
+silent neighbourhood ages out after one full Q/C period.  Only whether
+that two-tick window is empty matters, so a node keeps no set of
+senders, just ``heard_tick``, the last tick it heard a query; the
+window is empty at tick t when ``heard_tick < t - 1``.  Isolation is
+declared when the window goes from non-empty to empty.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .packet import (
     Packet,
     PacketKind,
     RESET_MESSAGE,
     affected_message,
-    disconnect_message,
     make_ack,
-    make_source,
 )
 from .topology import Topology
 
@@ -36,6 +37,9 @@ MODE_Q = "Q"
 MODE_C = "C"
 MODE_S = "S"
 
+
+#: a heard_tick whose two-tick window is empty at every tick
+NEVER_HEARD = -2
 
 #: sensor levels splitting readings into regular, irregular and devastating;
 #: a reading must exceed a level to cross it
@@ -57,8 +61,7 @@ class NodeState:
     stored_mode: str | None = None
     hop_depth: int = 0
     infected_tick: int | None = None
-    heard_prev: set[int] = field(default_factory=set)
-    heard_curr: set[int] = field(default_factory=set)
+    heard_tick: int = NEVER_HEARD  # the last tick this node heard a query
     had_neighbors: bool = False
 
     @property
@@ -69,16 +72,6 @@ class NodeState:
     def wire_energy(self) -> float:
         """Energy as packets carry it: inf for the base, else a whole number."""
         return math.inf if self.energy == math.inf else int(self.energy)
-
-    @property
-    def adj(self) -> set[int]:
-        """Neighbors heard within the current two-tick window."""
-        return self.heard_prev | self.heard_curr
-
-    def roll_window(self) -> None:
-        """Advance the adjacency window by one tick; engine calls this at tick start."""
-        self.heard_prev = self.heard_curr
-        self.heard_curr = set()
 
 
 def init_modes(topology: Topology, seed: int | str) -> dict[int, str]:
@@ -127,8 +120,9 @@ def tick_transition(n: NodeState) -> NodeState:
     return n
 
 
-def handle_query(n: NodeState, q: Packet) -> Packet | None:
-    """Receive a query: learn the sender, reply only to alarm-hop queries.
+def handle_query(n: NodeState, q: Packet, tick: int) -> Packet | None:
+    """Receive a query at tick: note that a neighbour was heard, and
+    reply only to alarm-hop queries.
 
     Regular queries (flags clear) are absorbed silently.  A query with
     flag1 set is a forwarding node looking for candidates, answered
@@ -137,7 +131,7 @@ def handle_query(n: NodeState, q: Packet) -> Packet | None:
     """
     if q.kind != PacketKind.QUERY:
         raise ValueError("handle_query expects a query packet")
-    n.heard_curr.add(q.src)
+    n.heard_tick = tick
     if q.flags.flag1 and (n.is_base or n.mode != MODE_S):
         return make_ack(n.node_id, n.wire_energy, n.pos)
     return None
@@ -175,9 +169,9 @@ def handle_source(n: NodeState, s: Packet) -> Packet | None:
 def reset_node(n: NodeState) -> NodeState:
     """Clear flags and restore the exact mode held before promotion to S.
 
-    The learned-adjacency window went stale while the node was S, so it
-    is cleared along with the isolation baseline; two regular ticks
-    rebuild it.
+    The learned-neighbour window went stale while the node was S, so it
+    is emptied along with the isolation baseline; the next query heard
+    refills it.
     """
     if n.mode != MODE_S:
         raise ValueError(f"node {n.node_id} is not an S node")
@@ -190,23 +184,19 @@ def reset_node(n: NodeState) -> NodeState:
     n.message = ""
     n.hop_depth = 0
     n.infected_tick = None
-    n.heard_prev = set()
-    n.heard_curr = set()
+    n.heard_tick = NEVER_HEARD
     n.had_neighbors = False
     return n
 
 
-def isolation_check(n: NodeState) -> Packet | None:
-    """Fire a disconnect alert when the learned neighbor set just emptied.
+def isolation_check(n: NodeState, tick: int) -> bool:
+    """Whether n must send a disconnect alert at tick: true when its
+    learned-neighbour window has just emptied.
 
-    The alert is a long-range broadcast carrying flag1 so that whoever
-    hears it forwards the news; it fires once per disconnection, not
-    every tick the node stays alone.
+    It is true once per disconnection, not every tick the node stays
+    alone.
     """
-    empty = not (n.heard_prev or n.heard_curr)
+    empty = n.heard_tick < tick - 1
     fire = empty and n.had_neighbors
     n.had_neighbors = not empty
-    if fire:
-        return make_source(n.node_id, n.pos, n.wire_energy,
-                           disconnect_message(n.node_id))
-    return None
+    return fire

@@ -175,10 +175,6 @@ def affected_message(node_id: int, loc: tuple[float, float]) -> str:
     return f"Affected NODE is ->NODE{node_id} At Location ({fmt_num(loc[0])} {fmt_num(loc[1])})"
 
 
-def disconnect_message(node_id: int) -> str:
-    return f"NODE {node_id} DISCONNECTED"
-
-
 def make_query(src: int, flag1: bool = False, flag2: bool = False,
                loc: tuple[float, float] = (0.0, 0.0), energy: float = 0) -> Packet:
     return Packet(

@@ -80,12 +80,28 @@ def test_regular_plane_builds_no_packet(monkeypatch):
     assert tr.packet_events
     assert all(ev.kind == PacketKind.QUERY and ev.note == "regular"
                for ev in tr.packet_events)
-    # each listener still learned every sender of the last two ticks
-    last_two = seen.modes[-2:]
+    # each listener's stamp is the last tick one of its neighbours polled
     for nid in sim.topology.sensor_ids():
-        want = {j for j in sim.topology.neighbors(nid)
-                if any(modes[j] == "Q" for modes in last_two)}
-        assert sim.nodes[nid].adj == want
+        polled = [t for t, modes in enumerate(seen.modes)
+                  if any(modes[j] == "Q" for j in sim.topology.neighbors(nid))]
+        assert polled
+        assert sim.nodes[nid].heard_tick == polled[-1]
+
+
+def test_query_lines_keep_listener_order():
+    # one-unit batteries: every send and every receive empties a sensor,
+    # so each listener's death line lands among the query's other lines
+    text = default16_scenario_text(seed=0, horizon=6).replace(
+        "[sim]", "[costs]\ninit_min = 1\ninit_max = 1\nthreshold = 0\n\n[sim]")
+    lines = Simulation(parse_scenario(text)).run().render().splitlines()
+    want = [
+        "t=  0 node 14 died (query_send)",
+        "t=  0 node 12 died (query_recv)",
+        "t=  0 base: 'Network is fine'",
+        "t=  0 query src=14 recv=[12,16]",
+    ]
+    i = lines.index(want[0])
+    assert lines[i:i + len(want)] == want
 
 
 def test_neighbour_tuples_hold_the_node_states():

@@ -23,6 +23,7 @@ from qcs_sim import (
     sense_and_classify,
     tick_transition,
 )
+from qcs_sim.node import NEVER_HEARD
 from qcs_sim.packet import RESET_MESSAGE, affected_message
 
 from conftest import (
@@ -122,14 +123,14 @@ def test_tick_transition_refuses_busy_nodes():
 
 def test_handle_query_learns_neighbor():
     n = _node(mode=MODE_C)
-    out = handle_query(n, make_query(7))
+    out = handle_query(n, make_query(7), 3)
     assert out is None                # plain status query: no reply
-    assert 7 in n.heard_curr
+    assert n.heard_tick == 3
 
 
 def test_handle_query_acks_alarm_queries():
     n = _node(nid=3, mode=MODE_Q, energy=800, pos=(10.0, 20.0))
-    ack = handle_query(n, make_query(7, flag1=True))
+    ack = handle_query(n, make_query(7, flag1=True), 0)
     assert ack is not None
     assert ack.src == 3
     assert ack.energy == 800
@@ -139,9 +140,9 @@ def test_handle_query_acks_alarm_queries():
 def test_busy_sensor_does_not_ack_but_base_does():
     busy = _node(mode=MODE_S)
     busy.flag1 = True
-    assert handle_query(busy, make_query(7, flag1=True)) is None
+    assert handle_query(busy, make_query(7, flag1=True), 0) is None
     base = _node(nid=16, base=True, energy=math.inf, mode=MODE_S)
-    ack = handle_query(base, make_query(7, flag1=True))
+    ack = handle_query(base, make_query(7, flag1=True), 0)
     assert ack is not None
     assert ack.energy == math.inf
 
@@ -210,7 +211,9 @@ def test_reset_restores_stored_mode():
         n = _node(mode=start)
         sense_and_classify(n, 70.0)
         n.infected_tick = 3
+        n.heard_tick = 3
         reset_node(n)
+        assert n.heard_tick == NEVER_HEARD
         assert n.mode == start
         assert (n.flag1, n.flag2) == (False, False)
         assert n.message == ""
@@ -228,19 +231,14 @@ def test_reset_requires_a_held_alarm():
 
 def test_isolation_fires_once_on_empty_window():
     n = _node(nid=8, mode=MODE_C, pos=(0.0, 300.0))
-    handle_query(n, make_query(9))
-    assert isolation_check(n) is None     # neighbors present
-    n.roll_window()
-    n.roll_window()                       # two silent periods: window empty
-    alert = isolation_check(n)
-    assert alert is not None
-    assert alert.message == "NODE 8 DISCONNECTED"
-    assert alert.flags.flag1 and not alert.flags.flag2
-    assert isolation_check(n) is None     # already known disconnected
+    handle_query(n, make_query(9), 4)
+    assert isolation_check(n, 4) is False   # neighbors present
+    assert isolation_check(n, 5) is False   # heard last tick: still in window
+    assert isolation_check(n, 6) is True    # two silent ticks: window empty
+    assert isolation_check(n, 7) is False   # already known disconnected
 
 
 def test_isolation_silent_when_never_heard_anyone():
     n = _node(mode=MODE_C)
-    assert isolation_check(n) is None
-    n.roll_window()
-    assert isolation_check(n) is None
+    assert isolation_check(n, 0) is False
+    assert isolation_check(n, 1) is False

@@ -17,7 +17,6 @@ from qcs_sim.packet import (
     PacketKind,
     affected_message,
     decode,
-    disconnect_message,
     encode,
     make_ack,
     make_query,
@@ -168,7 +167,6 @@ def test_alarm_text_format():
             == "Affected NODE is ->NODE10 At Location (225 225)")
     assert (affected_message(3, (75.5, 0.0))
             == "Affected NODE is ->NODE3 At Location (75.5 0)")
-    assert disconnect_message(12) == "NODE 12 DISCONNECTED"
 
 
 def test_roundtrip_throughput():
