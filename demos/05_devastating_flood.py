@@ -16,14 +16,18 @@ sc = parse_scenario(default16_scenario_text(
     seed=7, horizon=32, events=((2, 4, 95.0),),
 ))
 sim = Simulation(sc)
-# step by hand to see who is alarmed at the end of every flood tick
+# step by hand to see which sensors are in S at the end of every tick,
+# and who is alarmed at the end of every flood tick
+in_s = {}
 alarmed = []
 while sim.tick < sc.horizon:
     sim.step()
+    tick = sim.tick - 1
+    in_s[tick] = {nid for nid, n in sim.nodes.items()
+                  if n.mode == "S" and not n.is_base}
     if sim.active_flood is not None:
-        alarmed.append((sim.tick - 1, sorted(
-            nid for nid, n in sim.nodes.items()
-            if n.mode == "S" and n.flag2 and not n.is_base)))
+        alarmed.append((tick, sorted(
+            nid for nid in in_s[tick] if sim.nodes[nid].flag2)))
 trace = sim.run()
 
 flood = trace.floods[0]
@@ -45,8 +49,11 @@ print(f"never infected: {never} (outside the ball when broadcasts stopped)")
 print()
 
 print("reset wave, one graph layer per tick")
-for tick, nodes in flood.reset_wave:
-    print(f"  t={tick:>2}: depth {tick - receipt} -> nodes {list(nodes)}")
+# the wave resets every S node it reaches, so the nodes that leave S in a
+# tick are that tick's step of the wave
+for tick in range(receipt + 1, flood.completed_tick + 1):
+    left = sorted(in_s[tick - 1] - in_s[tick])
+    print(f"  t={tick:>2}: depth {tick - receipt} -> nodes {left}")
 print()
 
 print(f"flood completed at t={flood.completed_tick}; "

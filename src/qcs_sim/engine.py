@@ -132,11 +132,9 @@ class FloodRecord:
     """One flood epoch: origins, infection spread, and the reset wave."""
 
     origins: list[tuple[int, int]]  # (tick, node)
-    start_tick: int
     hop_cap: int
     infected_at: dict[int, int] = field(default_factory=dict)
     base_receipt_tick: int | None = None
-    reset_wave: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
     completed_tick: int | None = None
 
 
@@ -154,26 +152,45 @@ class PacketEvent(NamedTuple):
     hop: int  # the packet's hop count; only a flood's is above 0
 
 
+class Death(NamedTuple):
+    """A node emptied by a debit for cause."""
+
+    tick: int
+    node: int
+    cause: str
+
+
+class BaseReceipt(NamedTuple):
+    """A message the base heard, via "alarm", "flood" or "alert"."""
+
+    tick: int
+    via: str
+    text: str
+
+
 #: the trace label of each transmission that prints a line; the hop plane
 #: (hop_query, ack, source, reset_ack) prints none, its hop lines suffice
 _LINE_LABEL = {"regular": "query", "flood": "flood", "alert": "isolation alert"}
+#: the trace line of a base receipt, by the way the base heard it
+_RECEIPT_LINE = {"alarm": "base received alarm: {!r}",
+                 "flood": "base received flood alarm: {!r}", "alert": "base: {}"}
 
 
 @dataclass
 class Trace:
     """Everything a run produced, in deterministic order.
 
-    ``records`` holds text lines and transmissions in the order they
-    happened, each transmission once; ``render`` prints the lines of
+    ``records`` holds text lines, transmissions (``PacketEvent``),
+    deaths (``Death``) and base receipts (``BaseReceipt``) in the order
+    they happened, each fact once; ``packet_events``, ``deaths`` and
+    ``base_inbox`` are views of it, and ``render`` prints the lines of
     those that have one.  No per-tick copy of node state is kept; a
     caller that wants one steps the Simulation and reads its nodes.
     """
 
-    records: list[str | PacketEvent] = field(default_factory=list)
+    records: list[str | PacketEvent | Death | BaseReceipt] = field(default_factory=list)
     incidents: list[IncidentRecord] = field(default_factory=list)
     floods: list[FloodRecord] = field(default_factory=list)
-    base_inbox: list[tuple[int, str]] = field(default_factory=list)
-    deaths: list[tuple[int, int]] = field(default_factory=list)
     initial_energy: dict[int, float] = field(default_factory=dict)
     base: NodeState | None = None  # the base station's final state
 
@@ -182,11 +199,25 @@ class Trace:
         """Every transmission, in the order it was sent."""
         return [r for r in self.records if type(r) is PacketEvent]
 
+    @property
+    def deaths(self) -> list[tuple[int, int]]:
+        """(tick, node) of every death, in the order they happened."""
+        return [(r.tick, r.node) for r in self.records if type(r) is Death]
+
+    @property
+    def base_inbox(self) -> list[tuple[int, str]]:
+        """(tick, text) of every message the base heard, in order."""
+        return [(r.tick, r.text) for r in self.records if type(r) is BaseReceipt]
+
     def render(self) -> str:
         lines = []
         for r in self.records:
             if type(r) is str:
                 lines.append(r)
+            elif type(r) is Death:
+                lines.append(f"t={r.tick:>3} node {r.node} died ({r.cause})")
+            elif type(r) is BaseReceipt:
+                lines.append(f"t={r.tick:>3} " + _RECEIPT_LINE[r.via].format(r.text))
             elif r.note in _LINE_LABEL:
                 hop = f" hop={r.hop}" if r.note == "flood" else ""
                 lines.append(f"t={r.tick:>3} {_LINE_LABEL[r.note]} src={r.src}{hop}"
@@ -293,10 +324,8 @@ class Simulation:
 
     def _died(self, node: NodeState, cause: str) -> None:
         """Record the death of a node that a debit for cause just emptied."""
-        nid = node.node_id
-        self.trace.deaths.append((self.tick, nid))
-        self._tline(f"node {nid} died ({cause})")
-        log.debug("t=%d node %d died (%s)", self.tick, nid, cause)
+        self.trace.records.append(Death(self.tick, node.node_id, cause))
+        log.debug("t=%d node %d died (%s)", self.tick, node.node_id, cause)
 
     def _dropped(self) -> bool:
         p = self.sc.loss_prob
@@ -348,9 +377,7 @@ class Simulation:
     def _join_flood(self, origin: int, tick: int) -> None:
         epoch = self.active_flood
         if epoch is None:
-            epoch = FloodRecord(
-                origins=[(tick, origin)], start_tick=tick, hop_cap=self.hop_cap,
-            )
+            epoch = FloodRecord(origins=[(tick, origin)], hop_cap=self.hop_cap)
             self.active_flood = epoch
             self.trace.floods.append(epoch)
             log.debug("t=%d flood started at node %d", tick, origin)
@@ -574,8 +601,7 @@ class Simulation:
             rec.delivered = True
             rec.delivery_tick = self.tick
             self._close_held(nid, "delivered")
-            self.trace.base_inbox.append((self.tick, rec.message))
-            self._tline(f"base received alarm: {rec.message!r}")
+            self.trace.records.append(BaseReceipt(self.tick, "alarm", rec.message))
         else:
             del self._active_irregular[nid]
             self._active_irregular[chosen] = rec
@@ -625,8 +651,7 @@ class Simulation:
                     nb.message = pkt.message
                     nb.flag1 = nb.flag2 = True
                     nb.mode = MODE_S
-                    self.trace.base_inbox.append((self.tick, pkt.message))
-                    self._tline(f"base received flood alarm: {pkt.message!r}")
+                    self.trace.records.append(BaseReceipt(self.tick, "flood", pkt.message))
                     log.debug("t=%d flood reached the base from node %d", self.tick, nid)
                 continue
             j = nb.node_id
@@ -664,7 +689,6 @@ class Simulation:
         for nid in targets:
             self._close_held(nid, "base_reset")
             reset_node(self.nodes[nid])
-        epoch.reset_wave.append((self.tick, tuple(targets)))
         self._tline(f"reset-wave depth={depth} reset={fmt_ids(targets)}")
 
         if depth >= self._base_ecc:
@@ -675,7 +699,6 @@ class Simulation:
             for nid in leftovers:
                 reset_node(self.nodes[nid])
             if leftovers:
-                epoch.reset_wave.append((self.tick, tuple(leftovers)))
                 self._tline(f"reset-wave cleanup reset={fmt_ids(leftovers)}")
             base = self.nodes[self.base_id]
             base.flag1 = False
@@ -704,8 +727,7 @@ class Simulation:
         for nb in received:
             if nb.is_base:
                 text = f"node number '{nid}' became disconnected"
-                self.trace.base_inbox.append((self.tick, text))
-                self._tline(f"base: {text}")
+                self.trace.records.append(BaseReceipt(self.tick, "alert", text))
             else:
                 self._debit(nb, "alert_recv")
         self._event(PacketKind.SOURCE, nid, None, True, False,

@@ -56,7 +56,6 @@ class NodeState:
     flag1: bool = False
     flag2: bool = False
     energy: float = 0
-    sensed: float = 0.0
     message: str = ""
     stored_mode: str | None = None
     hop_depth: int = 0
@@ -104,7 +103,6 @@ def _promote(n: NodeState, message: str, devastating: bool) -> None:
 
 def sense_and_classify(n: NodeState, reading: float) -> NodeState:
     """Apply one sensor reading; crossing a level promotes the node to S."""
-    n.sensed = reading
     if reading <= IRREGULAR_LEVEL:
         return n
     _promote(n, affected_message(n.node_id, n.pos),

@@ -405,16 +405,26 @@ def test_flood_ball_on_random_layouts():
 
 
 def test_flood_reset_wave_walks_outward():
-    sim, tr = run16(events=((2, 4, 95.0),))
+    """No node leaves S until the base hears the flood; each tick after
+    that, the S nodes one hop further out, and only those, leave S."""
+    sim = sim16(events=((2, 4, 95.0),))
+    in_s = {}  # tick -> the sensors in S at its end
+    while sim.tick < sim.sc.horizon:
+        sim.step()
+        in_s[sim.tick - 1] = {nid for nid, n in sim.nodes.items()
+                              if n.mode == "S" and not n.is_base}
+    tr = sim.run()
     fl = tr.floods[0]
     topo = default16_topology()
     adj = brute_adjacency(topo.nodes, topo.radio_range)
     depth = bfs_hops(adj, topo.base_id)
     assert fl.base_receipt_tick == 8
-    for t, cleared in fl.reset_wave:
-        j = t - fl.base_receipt_tick
-        assert all(depth[nid] == j for nid in cleared)
     assert fl.completed_tick == 8 + max(depth.values())
+    for t in range(3, fl.completed_tick + 1):
+        left = in_s[t - 1] - in_s[t]
+        j = t - fl.base_receipt_tick
+        assert left == {nid for nid in in_s[t - 1] if depth[nid] == j}, t
+    assert not in_s[fl.completed_tick]
     # everything is back to polling afterwards
     assert all(n.mode in "QC" for n in sim.nodes.values())
     assert tr.base.message == "Network is fine"
@@ -645,7 +655,7 @@ def test_debug_log_names_each_event(caplog):
     want = [
         f"t={rec.start_tick} incident 1 opened at node 10",
         f"t={rec.delivery_tick} incident 1 closed (delivered)",
-        f"t={flood.start_tick} flood started at node 4",
+        f"t={flood.origins[0][0]} flood started at node 4",
         f"t={flood.base_receipt_tick} flood reached the base from node ",
         f"t={flood.completed_tick} reset wave complete",
         *(f"t={t} node {n} died (" for t, n in tr.deaths),

@@ -6,21 +6,53 @@ die mid-run.  Every run must keep the ledger and the trace consistent:
 initial minus final balance equals the summed debits, no balance goes
 below zero, each node that empties dies exactly once, and every closed
 incident says why it closed.  Its trace text must also agree with its
-record of transmissions.
+record of transmissions, deaths and base receipts.
+
+Every packet the engine builds in this module, the golden runs' too,
+must come back from the wire codec unchanged.
 """
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 from collections import Counter
 
-from qcs_sim import CostModel, Simulation
+import pytest
+
+from qcs_sim import CostModel, Simulation, default16_scenario_text, engine, node
+from qcs_sim.engine import BaseReceipt, Death
+from qcs_sim.packet import PacketKind, decode, encode
 from qcs_sim.scenario import SenseEvent
 
 from conftest import make_scenario, random_connected_topology
+from test_golden import (
+    GOLDEN_GRID225, GOLDEN_RUN16, GOLDEN_SWEEP16, REPO, _grid225_text, _reports, _write,
+)
 
 RUNS = 60
+
+
+@pytest.fixture(autouse=True)
+def wire_built(monkeypatch):
+    """Check that decode(encode(p)) == p for every packet the engine builds
+    (make_ack is looked up in node, the others in engine), and count the
+    packets built by kind."""
+    built = Counter()
+
+    def checked(make):
+        def build(*args, **kwargs):
+            p = make(*args, **kwargs)
+            assert decode(encode(p)) == p, p
+            built[p.kind] += 1
+            return p
+        return build
+
+    monkeypatch.setattr(engine, "make_query", checked(engine.make_query))
+    monkeypatch.setattr(engine, "make_source", checked(engine.make_source))
+    monkeypatch.setattr(node, "make_ack", checked(node.make_ack))
+    return built
 
 
 def _random_run(rng: random.Random) -> Simulation:
@@ -47,7 +79,7 @@ def _random_runs():
         yield _random_run(rng)
 
 
-def test_invariants_hold_on_random_runs():
+def test_invariants_hold_on_random_runs(wire_built):
     seen = Counter()
     for sim in _random_runs():
         trace, ledger = sim.trace, sim.ledger
@@ -57,6 +89,9 @@ def test_invariants_hold_on_random_runs():
             assert e.balance >= 0
             spent[e.node_id] += e.debit
         died = Counter(nid for _, nid in trace.deaths)
+        # a node dies at the debit that empties it, and only there
+        assert trace.deaths == [
+            (e.tick, e.node_id) for e in ledger.entries if e.balance == 0]
         for nid in sim.topology.sensor_ids():
             final = ledger.balance(nid)
             assert final >= 0
@@ -74,6 +109,7 @@ def test_invariants_hold_on_random_runs():
     # the random inputs reach the states the invariants are about
     assert seen["deaths"] and seen["floods"]
     assert {"delivered", "escalated", "holder_died", "hop_cap", "base_reset"} <= set(seen)
+    assert set(wire_built) == set(PacketKind)  # every kind went through the codec
 
 
 _PACKET_LINE = re.compile(
@@ -93,21 +129,67 @@ def _packet_lines(text: str) -> list[tuple]:
     return out
 
 
+_DEATH_LINE = re.compile(r"t= *(\d+) node (\d+) died \((\w+)\)")
+_RECEIPT_LINE = re.compile(
+    r"t= *(\d+) base(?: received (alarm|flood alarm): (.+)"
+    r"|: (node number '\d+' became disconnected))")
+
+
+def _fact_lines(text: str) -> list[tuple]:
+    """("death", tick, node, cause) of every death line and
+    ("receipt", tick, via, text) of every base-receipt line in trace text."""
+    out = []
+    for line in text.splitlines():
+        if m := _DEATH_LINE.fullmatch(line):
+            tick, nid, cause = m.groups()
+            out.append(("death", int(tick), int(nid), cause))
+        elif m := _RECEIPT_LINE.fullmatch(line):
+            tick, label, quoted, alert = m.groups()
+            if label:
+                via = label.split()[0]  # "alarm" or "flood"
+                out.append(("receipt", int(tick), via, ast.literal_eval(quoted)))
+            else:
+                out.append(("receipt", int(tick), "alert", alert))
+    return out
+
+
 def test_trace_text_agrees_with_the_record():
     """Each query, flood and isolation alert line stands for one recorded
     transmission, in the same order, with the same tick, sender, hop
     count and receivers; the hop plane prints no line of its own, and
-    records each hop query before the acks it drew."""
+    records each hop query before the acks it drew.  Each death and
+    base-receipt line stands for one Death or BaseReceipt record, in
+    the same order, with the same fields."""
     notes = Counter()
+    facts = Counter()
     for sim in _random_runs():
         record = sim.trace.packet_events
         events = [(ev.tick, ev.note, ev.src, ev.hop, ev.receivers) for ev in record]
-        assert _packet_lines(sim.trace.render()) == [
+        text = sim.trace.render()
+        assert _packet_lines(text) == [
             ev for ev in events if ev[1] in _NOTE_OF.values()]
         notes.update(ev[1] for ev in events)
+        want = [("death", *r) if type(r) is Death else ("receipt", *r)
+                for r in sim.trace.records if type(r) in (Death, BaseReceipt)]
+        assert _fact_lines(text) == want
+        facts.update(f[0] if f[0] == "death" else f[2] for f in want)
         for prev, ev in zip(record, record[1:]):
             if ev.note == "ack":
                 assert prev.note in ("hop_query", "ack") and prev.tick == ev.tick
                 assert (prev.src if prev.note == "hop_query" else prev.dst) == ev.dst
     # the runs print every kind of packet line, and send hop-plane packets
     assert all(notes[n] for n in ("regular", "flood", "alert", "hop_query", "ack"))
+    # ...and every kind of death and base-receipt line
+    assert all(facts[f] for f in ("death", "alarm", "flood", "alert"))
+
+
+def test_golden_runs_build_only_wire_exact_packets(tmp_path, wire_built):
+    """The golden runs' reports, with every packet checked on the wire."""
+    run16 = default16_scenario_text(seed=7, horizon=20,
+                                    events=((2, 10, 70), (5, 4, 95)))
+    assert _reports(tmp_path / "run16", _write(tmp_path, run16)) == GOLDEN_RUN16
+    assert _reports(tmp_path / "sweep", REPO / "scenarios" / "default16.scn",
+                    "--sweep", "13,12,15,2,14,8,9") == GOLDEN_SWEEP16
+    grid = _write(tmp_path, _grid225_text())
+    assert _reports(tmp_path / "grid", grid) == GOLDEN_GRID225
+    assert set(wire_built) == set(PacketKind)

@@ -75,7 +75,6 @@ def test_normal_reading_changes_nothing():
     n = _node(mode=MODE_Q)
     sense_and_classify(n, 50.0)  # exactly at the line: normal
     assert (n.mode, n.flag1, n.flag2) == (MODE_Q, False, False)
-    assert n.sensed == 50.0
     assert n.message == ""
 
 
