@@ -15,6 +15,7 @@ must come back from the wire codec unchanged.
 from __future__ import annotations
 
 import ast
+import hashlib
 import random
 import re
 from collections import Counter
@@ -32,6 +33,8 @@ from test_golden import (
 )
 
 RUNS = 60
+#: sha256 over the trace text of the RUNS random runs, in order
+RANDOM_TRACES_SHA256 = "e9c69c0549041d1b2ce337fd15c8c678f931711fcee01c8c5b9fba9255cf8507"
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +113,15 @@ def test_invariants_hold_on_random_runs(wire_built):
     assert seen["deaths"] and seen["floods"]
     assert {"delivered", "escalated", "holder_died", "hop_cap", "base_reset"} <= set(seen)
     assert set(wire_built) == set(PacketKind)  # every kind went through the codec
+
+
+def test_random_runs_print_their_pinned_trace_text():
+    """The random runs reach every hop-line outcome, which the golden
+    runs do not, so their trace text is pinned as a whole."""
+    digest = hashlib.sha256()
+    for sim in _random_runs():
+        digest.update(sim.trace.render().encode())
+    assert digest.hexdigest() == RANDOM_TRACES_SHA256
 
 
 _PACKET_LINE = re.compile(
