@@ -55,9 +55,10 @@ for i, origin in enumerate(origins, start=1):
                  events=(SenseEvent(0, origin, reading),), horizon=horizon)
     trace = Simulation(sc).run()
     rec = trace.incidents[0]
-    rows.append((f"irregular{i}", rec.path_nodes, rec.comparisons))
-    ratio = rec.comparisons / rec.path_nodes
-    print(f"  {origin:>6} {rec.path_nodes:>4} {len(rec.hops):>4} "
+    nodes = len(rec.path)
+    rows.append((f"irregular{i}", nodes, rec.comparisons))
+    ratio = rec.comparisons / nodes
+    print(f"  {origin:>6} {nodes:>4} {len(rec.hops):>4} "
           f"{rec.comparisons:>11} {ratio:>6.2f}")
 print()
 

@@ -153,7 +153,7 @@ def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
         summary_parts.extend(metrics.render_base_record(trace.base))
         summary_parts.append("")
         status = (
-            f"delivered in {rec.path_nodes} nodes" if rec.delivered
+            f"delivered in {len(rec.path)} nodes" if rec.delivery_tick is not None
             else f"undelivered ({rec.close_reason})"
         )
         print(f"{label}: node {nid} -> {status}, "

@@ -77,20 +77,25 @@ NETWORK_FINE = "Network is fine"
 _new_tuple = tuple.__new__
 
 
-@dataclass
-class HopAttempt:
-    """One tick's forwarding attempt by one S node."""
+class HopAttempt(NamedTuple):
+    """One tick's forwarding round by one alarm holder, and its outcome:
+    "holder died", "no eligible replier", "lost" (the handover went
+    unheard), "confirmation lost" or "confirmed"."""
 
     tick: int
+    incident: int  # the incident_id
     holder: int
     repliers: tuple[tuple[int, float], ...]  # (node id, reported energy)
-    chosen: int | None = None
-    accepted: bool = False
-    reset_heard: bool = False
+    chosen: int | None
+    outcome: str
 
     @property
     def replies(self) -> int:
         return len(self.repliers)
+
+
+#: the hop outcomes in which the chosen node took the alarm
+HANDED_ON = ("confirmation lost", "confirmed")
 
 
 @dataclass
@@ -101,17 +106,22 @@ class IncidentRecord:
     origin: int
     start_tick: int
     message: str
-    path: list[int] = field(default_factory=list)
     hops: list[HopAttempt] = field(default_factory=list)
-    delivered: bool = False
-    delivery_tick: int | None = None
-    closed: bool = False
-    close_reason: str = ""
+    close_reason: str = ""  # empty while the alarm is open
 
     @property
-    def attempts(self) -> int:
-        """Hop attempts made: one per tick the alarm was tried."""
-        return len(self.hops)
+    def closed(self) -> bool:
+        return bool(self.close_reason)
+
+    @property
+    def path(self) -> list[int]:
+        """The origin, then each node the alarm was handed on to."""
+        return [self.origin] + [h.chosen for h in self.hops if h.outcome in HANDED_ON]
+
+    @property
+    def delivery_tick(self) -> int | None:
+        """The tick the base took the alarm, in the record's last round."""
+        return self.hops[-1].tick if self.close_reason == "delivered" else None
 
     @property
     def comparisons(self) -> int:
@@ -121,10 +131,6 @@ class IncidentRecord:
         against the running best (seeded with the forwarder's own distance).
         """
         return sum(2 * h.replies for h in self.hops)
-
-    @property
-    def path_nodes(self) -> int:
-        return len(self.path)
 
 
 @dataclass
@@ -169,11 +175,21 @@ class BaseReceipt(NamedTuple):
 
 
 #: the trace label of each transmission that prints a line; the hop plane
-#: (hop_query, ack, source, reset_ack) prints none, its hop lines suffice
+#: (hop_query, ack, source, reset_ack) prints none, its HopAttempt's line
+#: tells the round
 _LINE_LABEL = {"regular": "query", "flood": "flood", "alert": "isolation alert"}
 #: the trace line of a base receipt, by the way the base heard it
 _RECEIPT_LINE = {"alarm": "base received alarm: {!r}",
                  "flood": "base received flood alarm: {!r}", "alert": "base: {}"}
+#: the trace line of a hop round, by its outcome, given the round and the
+#: incident's path so far
+_HOP_LINE = {
+    "holder died": "hop src={0.holder} replies={0.replies} -> stalled ({0.outcome})",
+    "no eligible replier": "hop src={0.holder} replies={0.replies} -> stalled ({0.outcome})",
+    "lost": "hop src={0.holder} -> {0.chosen} lost, retrying",
+    "confirmation lost": "hop src={0.holder} -> {0.chosen} (confirmation lost)",
+    "confirmed": "hop src={0.holder} -> {0.chosen} replies={0.replies} path={1}",
+}
 
 
 @dataclass
@@ -181,14 +197,17 @@ class Trace:
     """Everything a run produced, in deterministic order.
 
     ``records`` holds text lines, transmissions (``PacketEvent``),
-    deaths (``Death``) and base receipts (``BaseReceipt``) in the order
-    they happened, each fact once; ``packet_events``, ``deaths`` and
-    ``base_inbox`` are views of it, and ``render`` prints the lines of
-    those that have one.  No per-tick copy of node state is kept; a
-    caller that wants one steps the Simulation and reads its nodes.
+    deaths (``Death``), base receipts (``BaseReceipt``) and hop rounds
+    (``HopAttempt``, the same objects as each incident's ``hops``) in
+    the order they happened, each fact once; ``packet_events``,
+    ``deaths`` and ``base_inbox`` are views of it, and ``render``
+    prints the lines of those that have one.  No per-tick copy of node
+    state is kept; a caller that wants one steps the Simulation and
+    reads its nodes.
     """
 
-    records: list[str | PacketEvent | Death | BaseReceipt] = field(default_factory=list)
+    records: list[str | PacketEvent | Death | BaseReceipt | HopAttempt] = field(
+        default_factory=list)
     incidents: list[IncidentRecord] = field(default_factory=list)
     floods: list[FloodRecord] = field(default_factory=list)
     initial_energy: dict[int, float] = field(default_factory=dict)
@@ -211,6 +230,7 @@ class Trace:
 
     def render(self) -> str:
         lines = []
+        paths: dict[int, list[int]] = {}  # each incident's path so far
         for r in self.records:
             if type(r) is str:
                 lines.append(r)
@@ -218,6 +238,11 @@ class Trace:
                 lines.append(f"t={r.tick:>3} node {r.node} died ({r.cause})")
             elif type(r) is BaseReceipt:
                 lines.append(f"t={r.tick:>3} " + _RECEIPT_LINE[r.via].format(r.text))
+            elif type(r) is HopAttempt:  # incidents are numbered from 1
+                path = paths.setdefault(r.incident, [self.incidents[r.incident - 1].origin])
+                if r.outcome in HANDED_ON:
+                    path.append(r.chosen)
+                lines.append(f"t={r.tick:>3} " + _HOP_LINE[r.outcome].format(r, fmt_ids(path)))
             elif r.note in _LINE_LABEL:
                 hop = f" hop={r.hop}" if r.note == "flood" else ""
                 lines.append(f"t={r.tick:>3} {_LINE_LABEL[r.note]} src={r.src}{hop}"
@@ -347,7 +372,7 @@ class Simulation:
     def _open_incident(self, origin: int, tick: int, message: str) -> IncidentRecord:
         rec = IncidentRecord(
             incident_id=len(self.trace.incidents) + 1, origin=origin,
-            start_tick=tick, message=message, path=[origin],
+            start_tick=tick, message=message,
         )
         self.trace.incidents.append(rec)
         self._active_irregular[origin] = rec
@@ -357,7 +382,6 @@ class Simulation:
     def _close_incident(self, rec: IncidentRecord, reason: str) -> None:
         """Finish a record but leave it bound to its still-S holder, so
         the node idles instead of reopening a fresh incident every tick."""
-        rec.closed = True
         rec.close_reason = reason
         log.debug("t=%d incident %d closed (%s)", self.tick, rec.incident_id, reason)
 
@@ -367,12 +391,6 @@ class Simulation:
         if rec is not None and not rec.closed:
             self._close_incident(rec, reason)
             del self._active_irregular[nid]
-
-    def _close_at_hop_cap(self, rec: IncidentRecord) -> None:
-        """Give up on an alarm once its holder has spent its last attempt."""
-        if rec.attempts >= self.attempt_cap:
-            self._close_incident(rec, "hop_cap")
-            self._tline(f"incident {rec.incident_id} undelivered (hop cap)")
 
     def _join_flood(self, origin: int, tick: int) -> None:
         epoch = self.active_flood
@@ -447,6 +465,11 @@ class Simulation:
                 continue
             if isolation_check(node, tick):
                 self._broadcast_alert(node.node_id)
+
+        # an alarm whose holder died where its own round did not close it
+        for nid, rec in self._active_irregular.items():
+            if not rec.closed and self.nodes[nid].energy <= 0:
+                self._close_incident(rec, "holder_died")
 
         for node in sensors:
             if (node.energy <= 0 or node.flag1 or node.flag2
@@ -553,53 +576,45 @@ class Simulation:
         for j, _, _ in acks:
             self._event(PacketKind.ACK, j, nid, False, False, [nid], "ack")
 
-        attempt = HopAttempt(
-            tick=self.tick, holder=nid,
-            repliers=tuple((j, e) for j, e, _ in acks),
-        )
-        rec.hops.append(attempt)
+        chosen, outcome = self._hand_on(node, rec, acks)
+        hop = HopAttempt(self.tick, rec.incident_id, nid,
+                         tuple((j, e) for j, e, _ in acks), chosen, outcome)
+        rec.hops.append(hop)
+        self.trace.records.append(hop)
+        if outcome == "holder died":
+            self._close_incident(rec, "holder_died")
+        elif outcome in ("no eligible replier", "lost") and len(rec.hops) >= self.attempt_cap:
+            self._close_incident(rec, "hop_cap")  # the holder's last attempt is spent
+            self._tline(f"incident {rec.incident_id} undelivered (hop cap)")
 
-        eligible = [
-            (j, e, loc) for j, e, loc in acks if e > self.costs.threshold
-        ]
-        if not node.alive or not eligible:
-            reason = "holder died" if not node.alive else "no eligible replier"
-            self._tline(
-                f"hop src={nid} replies={len(acks)} -> stalled ({reason})"
-            )
-            if not node.alive:
-                self._close_incident(rec, "holder_died")
-            else:
-                self._close_at_hop_cap(rec)
-            return
-
+    def _hand_on(self, node: NodeState, rec: IncidentRecord,
+                 acks: list) -> tuple[int | None, str]:
+        """Hand the alarm to the eligible replier nearest the base; return
+        the node chosen, if any, and how the round ended."""
+        if not node.alive:
+            return None, "holder died"
+        eligible = [(j, e, loc) for j, e, loc in acks if e > self.costs.threshold]
+        if not eligible:
+            return None, "no eligible replier"
+        nid = node.node_id
         chosen, _, _ = min(
             eligible, key=lambda it: (dist(it[2], self.base_pos), -it[1], it[0])
         )
         spkt = make_source(nid, node.pos, node.wire_energy, rec.message)
         self._debit(node, "source_send")
-        attempt.chosen = chosen
 
         target = self.nodes[chosen]
         received = [n.node_id for n in self._receivers((target,))]
-        reset_ack = handle_source(target, spkt) if received else None
+        if received:
+            # the chosen node acked this round, so it is not S and accepts
+            handle_source(target, spkt)
         self._event(PacketKind.SOURCE, nid, chosen, True, False, received, "source")
+        if not received:
+            return chosen, "lost"  # the holder keeps the alarm and retries
 
-        if reset_ack is None:
-            # dropped, target died, or an already-busy sensor refused the
-            # handover; the holder keeps the alarm and retries next tick
-            why = "refused" if received else "lost"
-            self._tline(f"hop src={nid} -> {chosen} {why}, retrying")
-            self._close_at_hop_cap(rec)
-            return
-
-        attempt.accepted = True
         target.infected_tick = self.tick
-        rec.path.append(chosen)
         if target.is_base:
             # handle_source has raised the base's flag1 and set its message
-            rec.delivered = True
-            rec.delivery_tick = self.tick
             self._close_held(nid, "delivered")
             self.trace.records.append(BaseReceipt(self.tick, "alarm", rec.message))
         else:
@@ -608,17 +623,12 @@ class Simulation:
             self._debit(target, "reset_send")
         if self._dropped() or not node.alive:
             self._event(PacketKind.ACK, chosen, nid, False, False, [], "reset_ack")
-            self._tline(f"hop src={nid} -> {chosen} (confirmation lost)")
-            return
+            return chosen, "confirmation lost"
         self._debit(node, "reset_recv")
         self._event(PacketKind.ACK, chosen, nid, False, False, [nid], "reset_ack")
         reset_node(node)
         self._acted_reset.add(nid)
-        attempt.reset_heard = True
-        self._tline(
-            f"hop src={nid} -> {chosen} replies={len(acks)}"
-            f" path={fmt_ids(rec.path)}"
-        )
+        return chosen, "confirmed"
 
     # ------------------------------------------------------------- flooding
 

@@ -65,7 +65,7 @@ def paths_rows(incidents: list[IncidentRecord],
     out = []
     for i, rec in enumerate(incidents):
         label = labels[i] if labels is not None else str(rec.incident_id)
-        out.append((label, rec.path_nodes, rec.comparisons))
+        out.append((label, len(rec.path), rec.comparisons))
     return out
 
 
@@ -99,12 +99,12 @@ def render_base_record(base: NodeState) -> list[str]:
 
 def render_incident(rec: IncidentRecord) -> str:
     status = (
-        f"delivered t={rec.delivery_tick}" if rec.delivered
+        f"delivered t={rec.delivery_tick}" if rec.delivery_tick is not None
         else f"undelivered ({rec.close_reason or 'open'})"
     )
     return (
         f"  {rec.incident_id}: origin={rec.origin} start=t{rec.start_tick}"
-        f" path={fmt_ids(rec.path)} nodes={rec.path_nodes}"
+        f" path={fmt_ids(rec.path)} nodes={len(rec.path)}"
         f" comparisons={rec.comparisons} {status}"
     )
 

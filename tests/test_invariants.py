@@ -23,7 +23,7 @@ from collections import Counter
 import pytest
 
 from qcs_sim import CostModel, Simulation, default16_scenario_text, engine, node
-from qcs_sim.engine import BaseReceipt, Death
+from qcs_sim.engine import BaseReceipt, Death, HopAttempt
 from qcs_sim.packet import PacketKind, decode, encode
 from qcs_sim.scenario import SenseEvent
 
@@ -106,6 +106,8 @@ def test_invariants_hold_on_random_runs(wire_built):
             if rec.closed:
                 assert rec.close_reason
                 seen[rec.close_reason] += 1
+            else:  # an alarm still open at the end has a live holder
+                assert sim.nodes[rec.path[-1]].alive, rec
         seen["deaths"] += len(trace.deaths)
         seen["floods"] += len(trace.floods)
 
@@ -165,15 +167,67 @@ def _fact_lines(text: str) -> list[tuple]:
     return out
 
 
+_HOP_LINE = re.compile(
+    r"t= *(?P<tick>\d+) hop src=(?P<holder>\d+) (?:"
+    r"replies=(?P<stalled_n>\d+) -> stalled \((?P<stalled>holder died|no eligible replier)\)"
+    r"|-> (?P<chosen>\d+) (?:(?P<lost>lost), retrying|\((?P<unconfirmed>confirmation lost)\)"
+    r"|replies=(?P<replies>\d+) path=\[(?P<path>[\d,]*)\]))")
+_HANDED_ON = ("confirmation lost", "confirmed")
+
+
+def _hop_lines(text: str) -> list[tuple]:
+    """(tick, holder, replies, chosen, outcome, path) of every hop line in
+    trace text; replies and path are None where the line does not print
+    them, chosen where the round stalled."""
+    out = []
+    for line in text.splitlines():
+        if " hop src=" not in line:
+            continue
+        m = _HOP_LINE.fullmatch(line)
+        assert m, line
+        g = m.groupdict()
+        replies = g["stalled_n"] or g["replies"]
+        out.append((
+            int(g["tick"]), int(g["holder"]),
+            None if replies is None else int(replies),
+            None if g["chosen"] is None else int(g["chosen"]),
+            g["stalled"] or g["lost"] or g["unconfirmed"] or "confirmed",
+            None if g["path"] is None else [int(n) for n in g["path"].split(",")],
+        ))
+    return out
+
+
+def _hop_rounds(sim: Simulation) -> list[tuple]:
+    """_hop_lines's tuple for every HopAttempt in the record, in order; a
+    confirmed round's path is its incident's origin and every node the
+    alarm was handed on to so far."""
+    out = []
+    path = {rec.incident_id: [rec.origin] for rec in sim.trace.incidents}
+    for r in sim.trace.records:
+        if type(r) is not HopAttempt:
+            continue
+        if r.outcome in _HANDED_ON:
+            path[r.incident].append(r.chosen)
+        shows_replies = r.outcome not in ("lost", "confirmation lost")
+        out.append((r.tick, r.holder, r.replies if shows_replies else None, r.chosen,
+                    r.outcome, list(path[r.incident]) if r.outcome == "confirmed" else None))
+    return out
+
+
 def test_trace_text_agrees_with_the_record():
     """Each query, flood and isolation alert line stands for one recorded
     transmission, in the same order, with the same tick, sender, hop
     count and receivers; the hop plane prints no line of its own, and
     records each hop query before the acks it drew.  Each death and
     base-receipt line stands for one Death or BaseReceipt record, in
-    the same order, with the same fields."""
+    the same order, with the same fields.  Each hop line stands for one
+    HopAttempt, the very object its incident keeps, in the same order,
+    with the same tick, holder, replies, chosen node and outcome; each
+    delivered incident matches one alarm receipt at the base, and each
+    alarm receipt one delivered incident."""
     notes = Counter()
     facts = Counter()
+    outcomes = Counter()
     for sim in _random_runs():
         record = sim.trace.packet_events
         events = [(ev.tick, ev.note, ev.src, ev.hop, ev.receivers) for ev in record]
@@ -185,6 +239,20 @@ def test_trace_text_agrees_with_the_record():
                 for r in sim.trace.records if type(r) in (Death, BaseReceipt)]
         assert _fact_lines(text) == want
         facts.update(f[0] if f[0] == "death" else f[2] for f in want)
+
+        rounds = _hop_rounds(sim)
+        assert _hop_lines(text) == rounds
+        outcomes.update(r[4] for r in rounds)
+        hops = [r for r in sim.trace.records if type(r) is HopAttempt]
+        for rec in sim.trace.incidents:
+            kept = [h for h in hops if h.incident == rec.incident_id]
+            assert len(kept) == len(rec.hops)
+            assert all(h is k for h, k in zip(rec.hops, kept))
+        delivered = Counter(
+            BaseReceipt(rec.delivery_tick, "alarm", rec.message)
+            for rec in sim.trace.incidents if rec.delivery_tick is not None)
+        assert delivered == Counter(
+            r for r in sim.trace.records if type(r) is BaseReceipt and r.via == "alarm")
         for prev, ev in zip(record, record[1:]):
             if ev.note == "ack":
                 assert prev.note in ("hop_query", "ack") and prev.tick == ev.tick
@@ -193,6 +261,9 @@ def test_trace_text_agrees_with_the_record():
     assert all(notes[n] for n in ("regular", "flood", "alert", "hop_query", "ack"))
     # ...and every kind of death and base-receipt line
     assert all(facts[f] for f in ("death", "alarm", "flood", "alert"))
+    # ...and every hop outcome
+    assert set(outcomes) == {"holder died", "no eligible replier", "lost",
+                             "confirmation lost", "confirmed"}
 
 
 def test_golden_runs_build_only_wire_exact_packets(tmp_path, wire_built):
