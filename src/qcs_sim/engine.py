@@ -605,13 +605,12 @@ class Simulation:
 
         target = self.nodes[chosen]
         received = [n.node_id for n in self._receivers((target,))]
-        if received:
-            # the chosen node acked this round, so it is not S and accepts
-            handle_source(target, spkt)
         self._event(PacketKind.SOURCE, nid, chosen, True, False, received, "source")
         if not received:
             return chosen, "lost"  # the holder keeps the alarm and retries
 
+        # the chosen node acked this round, so it is not S and accepts
+        handle_source(target, spkt)
         target.infected_tick = self.tick
         if target.is_base:
             # handle_source has raised the base's flag1 and set its message
