@@ -116,7 +116,11 @@ class IncidentRecord:
     @property
     def path(self) -> list[int]:
         """The origin, then each node the alarm was handed on to."""
-        return [self.origin] + [h.chosen for h in self.hops if h.outcome in HANDED_ON]
+        return self.path_after(len(self.hops))
+
+    def path_after(self, rounds: int) -> list[int]:
+        """The path as it stood after the record's first rounds rounds."""
+        return [self.origin] + [h.chosen for h in self.hops[:rounds] if h.outcome in HANDED_ON]
 
     @property
     def delivery_tick(self) -> int | None:
@@ -230,7 +234,6 @@ class Trace:
 
     def render(self) -> str:
         lines = []
-        paths: dict[int, list[int]] = {}  # each incident's path so far
         for r in self.records:
             if type(r) is str:
                 lines.append(r)
@@ -239,9 +242,8 @@ class Trace:
             elif type(r) is BaseReceipt:
                 lines.append(f"t={r.tick:>3} " + _RECEIPT_LINE[r.via].format(r.text))
             elif type(r) is HopAttempt:  # incidents are numbered from 1
-                path = paths.setdefault(r.incident, [self.incidents[r.incident - 1].origin])
-                if r.outcome in HANDED_ON:
-                    path.append(r.chosen)
+                rec = self.incidents[r.incident - 1]
+                path = rec.path_after(rec.hops.index(r) + 1)
                 lines.append(f"t={r.tick:>3} " + _HOP_LINE[r.outcome].format(r, fmt_ids(path)))
             elif r.note in _LINE_LABEL:
                 hop = f" hop={r.hop}" if r.note == "flood" else ""
@@ -581,8 +583,8 @@ class Simulation:
                          tuple((j, e) for j, e, _ in acks), chosen, outcome)
         rec.hops.append(hop)
         self.trace.records.append(hop)
-        if outcome == "holder died":
-            self._close_incident(rec, "holder_died")
+        if chosen == self.base_id and outcome in HANDED_ON:
+            self._close_held(nid, "delivered")
         elif outcome in ("no eligible replier", "lost") and len(rec.hops) >= self.attempt_cap:
             self._close_incident(rec, "hop_cap")  # the holder's last attempt is spent
             self._tline(f"incident {rec.incident_id} undelivered (hop cap)")
@@ -614,7 +616,6 @@ class Simulation:
         target.infected_tick = self.tick
         if target.is_base:
             # handle_source has raised the base's flag1 and set its message
-            self._close_held(nid, "delivered")
             self.trace.records.append(BaseReceipt(self.tick, "alarm", rec.message))
         else:
             del self._active_irregular[nid]
