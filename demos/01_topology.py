@@ -24,7 +24,7 @@ for nid in sorted(topo.nodes):
 print()
 
 # hop distance to the base, breadth first
-hops = topo.hops_from(topo.base_id)
+hops = topo.base_hops
 print("hops to base")
 for nid in sorted(hops):
     print(f"  node {nid:>2}: {hops[nid]}")

@@ -234,6 +234,7 @@ class Trace:
 
     def render(self) -> str:
         lines = []
+        rounds = [0] * len(self.incidents)  # each incident's rounds so far
         for r in self.records:
             if type(r) is str:
                 lines.append(r)
@@ -242,9 +243,12 @@ class Trace:
             elif type(r) is BaseReceipt:
                 lines.append(f"t={r.tick:>3} " + _RECEIPT_LINE[r.via].format(r.text))
             elif type(r) is HopAttempt:  # incidents are numbered from 1
-                rec = self.incidents[r.incident - 1]
-                path = rec.path_after(rec.hops.index(r) + 1)
-                lines.append(f"t={r.tick:>3} " + _HOP_LINE[r.outcome].format(r, fmt_ids(path)))
+                k = r.incident - 1
+                rounds[k] += 1
+                path = ""
+                if r.outcome == "confirmed":  # the only line that prints a path
+                    path = fmt_ids(self.incidents[k].path_after(rounds[k]))
+                lines.append(f"t={r.tick:>3} " + _HOP_LINE[r.outcome].format(r, path))
             elif r.note in _LINE_LABEL:
                 hop = f" hop={r.hop}" if r.note == "flood" else ""
                 lines.append(f"t={r.tick:>3} {_LINE_LABEL[r.note]} src={r.src}{hop}"
@@ -308,7 +312,7 @@ class Simulation:
         self._active_irregular: dict[int, IncidentRecord] = {}
         self.active_flood: FloodRecord | None = None
         # nodes the base cannot reach are absent
-        self._base_depth = topo.hops_from(self.base_id)
+        self._base_depth = topo.base_hops
         self._base_ecc = max(self._base_depth.values())
         self._acted_reset: set[int] = set()
         # each node's alert audience, found the first time it alerts

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .packet import PacketError, PacketKind, affected_message, encode_coord, message_cap
 
@@ -41,8 +42,8 @@ class Topology:
     def __post_init__(self):
         if self.base_id not in self.nodes:
             raise ValueError(f"base id {self.base_id} not among nodes")
-        if self.radio_range <= 0:
-            raise ValueError("radio_range must be positive")
+        if not 0 < self.radio_range < math.inf:
+            raise ValueError(f"radio_range must be positive and finite, not {self.radio_range!r}")
         w, h = self.field_size
         cap = message_cap(PacketKind.SOURCE)
         for nid, (x, y) in self.nodes.items():
@@ -63,26 +64,32 @@ class Topology:
         self._adj = self._build_adjacency()
 
     def _build_adjacency(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        """Test each unordered pair once and record it at both ends.
+        """Link each pair whose squared distance is at most the range's.
 
-        Swapping a pair only negates dx and dy, which squares to the same
-        value, so both ends agree; visiting pairs in id order leaves every
-        list ascending.
+        Nodes are visited in (x, y, id) order, and each scans its
+        successors only until the first with ``dx * dx > rr``.  The stop
+        is exact: along the scan dx = x - xi never shrinks, rounding and
+        squaring are monotone, so fl(dx * dx) never shrinks either, and a
+        linked pair needs fl(dx * dx) <= fl(dx * dx + dy * dy) <= rr.
+        Swapping a pair's ends only negates dx and dy, so each pair gets
+        the same verdict as a test in any other order; sorting each list
+        leaves it ascending by id.
         """
         rr = self.radio_range * self.radio_range
-        ids = sorted(self.nodes)
-        pos = [self.nodes[i] for i in ids]
-        near: dict[NodeId, list[NodeId]] = {i: [] for i in ids}
-        for a, i in enumerate(ids):
-            xi, yi = pos[a]
+        order = sorted((x, y, i) for i, (x, y) in self.nodes.items())
+        near: dict[NodeId, list[NodeId]] = {i: [] for i in sorted(self.nodes)}
+        for a, (xi, yi, i) in enumerate(order):
             mine = near[i]
-            for j, (x, y) in zip(ids[a + 1:], pos[a + 1:]):
-                dx = xi - x
-                dy = yi - y
-                if dx * dx + dy * dy <= rr:
+            for x, y, j in order[a + 1:]:  # a C-level copy: cheaper than indexing
+                dx = x - xi
+                dx2 = dx * dx
+                if dx2 > rr:
+                    break
+                dy = y - yi
+                if dx2 + dy * dy <= rr:
                     mine.append(j)
                     near[j].append(i)
-        return {i: tuple(js) for i, js in near.items()}
+        return {i: tuple(sorted(js)) for i, js in near.items()}
 
     def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Ids within radio range of node_id (boundary inclusive), ascending."""
@@ -92,10 +99,12 @@ class Topology:
         """All node ids except the base, ascending."""
         return [i for i in sorted(self.nodes) if i != self.base_id]
 
-    def hops_from(self, root: NodeId) -> dict[NodeId, int]:
-        """Hop count from root to every node it reaches, breadth first."""
-        hops = {root: 0}
-        frontier = [root]
+    @cached_property
+    def base_hops(self) -> dict[NodeId, int]:
+        """Hop count from the base to every node it reaches, breadth first;
+        found once and shared, so callers must not change it."""
+        hops = {self.base_id: 0}
+        frontier = [self.base_id]
         d = 0
         while frontier:
             d += 1
@@ -110,4 +119,4 @@ class Topology:
 
     def is_connected(self) -> bool:
         """Whether the base reaches every node over the in-range graph."""
-        return len(self.hops_from(self.base_id)) == len(self.nodes)
+        return len(self.base_hops) == len(self.nodes)

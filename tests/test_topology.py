@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from qcs_sim import Topology, default16_topology, parse_scenario
+from qcs_sim.packet import PacketKind, affected_message, message_cap
 from qcs_sim.topology import dist
 
 from conftest import brute_adjacency, random_connected_topology
@@ -44,6 +46,66 @@ def test_adjacency_matches_brute_force():
         want = brute_adjacency(topo.nodes, topo.radio_range)
         for nid in topo.nodes:
             assert set(topo.neighbors(nid)) == want[nid]
+
+
+def exact_adjacency(
+    nodes: dict[int, tuple[float, float]], radio_range: float
+) -> dict[int, tuple[int, ...]]:
+    """Every pair tested once in id order by the squared-distance rule."""
+    rr = radio_range * radio_range
+    ids = sorted(nodes)
+    near: dict[int, list[int]] = {i: [] for i in ids}
+    for a, i in enumerate(ids):
+        for j in ids[a + 1:]:
+            dx = nodes[i][0] - nodes[j][0]
+            dy = nodes[i][1] - nodes[j][1]
+            if dx * dx + dy * dy <= rr:
+                near[i].append(j)
+                near[j].append(i)
+    return {i: tuple(js) for i, js in near.items()}
+
+
+def assert_exact_adjacency(nodes, radio_range, field_size=(64.0, 64.0)):
+    topo = Topology(nodes=nodes, base_id=min(nodes), radio_range=radio_range,
+                    field_size=field_size)
+    want = exact_adjacency(nodes, radio_range)
+    for nid in nodes:
+        assert topo.neighbors(nid) == want[nid], (nid, radio_range)
+
+
+def random_fine_layout(rng: random.Random, n: int, side: int) -> dict[int, tuple[float, float]]:
+    """n nodes on the 1/16 grid of a side x side field, each redrawn
+    until its alarm text fits the wire."""
+    cap = message_cap(PacketKind.SOURCE)
+    nodes = {}
+    for nid in range(1, n + 1):
+        while True:
+            pos = (rng.randint(0, 16 * side) / 16, rng.randint(0, 16 * side) / 16)
+            if len(affected_message(nid, pos).encode("utf-8")) <= cap:
+                break
+        nodes[nid] = pos
+    return nodes
+
+
+@pytest.mark.parametrize("radio_range, side", [(3.0, 24), (2.3, 24), (0.5, 8), (0.05, 3)])
+def test_adjacency_matches_the_squared_rule_exactly(radio_range, side):
+    # 0.05 is below the 1/16 grid step, so only nodes at one position link
+    rng = random.Random(f"adjacency:{radio_range}")
+    for n in (2, 17, 90, 170, 255, 255):
+        assert_exact_adjacency(random_fine_layout(rng, n, side), radio_range,
+                               field_size=(float(side), float(side)))
+
+
+def test_adjacency_at_the_boundary_and_on_shared_positions():
+    # exactly the range apart along x only: dx * dx == rr links
+    assert_exact_adjacency({1: (0.0, 0.0), 2: (3.0, 0.0), 3: (6.0, 0.0)}, 3.0)
+    # node 2 is the first at dx * dx == rr and is out of range; the scan
+    # must go on to node 3, at the same x and in range
+    assert_exact_adjacency({1: (0.0, 1.0), 2: (3.0, 0.0), 3: (3.0, 1.0)}, 3.0)
+    # nodes sharing an x, and two nodes at one position
+    column = {i: (5.0, float(i)) for i in range(1, 8)}
+    assert_exact_adjacency({**column, 8: (5.0, 3.0), 9: (7.5, 3.0)}, 2.5)
+    assert_exact_adjacency({1: (5.0, 5.0), 2: (5.0, 5.0), 3: (5.0625, 5.0)}, 0.05)
 
 
 def test_sensor_ids_exclude_base():
@@ -107,6 +169,14 @@ def test_rejects_nonpositive_range():
     with pytest.raises(ValueError):
         Topology(nodes={1: (0.0, 0.0)}, base_id=1,
                  radio_range=0.0, field_size=(10.0, 10.0))
+
+
+@pytest.mark.parametrize("radio_range", [math.nan, math.inf, -math.inf])
+def test_rejects_nonfinite_range(radio_range):
+    want = f"radio_range must be positive and finite, not {radio_range}"
+    with pytest.raises(ValueError, match=want):
+        Topology(nodes={1: (0.0, 0.0)}, base_id=1,
+                 radio_range=radio_range, field_size=(10.0, 10.0))
 
 
 LAYOUT = """\
