@@ -154,7 +154,7 @@ def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
         summary_parts.append("")
         status = (
             f"delivered in {len(rec.path)} nodes" if rec.delivery_tick is not None
-            else f"undelivered ({rec.close_reason})"
+            else f"undelivered ({rec.close_reason or 'open'})"
         )
         print(f"{label}: node {nid} -> {status}, "
               f"comparisons={rec.comparisons}")

@@ -35,9 +35,9 @@ of a run's debits.
 
 Flood epochs end through a reset wave: once the base hears the alarm,
 rebroadcasting stops and a zero-cost control wave walks outward one hop
-per tick, clearing flags and restoring every node's stored pre-alarm
-mode.  Overlapping devastating events join the epoch in progress; a
-fresh epoch can begin once the wave completes.
+per tick, clearing flags, which returns every node to the Q/C role it
+held before the alarm.  Overlapping devastating events join the epoch
+in progress; a fresh epoch can begin once the wave completes.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .energy import (
 from .node import (
     MODE_C,
     MODE_Q,
-    MODE_S,
     NodeState,
     handle_query,
     handle_source,
@@ -283,15 +282,13 @@ class Simulation:
             is_base = nid == self.base_id
             if is_base:
                 energy: float = math.inf
-                mode = MODE_C
             else:
                 energy = draw_initial_energy(
                     seed, nid, self.costs.init_min, self.costs.init_max
                 )
-                mode = modes[nid]
             self.nodes[nid] = NodeState(
                 node_id=nid, pos=topo.nodes[nid], is_base=is_base,
-                mode=mode, energy=energy,
+                role=modes.get(nid, MODE_C), energy=energy,
             )
         # each node's neighbours in ascending id order, and every sensor,
         # so the tick loop never looks ids up or tests is_base
@@ -459,11 +456,11 @@ class Simulation:
         for node in sensors:
             if node.energy <= 0:
                 continue
-            if node.mode == MODE_S and node.flag2:
+            if node.flag2:
                 self.run_petrol_flow(node.node_id)
-            elif node.mode == MODE_S and node.flag1:
+            elif node.flag1:
                 self.run_irregular_transfer(node.node_id)
-            elif node.mode == MODE_Q:
+            elif node.role == MODE_Q:
                 self.step_regular(node.node_id)
 
         for node in sensors:
@@ -508,7 +505,7 @@ class Simulation:
         rows = self.ledger.entries
         received = []
         for nb in self._nbrs[nid]:
-            if nb.mode == MODE_S and not nb.is_base:
+            if nb.flag1 and not nb.is_base:
                 continue
             bal = nb.energy
             if bal <= 0 or (p > 0 and coin() < p):
@@ -551,7 +548,7 @@ class Simulation:
         if rec.closed:
             return
 
-        hop_pkt = make_query(nid, flag1=True, loc=node.pos, energy=node.wire_energy)
+        hop_pkt = make_query(nid, flag1=True, loc=node.pos, energy=node.energy)
         self._debit(node, "hop_query")
         heard = []
         acks = []  # (node id, reported energy, reported location)
@@ -606,7 +603,7 @@ class Simulation:
         chosen, _, _ = min(
             eligible, key=lambda it: (dist(it[2], self.base_pos), -it[1], it[0])
         )
-        spkt = make_source(nid, node.pos, node.wire_energy, rec.message)
+        spkt = make_source(nid, node.pos, node.energy, rec.message)
         self._debit(node, "source_send")
 
         target = self.nodes[chosen]
@@ -654,7 +651,7 @@ class Simulation:
         if node.hop_depth >= epoch.hop_cap:
             return
 
-        pkt = make_source(nid, node.pos, node.wire_energy, node.message,
+        pkt = make_source(nid, node.pos, node.energy, node.message,
                           hop_count=node.hop_depth, devastating=True)
         self._debit(node, "flood_send")
         received = self._receivers(self._nbrs[nid])
@@ -662,19 +659,16 @@ class Simulation:
             if nb.is_base:
                 if epoch.base_receipt_tick is None:
                     epoch.base_receipt_tick = self.tick
-                    nb.message = pkt.message
-                    nb.flag1 = nb.flag2 = True
-                    nb.mode = MODE_S
+                    handle_source(nb, pkt)
                     self.trace.records.append(BaseReceipt(self.tick, "flood", pkt.message))
                     log.debug("t=%d flood reached the base from node %d", self.tick, nid)
                 continue
             j = nb.node_id
             self._debit(nb, "flood_recv")
-            was_s = nb.mode == MODE_S
-            had_flag2 = nb.flag2
+            if nb.flag2:
+                continue  # flooded already; a second packet changes nothing
+            was_s = nb.flag1
             handle_source(nb, pkt)
-            if was_s and had_flag2:
-                continue  # flooded already
             if was_s:
                 # an alarm-forwarding node swept up by the flood
                 self._close_held(j, "escalated")
@@ -697,7 +691,7 @@ class Simulation:
         depth = self.tick - epoch.base_receipt_tick
         targets = [
             nid for nid, n in self.nodes.items()
-            if not n.is_base and n.alive and n.mode == MODE_S
+            if not n.is_base and n.alive and n.flag1
             and self._base_depth.get(nid) == depth
         ]
         for nid in targets:
@@ -708,17 +702,14 @@ class Simulation:
         if depth >= self._base_ecc:
             leftovers = [
                 nid for nid, n in self.nodes.items()
-                if not n.is_base and n.alive and n.mode == MODE_S and n.flag2
+                if not n.is_base and n.alive and n.flag2
             ]
             for nid in leftovers:
                 reset_node(self.nodes[nid])
             if leftovers:
                 self._tline(f"reset-wave cleanup reset={fmt_ids(leftovers)}")
             base = self.nodes[self.base_id]
-            base.flag1 = False
-            base.flag2 = False
-            base.mode = MODE_C
-            base.stored_mode = None
+            base.flag1 = base.flag2 = False
             epoch.completed_tick = self.tick
             self.active_flood = None
             self._tline("reset-wave complete")

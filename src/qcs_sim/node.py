@@ -5,8 +5,9 @@ status query each tick, C nodes listen, and the two swap every tick
 while a node's flags are clear.  A node whose reading crosses the
 irregular level raises flag1, becomes S (source) and starts forwarding
 an alarm; past the devastating level it raises flag2 as well and the
-alarm is flooded instead.  The mode held at promotion time is stored so
-a reset can put the node back exactly where it was.
+alarm is flooded instead.  A node's mode is S while flag1 is set and
+otherwise its ``role``, Q or C, which promotion leaves alone, so a reset
+that clears the flags puts the node back exactly where it was.
 
 Adjacency is learned, not configured: a node counts as connected while
 it has heard some query in the current tick or the one before, so a
@@ -19,7 +20,6 @@ declared when the window goes from non-empty to empty.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -38,8 +38,9 @@ MODE_C = "C"
 MODE_S = "S"
 
 
-#: a heard_tick whose two-tick window is empty at every tick
-NEVER_HEARD = -2
+#: a heard_tick whose two-tick window is empty at every tick and never
+#: just emptied: isolation_check fires at t when heard_tick == t - 2
+NEVER_HEARD = -3
 
 #: sensor levels splitting readings into regular, irregular and devastating;
 #: a reading must exceed a level to cross it
@@ -52,25 +53,23 @@ class NodeState:
     node_id: int
     pos: tuple[float, float]
     is_base: bool = False
-    mode: str = MODE_C
+    role: str = MODE_C  # Q or C; promotion to S leaves it alone
     flag1: bool = False
     flag2: bool = False
-    energy: float = 0
+    energy: float = 0  # a whole number, or inf for the base
     message: str = ""
-    stored_mode: str | None = None
     hop_depth: int = 0
     infected_tick: int | None = None
     heard_tick: int = NEVER_HEARD  # the last tick this node heard a query
-    had_neighbors: bool = False
 
     @property
     def alive(self) -> bool:
         return self.energy > 0
 
     @property
-    def wire_energy(self) -> float:
-        """Energy as packets carry it: inf for the base, else a whole number."""
-        return math.inf if self.energy == math.inf else int(self.energy)
+    def mode(self) -> str:
+        """S while flag1 is set, else the node's Q/C role."""
+        return MODE_S if self.flag1 else self.role
 
 
 def init_modes(topology: Topology, seed: int | str) -> dict[int, str]:
@@ -91,9 +90,6 @@ def init_modes(topology: Topology, seed: int | str) -> dict[int, str]:
 
 
 def _promote(n: NodeState, message: str, devastating: bool) -> None:
-    if n.mode != MODE_S:
-        n.stored_mode = n.mode
-        n.mode = MODE_S
     n.flag1 = True
     if devastating:
         n.flag2 = True
@@ -101,21 +97,18 @@ def _promote(n: NodeState, message: str, devastating: bool) -> None:
         n.message = message
 
 
-def sense_and_classify(n: NodeState, reading: float) -> NodeState:
+def sense_and_classify(n: NodeState, reading: float) -> None:
     """Apply one sensor reading; crossing a level promotes the node to S."""
-    if reading <= IRREGULAR_LEVEL:
-        return n
-    _promote(n, affected_message(n.node_id, n.pos),
-             devastating=reading > DEVASTATING_LEVEL)
-    return n
+    if reading > IRREGULAR_LEVEL:
+        _promote(n, affected_message(n.node_id, n.pos),
+                 devastating=reading > DEVASTATING_LEVEL)
 
 
-def tick_transition(n: NodeState) -> NodeState:
+def tick_transition(n: NodeState) -> None:
     """Swap Q and C at a tick boundary; S nodes must not be passed in."""
-    if n.mode == MODE_S or n.flag1 or n.flag2:
+    if n.flag1 or n.flag2:
         raise ValueError(f"node {n.node_id} cannot alternate while flagged")
-    n.mode = MODE_C if n.mode == MODE_Q else MODE_Q
-    return n
+    n.role = MODE_C if n.role == MODE_Q else MODE_Q
 
 
 def handle_query(n: NodeState, q: Packet, tick: int) -> Packet | None:
@@ -130,8 +123,8 @@ def handle_query(n: NodeState, q: Packet, tick: int) -> Packet | None:
     if q.kind != PacketKind.QUERY:
         raise ValueError("handle_query expects a query packet")
     n.heard_tick = tick
-    if q.flags.flag1 and (n.is_base or n.mode != MODE_S):
-        return make_ack(n.node_id, n.wire_energy, n.pos)
+    if q.flags.flag1 and (n.is_base or not n.flag1):
+        return make_ack(n.node_id, n.energy, n.pos)
     return None
 
 
@@ -147,7 +140,7 @@ def handle_source(n: NodeState, s: Packet) -> Packet | None:
     if s.kind != PacketKind.SOURCE:
         raise ValueError("handle_source expects a source packet")
     if s.flags.flag2:
-        if n.mode != MODE_S:
+        if not n.flag1:
             _promote(n, s.message, devastating=True)
             n.hop_depth = s.hop_count + 1
         elif not n.flag2:
@@ -158,43 +151,39 @@ def handle_source(n: NodeState, s: Packet) -> Packet | None:
             n.message = s.message
             n.hop_depth = s.hop_count + 1
         return None
-    if n.mode == MODE_S and not n.is_base:
+    if n.flag1 and not n.is_base:
         return None
     _promote(n, s.message, devastating=False)
-    return make_ack(n.node_id, n.wire_energy, n.pos, message=RESET_MESSAGE)
+    return make_ack(n.node_id, n.energy, n.pos, message=RESET_MESSAGE)
 
 
-def reset_node(n: NodeState) -> NodeState:
-    """Clear flags and restore the exact mode held before promotion to S.
+def reset_node(n: NodeState) -> None:
+    """Clear the flags, which puts the node back in the role it held
+    before promotion to S.
 
     The learned-neighbour window went stale while the node was S, so it
-    is emptied along with the isolation baseline; the next query heard
-    refills it.
+    is emptied; the next query heard refills it.
     """
-    if n.mode != MODE_S:
+    if not n.flag1:
         raise ValueError(f"node {n.node_id} is not an S node")
-    if n.stored_mode is None:
-        raise ValueError(f"node {n.node_id} has no stored mode to restore")
-    n.mode = n.stored_mode
-    n.stored_mode = None
-    n.flag1 = False
-    n.flag2 = False
+    n.flag1 = n.flag2 = False
     n.message = ""
     n.hop_depth = 0
     n.infected_tick = None
     n.heard_tick = NEVER_HEARD
-    n.had_neighbors = False
-    return n
 
 
 def isolation_check(n: NodeState, tick: int) -> bool:
     """Whether n must send a disconnect alert at tick: true when its
-    learned-neighbour window has just emptied.
+    learned-neighbour window has just emptied, that is when the last
+    query it heard came at tick - 2.
 
     It is true once per disconnection, not every tick the node stays
-    alone.
+    alone.  Reading the verdict off heard_tick alone is exact on two
+    conditions the engine keeps: it asks about every live, unflagged
+    sensor at every tick, so no tick's emptying goes unasked; and a
+    node's flags clear only in reset_node, which sets heard_tick to
+    NEVER_HEARD, so a window that emptied while the node was S is not
+    reported after it.
     """
-    empty = n.heard_tick < tick - 1
-    fire = empty and n.had_neighbors
-    n.had_neighbors = not empty
-    return fire
+    return n.heard_tick == tick - 2

@@ -58,6 +58,37 @@ def wire_built(monkeypatch):
     return built
 
 
+@pytest.fixture
+def isolation_oracle(monkeypatch):
+    """Check every isolation verdict the engine reads against the
+    stateful rule the engine once kept: a node fires when its two-tick
+    window is empty and was not at its previous check, with the window
+    state noted at every check and forgotten by reset_node.  Counts the
+    verdicts by value."""
+    # id(node) -> (node, whether its window was non-empty at its last
+    # check); holding the node keeps its id from being reused
+    had_neighbors = {}
+    verdicts = Counter()
+    derived_check, derived_reset = engine.isolation_check, engine.reset_node
+
+    def check(n, tick):
+        empty = n.heard_tick < tick - 1
+        want = empty and had_neighbors.get(id(n), (n, False))[1]
+        had_neighbors[id(n)] = (n, not empty)
+        fire = derived_check(n, tick)
+        assert fire == want, (n.node_id, tick, n.heard_tick)
+        verdicts[fire] += 1
+        return fire
+
+    def reset(n):
+        derived_reset(n)
+        had_neighbors[id(n)] = (n, False)
+
+    monkeypatch.setattr(engine, "isolation_check", check)
+    monkeypatch.setattr(engine, "reset_node", reset)
+    return verdicts
+
+
 def _random_run(rng: random.Random) -> Simulation:
     topo = random_connected_topology(rng, n_max=20)
     sensors = topo.sensor_ids()
@@ -264,6 +295,25 @@ def test_trace_text_agrees_with_the_record():
     # ...and every hop outcome
     assert set(outcomes) == {"holder died", "no eligible replier", "lost",
                              "confirmation lost", "confirmed"}
+
+
+def test_isolation_verdict_matches_the_stateful_rule(tmp_path, isolation_oracle):
+    """isolation_check reads its verdict off heard_tick alone; on the
+    random runs and the golden runs it agrees, call for call, with the
+    rule that kept a had-neighbours flag on each node."""
+    for _ in _random_runs():
+        pass
+    random_verdicts = +isolation_oracle
+    run16 = default16_scenario_text(seed=7, horizon=20,
+                                    events=((2, 10, 70), (5, 4, 95)))
+    assert _reports(tmp_path / "run16", _write(tmp_path, run16)) == GOLDEN_RUN16
+    assert _reports(tmp_path / "sweep", REPO / "scenarios" / "default16.scn",
+                    "--sweep", "13,12,15,2,14,8,9") == GOLDEN_SWEEP16
+    grid = _write(tmp_path, _grid225_text())
+    assert _reports(tmp_path / "grid", grid) == GOLDEN_GRID225
+    # both kinds of verdict were checked, on the random runs and the grid
+    assert random_verdicts[True] and random_verdicts[False]
+    assert isolation_oracle[True] > random_verdicts[True]
 
 
 def test_golden_runs_build_only_wire_exact_packets(tmp_path, wire_built):

@@ -34,8 +34,10 @@ from conftest import (
 
 
 def _node(nid=1, mode=MODE_C, energy=1000, pos=(0.0, 0.0), base=False):
-    return NodeState(node_id=nid, pos=pos, is_base=base, mode=mode,
-                     energy=energy)
+    """A node in mode; an S node holds flag1 over the role C."""
+    busy = mode == MODE_S
+    return NodeState(node_id=nid, pos=pos, is_base=base,
+                     role=MODE_C if busy else mode, flag1=busy, energy=energy)
 
 
 # ------------------------------------------------------------- init roles
@@ -82,7 +84,7 @@ def test_irregular_reading_raises_alarm():
     n = _node(nid=10, mode=MODE_Q, pos=(225.0, 225.0))
     sense_and_classify(n, 90.0)  # at the line: still irregular
     assert (n.mode, n.flag1, n.flag2) == (MODE_S, True, False)
-    assert n.stored_mode == MODE_Q
+    assert n.role == MODE_Q
     assert n.message == "Affected NODE is ->NODE10 At Location (225 225)"
 
 
@@ -90,7 +92,7 @@ def test_devastating_reading_sets_both_flags():
     n = _node(nid=4, mode=MODE_C, pos=(75.0, 75.0))
     sense_and_classify(n, 90.5)
     assert (n.mode, n.flag1, n.flag2) == (MODE_S, True, True)
-    assert n.stored_mode == MODE_C
+    assert n.role == MODE_C
 
 
 def test_escalation_keeps_first_stored_mode():
@@ -98,7 +100,7 @@ def test_escalation_keeps_first_stored_mode():
     sense_and_classify(n, 70.0)
     sense_and_classify(n, 95.0)
     assert (n.flag1, n.flag2) == (True, True)
-    assert n.stored_mode == MODE_Q
+    assert n.role == MODE_Q
 
 
 # ------------------------------------------------------------- transitions
@@ -154,7 +156,7 @@ def test_handle_source_accepts_and_confirms():
     spkt = make_source(9, (10.0, 10.0), 600, msg)
     reset = handle_source(n, spkt)
     assert (n.mode, n.flag1, n.flag2) == (MODE_S, True, False)
-    assert n.stored_mode == MODE_Q
+    assert n.role == MODE_Q
     assert n.message == msg           # original alarm text travels unchanged
     assert reset is not None
     assert reset.message == RESET_MESSAGE
@@ -191,7 +193,7 @@ def test_flood_sweeps_up_alarm_forwarder():
     assert n.flag2 is True
     assert n.hop_depth == 1
     assert n.message == "boom"
-    assert n.stored_mode == MODE_Q
+    assert n.role == MODE_Q
 
 
 def test_reinfection_keeps_shallowest_depth():
@@ -218,7 +220,6 @@ def test_reset_restores_stored_mode():
         assert n.message == ""
         assert n.hop_depth == 0
         assert n.infected_tick is None
-        assert n.stored_mode is None
 
 
 def test_reset_requires_a_held_alarm():
