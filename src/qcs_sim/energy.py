@@ -135,8 +135,9 @@ class EnergyLedger:
 
     A node's balance is its ``NodeState.energy``; the ledger writes it
     when a debit moves energy and reads it back through ``balance``.
-    ``Simulation.step_regular`` bills a regular query's listeners without
-    calling ``debit``, and appends the same rows ``debit`` would.
+    ``Simulation.step_regular`` bills a regular query's sender and
+    listeners without calling ``debit``, and appends the same rows
+    ``debit`` would.
     """
 
     nodes: dict[int, NodeState]

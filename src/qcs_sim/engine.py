@@ -29,9 +29,16 @@ are drawn before its own liveness is checked.
 Every debit names a ledger cause and costs that cause's entry in
 ``energy.PRICES``, which also spells out how one forwarding hop
 comes to 6 + (acks heard) units for its holder.  A debit goes through
-``EnergyLedger.debit``, except a regular query's listener, which
-``step_regular`` bills itself, row for row the same: listeners are most
+``EnergyLedger.debit``, except a regular query's sender and listeners,
+which ``step_regular`` bills itself, row for row the same: they are most
 of a run's debits.
+
+The tick loop visits live sensors only.  ``_sensors`` holds them in id
+order; a death only notes that the list is stale, and the end of
+``step`` drops the dead once, after the last loop that reads it.  A
+node that dies mid-tick stays in the list until then, so each loop
+still skips a node with ``energy <= 0``.  Energy only falls and a dead
+node draws no loss coin anywhere, so leaving it out changes nothing.
 
 Flood epochs end through a reset wave: once the base hears the alarm,
 rebroadcasting stops and a zero-cost control wave walks outward one hop
@@ -131,7 +138,9 @@ class IncidentRecord:
         """Comparisons spent choosing next hops: two per reply per round.
 
         Each candidate costs one threshold check plus one distance check
-        against the running best (seeded with the forwarder's own distance).
+        against the running best among the eligible repliers.  The
+        holder's own distance is not compared: a handover need not bring
+        the alarm closer to the base.
         """
         return sum(2 * h.replies for h in self.hops)
 
@@ -290,13 +299,16 @@ class Simulation:
                 node_id=nid, pos=topo.nodes[nid], is_base=is_base,
                 role=modes.get(nid, MODE_C), energy=energy,
             )
-        # each node's neighbours in ascending id order, and every sensor,
-        # so the tick loop never looks ids up or tests is_base
+        # each node's neighbours in ascending id order, and the live
+        # sensors in id order, so the tick loop never looks ids up, tests
+        # is_base or visits the dead; step() drops a sensor from _sensors
+        # at the end of the tick it died in, which _died marks
         state_of = self.nodes.__getitem__
         self._nbrs: dict[int, tuple[NodeState, ...]] = {
             nid: tuple(map(state_of, topo.neighbors(nid))) for nid in self.nodes
         }
         self._sensors = [n for n in self.nodes.values() if not n.is_base]
+        self._sensors_stale = False
         self.ledger = EnergyLedger(self.nodes)
         self.loss_rng = random.Random(f"loss:{seed}")
 
@@ -353,6 +365,7 @@ class Simulation:
     def _died(self, node: NodeState, cause: str) -> None:
         """Record the death of a node that a debit for cause just emptied."""
         self.trace.records.append(Death(self.tick, node.node_id, cause))
+        self._sensors_stale = True
         log.debug("t=%d node %d died (%s)", self.tick, node.node_id, cause)
 
     def _dropped(self) -> bool:
@@ -461,7 +474,7 @@ class Simulation:
             elif node.flag1:
                 self.run_irregular_transfer(node.node_id)
             elif node.role == MODE_Q:
-                self.step_regular(node.node_id)
+                self.step_regular(node)
 
         for node in sensors:
             if node.energy <= 0 or node.flag1:
@@ -480,29 +493,43 @@ class Simulation:
                 continue
             tick_transition(node)
 
+        if self._sensors_stale:
+            self._sensors = [n for n in sensors if n.energy > 0]
+            self._sensors_stale = False
         self._acted_reset.clear()
         self.tick += 1
 
     # --------------------------------------------------------- regular step
 
-    def step_regular(self, nid: int) -> None:
-        """One Q node broadcasts one status query; neighbours just listen.
+    def step_regular(self, node: NodeState) -> None:
+        """One live Q sensor broadcasts one status query; neighbours just
+        listen.
 
-        One pass over the neighbours in id order applies the receive
-        rule and bills each listener: an S sensor is busy forwarding and
-        does not listen, a dead one is skipped without a coin, and each
-        live one draws its loss coin.  handle_query's only effect for a
-        flag-clear query is to stamp the listener's heard_tick, so no
-        packet is built on this plane.  Each listener's query_recv row
-        is written here as EnergyLedger.debit writes one, with no call
-        per listener.
+        The sender pays query_send first.  One pass over the neighbours
+        in id order then applies the receive rule and bills each
+        listener: an S sensor is busy forwarding and does not listen, a
+        dead one is skipped without a coin, and each live one draws its
+        loss coin.  handle_query's only effect for a flag-clear query is
+        to stamp the listener's heard_tick, so no packet is built on this
+        plane.  The sender's and each listener's rows are written here as
+        EnergyLedger.debit writes one, with the same clamp, and the
+        query's PacketEvent is appended here too: no call per debit.
         """
         tick = self.tick
-        self._debit(self.nodes[nid], "query_send")
+        nid = node.node_id
+        rows = self.ledger.entries
+        # a live sensor and a positive price, so the clamped debit moves energy
+        bal = node.energy
+        price = PRICES["query_send"]
+        taken = bal if bal < price else price
+        bal -= taken
+        node.energy = bal
+        rows.append(_new_tuple(LedgerEntry, (tick, nid, "query_send", taken, bal)))
+        if bal <= 0:
+            self._died(node, "query_send")
         price = PRICES["query_recv"]
         p = self.sc.loss_prob
         coin = self.loss_rng.random
-        rows = self.ledger.entries
         received = []
         for nb in self._nbrs[nid]:
             if nb.flag1 and not nb.is_base:
@@ -526,7 +553,9 @@ class Simulation:
             rows.append(_new_tuple(LedgerEntry, (tick, j, "query_recv", taken, bal)))
             if bal <= 0:
                 self._died(nb, "query_recv")
-        self._event(PacketKind.QUERY, nid, None, False, False, received, "regular")
+        self.trace.records.append(_new_tuple(PacketEvent, (
+            tick, PacketKind.QUERY, nid, None, False, False, tuple(received), "regular", 0,
+        )))
 
     # ----------------------------------------------------- alarm forwarding
 
@@ -586,7 +615,7 @@ class Simulation:
         self.trace.records.append(hop)
         if chosen == self.base_id and outcome in HANDED_ON:
             self._close_held(nid, "delivered")
-        elif outcome in ("no eligible replier", "lost") and len(rec.hops) >= self.attempt_cap:
+        elif outcome != "holder died" and len(rec.hops) >= self.attempt_cap:
             self._close_incident(rec, "hop_cap")  # the holder's last attempt is spent
             self._tline(f"incident {rec.incident_id} undelivered (hop cap)")
 
@@ -724,9 +753,7 @@ class Simulation:
         if audience is None:
             reach = ISOLATION_MULTIPLIER * self.topology.radio_range
             audience = self._alert_reach[nid] = tuple(
-                nb for nb in self.nodes.values()
-                if nb is not node and dist(node.pos, nb.pos) <= reach
-            )
+                map(self.nodes.__getitem__, self.topology.within(nid, reach)))
         self._debit(node, "alert_send")
         received = self._receivers(audience)
         for nb in received:

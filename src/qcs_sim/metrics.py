@@ -16,6 +16,7 @@ from .energy import EnergyLedger, joules
 from .engine import IncidentRecord, PacketEvent, Trace
 from .node import NodeState
 from .numtext import fmt_ids, fmt_num
+from .packet import PacketKind
 
 
 def _write_csv(path: str | Path, header: str, rows) -> None:
@@ -75,11 +76,16 @@ def write_paths_csv(path: str | Path, rows: list[tuple[str, int, int]]) -> None:
     ))
 
 
+#: millijoules for one send or receive of each kind of packet
+_MJ_PER_EVENT = {kind: joules(kind.size) for kind in PacketKind}
+
+
 def total_radio_millijoules(events: list[PacketEvent]) -> float:
     """Physical cost of every send and receive in the packet log."""
+    mj = _MJ_PER_EVENT
     total = 0.0
     for ev in events:
-        total += (1 + len(ev.receivers)) * joules(ev.kind.size)
+        total += (1 + len(ev.receivers)) * mj[ev.kind]
     return total
 
 
@@ -150,14 +156,14 @@ def render_summary(title: str, trace: Trace, ledger: EnergyLedger) -> str:
             )
         lines.append("")
 
+    # initial minus final is each sensor's summed debits, so the units
+    # total needs no walk over the ledger's rows
+    per_node = energy_diff_rows("", trace.initial_energy, ledger)
     lines.append("energy")
-    lines.append(f"  total units consumed: {ledger.total_consumed()}")
+    lines.append(f"  total units consumed: {sum(units for _, _, units in per_node)}")
     mj = total_radio_millijoules(trace.packet_events)
     lines.append(f"  total radio energy: {mj:.4f} mJ")
-    consumed = " ".join(
-        f"{nid}={units}"
-        for _, nid, units in energy_diff_rows("", trace.initial_energy, ledger)
-    )
+    consumed = " ".join(f"{nid}={units}" for _, nid, units in per_node)
     lines.append(f"  consumed per node: {consumed}")
     lines.append("")
 

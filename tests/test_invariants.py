@@ -6,7 +6,10 @@ die mid-run.  Every run must keep the ledger and the trace consistent:
 initial minus final balance equals the summed debits, no balance goes
 below zero, each node that empties dies exactly once, and every closed
 incident says why it closed.  Its trace text must also agree with its
-record of transmissions, deaths and base receipts.
+record of transmissions, deaths and base receipts.  Pocket runs add a
+short chain of nodes the base cannot reach, with an alarm in it, and no
+incident may run more rounds than its attempt cap.  No dead sensor may
+act, on these runs or the golden runs.
 
 Every packet the engine builds in this module, the golden runs' too,
 must come back from the wire codec unchanged.
@@ -16,18 +19,20 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import math
 import random
 import re
 from collections import Counter
 
 import pytest
 
-from qcs_sim import CostModel, Simulation, default16_scenario_text, engine, node
+from qcs_sim import CostModel, Simulation, Topology, default16_scenario_text, engine, node
 from qcs_sim.engine import BaseReceipt, Death, HopAttempt
+from qcs_sim.metrics import render_summary
 from qcs_sim.packet import PacketKind, decode, encode
 from qcs_sim.scenario import SenseEvent
 
-from conftest import make_scenario, random_connected_topology
+from conftest import GRID, make_scenario, random_connected_topology
 from test_golden import (
     GOLDEN_GRID225, GOLDEN_RUN16, GOLDEN_SWEEP16, REPO, _grid225_text, _reports, _write,
 )
@@ -326,3 +331,140 @@ def test_golden_runs_build_only_wire_exact_packets(tmp_path, wire_built):
     grid = _write(tmp_path, _grid225_text())
     assert _reports(tmp_path / "grid", grid) == GOLDEN_GRID225
     assert set(wire_built) == set(PacketKind)
+
+
+def test_summary_units_total_is_the_summed_debits():
+    for sim in _random_runs():
+        text = render_summary("run", sim.trace, sim.ledger)
+        total = sum(e.debit for e in sim.ledger.entries)
+        assert f"\n  total units consumed: {total}\n" in text
+
+
+POCKET_RUNS = 100
+
+
+def _pocket_topology(rng: random.Random) -> tuple[Topology, list[int]]:
+    """A random connected layout plus a chain of 2-4 nodes, each in range
+    of the one before, that no node of the layout hears: an alarm raised
+    in the chain can never reach the base.  Returns the chain's ids too."""
+    while True:
+        topo = random_connected_topology(rng, n_max=20)
+        rr = topo.radio_range * topo.radio_range
+        w, h = topo.field_size
+
+        def heard_by_layout(x, y):
+            return any((x - a) ** 2 + (y - b) ** 2 <= rr for a, b in topo.nodes.values())
+
+        for _ in range(50):
+            chain = [(rng.randint(0, int(w) // GRID) * GRID, rng.randint(0, int(h) // GRID) * GRID)]
+            while len(chain) < rng.randint(2, 4):
+                ax, ay = chain[-1]
+                ang = rng.uniform(0, 2 * math.pi)
+                rad = rng.uniform(0.3, 0.9) * topo.radio_range
+                chain.append((round((ax + rad * math.cos(ang)) / GRID) * GRID,
+                              round((ay + rad * math.sin(ang)) / GRID) * GRID))
+            if all(0 <= x <= w and 0 <= y <= h and not heard_by_layout(x, y)
+                   for x, y in chain):
+                break
+        else:
+            continue
+        first = max(topo.nodes) + 1
+        ids = list(range(first, first + len(chain)))
+        nodes = {**topo.nodes, **{i: (float(x), float(y)) for i, (x, y) in zip(ids, chain)}}
+        pocket = Topology(nodes=nodes, base_id=topo.base_id,
+                          radio_range=topo.radio_range, field_size=topo.field_size)
+        assert not set(ids) & set(pocket.base_hops)
+        assert all(b in pocket.neighbors(a) for a, b in zip(ids, ids[1:]))
+        return pocket, ids
+
+
+def _pocket_runs():
+    rng = random.Random(1611)
+    for _ in range(POCKET_RUNS):
+        topo, chain = _pocket_topology(rng)
+        sensors = topo.sensor_ids()
+        events = (SenseEvent(rng.randrange(12), rng.choice(chain), 70.0),) + tuple(
+            SenseEvent(rng.randrange(12), rng.choice(sensors), rng.choice((70.0, 95.0)))
+            for _ in range(rng.randint(0, 3)))
+        # batteries that often outlast attempt_cap rounds of bouncing
+        lo = rng.randint(20, 200)
+        costs = CostModel(threshold=rng.randrange(min(lo, 30)), init_min=lo,
+                          init_max=rng.randint(lo, 200))
+        sc = make_scenario(topo, seed=rng.randrange(10_000), horizon=rng.randint(30, 60),
+                           loss_prob=rng.uniform(0.0, 0.3), events=events, costs=costs)
+        sim = Simulation(sc)
+        sim.run()
+        yield sim, chain
+
+
+def test_no_incident_runs_more_rounds_than_attempt_cap():
+    """An alarm raised out of the base's reach bounces inside its pocket
+    until attempt_cap rounds close it, however those rounds ended."""
+    capped_on_handover = 0
+    for sim in _random_runs():
+        assert all(len(rec.hops) <= sim.attempt_cap for rec in sim.trace.incidents)
+    for sim, chain in _pocket_runs():
+        for rec in sim.trace.incidents:
+            assert len(rec.hops) <= sim.attempt_cap, rec
+            if rec.close_reason == "hop_cap":
+                assert len(rec.hops) == sim.attempt_cap
+                capped_on_handover += rec.origin in chain and rec.hops[-1].outcome == "confirmed"
+    # the pockets' alarms reach the cap on a handover, the case a cap that
+    # counted only stalled and lost rounds never closed
+    assert capped_on_handover
+
+
+@pytest.fixture
+def live_actors(monkeypatch):
+    """Check that no dead node acts and that after every step the
+    simulation's sensor list holds exactly its live sensors, in id
+    order.  Returns the checked calls by name."""
+    calls = Counter()
+    sim_cls = engine.Simulation
+    step = sim_cls.step
+
+    def checked_step(sim):
+        step(sim)
+        live = [n for n in sim.nodes.values() if not n.is_base and n.energy > 0]
+        assert len(sim._sensors) == len(live)
+        assert all(a is b for a, b in zip(sim._sensors, live))
+        calls["step"] += 1
+
+    def acting(name, fn, node_of):
+        def act(*args):
+            n = node_of(*args)
+            assert n.energy > 0, (name, n.node_id)
+            calls[name] += 1
+            return fn(*args)
+        return act
+
+    monkeypatch.setattr(sim_cls, "step", checked_step)
+    monkeypatch.setattr(sim_cls, "step_regular",
+                        acting("step_regular", sim_cls.step_regular, lambda sim, n: n))
+    for name in ("run_petrol_flow", "run_irregular_transfer"):
+        monkeypatch.setattr(sim_cls, name, acting(name, getattr(sim_cls, name),
+                                                  lambda sim, nid: sim.nodes[nid]))
+    for name in ("isolation_check", "tick_transition"):
+        monkeypatch.setattr(engine, name, acting(name, getattr(engine, name),
+                                                 lambda n, *_: n))
+    return calls
+
+
+def test_dead_sensors_never_act(tmp_path, live_actors):
+    died = 0
+    for sim in _random_runs():
+        died += len(sim.trace.deaths)
+    for sim, _ in _pocket_runs():
+        died += len(sim.trace.deaths)
+    run16 = default16_scenario_text(seed=7, horizon=20,
+                                    events=((2, 10, 70), (5, 4, 95)))
+    assert _reports(tmp_path / "run16", _write(tmp_path, run16)) == GOLDEN_RUN16
+    assert _reports(tmp_path / "sweep", REPO / "scenarios" / "default16.scn",
+                    "--sweep", "13,12,15,2,14,8,9") == GOLDEN_SWEEP16
+    grid = _write(tmp_path, _grid225_text())
+    assert _reports(tmp_path / "grid", grid) == GOLDEN_GRID225
+    # the runs lose sensors, and every checked routine was called
+    assert died
+    assert all(live_actors[name] for name in (
+        "step", "step_regular", "run_petrol_flow", "run_irregular_transfer",
+        "isolation_check", "tick_transition"))

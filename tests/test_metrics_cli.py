@@ -212,18 +212,18 @@ def test_cli_sweep_comparisons_grow_with_path_length(tmp_path):
     assert 2.0 <= ratios[len(ratios) // 2] <= 4.0
 
 
-def test_cli_sweep_prints_an_open_alarm_as_the_summary_does(tmp_path, capsys):
-    # the base cannot be reached, so the alarm bounces 2 -> 3 -> 2 ... and
-    # is still open at the horizon
+def test_cli_sweep_prints_an_undelivered_alarm_as_the_summary_does(tmp_path, capsys):
+    # the base cannot be reached, so the alarm bounces 2 -> 3 -> 2 until
+    # its third round, attempt_cap for three nodes, closes it
     scn = tmp_path / "apart.scn"
     scn.write_text("[field]\nwidth = 600\nheight = 100\nradio_range = 110\n"
                    "[nodes]\n1 0 0 base\n2 500 0\n3 575 0\n")
     out = tmp_path / "sweep"
     assert main(["--scenario", str(scn), "--out", str(out), "--sweep", "2"]) == 0
     printed = capsys.readouterr().out.splitlines()
-    assert printed[0] == "irregular1: node 2 -> undelivered (open), comparisons=38"
+    assert printed[0] == "irregular1: node 2 -> undelivered (hop_cap), comparisons=6"
     summary = (out / "summary.txt").read_text()
-    assert "nodes=20 comparisons=38 undelivered (open)\n" in summary
+    assert "path=[2,3,2,3] nodes=4 comparisons=6 undelivered (hop_cap)\n" in summary
 
 
 def test_cli_lifetime_subcommand(capsys):
