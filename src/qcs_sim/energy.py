@@ -9,7 +9,9 @@ Radio work is billed twice over, in two independent currencies:
   for physically meaningful reporting.
 
 Sending and receiving the same packet cost the same amount.  The base
-station has an infinite supply and is never debited.
+station has an infinite supply and is never charged, because
+``EnergyLedger.debit`` leaves an infinite balance untouched and writes
+no row for it; a caller may bill the base like any other node.
 """
 
 from __future__ import annotations

@@ -10,10 +10,12 @@ of the three routines its flags select:
     flags (1,0)  alarm forwarding: one greedy hop attempt toward the base
     flags (1,1)  flood: rebroadcast the alarm to everyone in range
 
-A node that became S during a tick starts acting the following tick.
-Packet loss, when enabled, is an independent coin flip per (packet,
-receiver) pair drawn from a dedicated seeded generator, so identical
-scenarios replay byte-identically.
+That act loop alone decides who acts: a node that became S during a
+tick (``infected_tick == tick``) starts acting the following tick, and
+once a reset wave is under way no flooded node rebroadcasts.  Packet
+loss, when enabled, is an independent coin flip per (packet, receiver)
+pair drawn from a dedicated seeded generator, so identical scenarios
+replay byte-identically.
 
 One receive rule decides who hears a transmission: candidates are
 ``NodeState``s taken in ascending id order, a dead one (``energy <= 0``,
@@ -31,7 +33,9 @@ Every debit names a ledger cause and costs that cause's entry in
 comes to 6 + (acks heard) units for its holder.  A debit goes through
 ``EnergyLedger.debit``, except a regular query's sender and listeners,
 which ``step_regular`` bills itself, row for row the same: they are most
-of a run's debits.
+of a run's debits.  The hop round, the flood and the alert bill every
+receiver, the base included: the ledger leaves its infinite balance
+untouched, so no caller tests for the base before a debit.
 
 The tick loop visits live sensors only.  ``_sensors`` holds them in id
 order; a death only notes that the list is stale, and the end of
@@ -71,7 +75,7 @@ from .node import (
     tick_transition,
 )
 from .numtext import fmt_ids, fmt_num
-from .packet import PacketKind, make_query, make_source
+from .packet import Packet, PacketKind, make_query, make_source
 from .scenario import Scenario, SenseEvent
 from .topology import dist
 
@@ -460,19 +464,24 @@ class Simulation:
         for ev in self._events_at.get(tick, ()):
             self._apply_sense(ev)
 
+        # the base heard the flood on an earlier tick: the wave advances
+        # and no flooded node rebroadcasts
         epoch = self.active_flood
-        if (epoch is not None and epoch.base_receipt_tick is not None
-                and tick > epoch.base_receipt_tick):
+        resetting = epoch is not None and epoch.base_receipt_tick is not None
+        if resetting:
             self.base_reset()
 
         sensors = self._sensors
         for node in sensors:
             if node.energy <= 0:
                 continue
-            if node.flag2:
-                self.run_petrol_flow(node.node_id)
-            elif node.flag1:
-                self.run_irregular_transfer(node.node_id)
+            if node.flag1:  # flag2 never stands without flag1
+                if node.infected_tick == tick:
+                    continue  # took the alarm this tick; acts from the next
+                if not node.flag2:
+                    self.run_irregular_transfer(node.node_id)
+                elif not resetting:
+                    self.run_petrol_flow(node.node_id)
             elif node.role == MODE_Q:
                 self.step_regular(node)
 
@@ -566,8 +575,6 @@ class Simulation:
         alarm travels one accepted hop per tick until the base takes it.
         """
         node = self.nodes[nid]
-        if node.infected_tick is not None and node.infected_tick >= self.tick:
-            return  # took the alarm over this very tick; acts from the next
         rec = self._active_irregular.get(nid)
         if rec is None:
             # the confirmation back to the previous holder was lost and the
@@ -580,58 +587,52 @@ class Simulation:
         hop_pkt = make_query(nid, flag1=True, loc=node.pos, energy=node.energy)
         self._debit(node, "hop_query")
         heard = []
-        acks = []  # (node id, reported energy, reported location)
+        acks = []  # the ack packets the holder heard
         # not _receivers: each ack's loss coin is drawn between two
         # neighbours' query coins, and before the holder's liveness check
         for nb in self._nbrs[nid]:
-            j = nb.node_id
-            if nb.energy <= 0:
+            if nb.energy <= 0 or self._dropped():
                 continue
-            if self._dropped():
-                continue
-            if not nb.is_base:
-                self._debit(nb, "hop_query_recv")
-            heard.append(j)
+            self._debit(nb, "hop_query_recv")
+            heard.append(nb.node_id)
             ack = handle_query(nb, hop_pkt, self.tick)
             if ack is None:
                 continue
-            if not nb.is_base:
-                self._debit(nb, "ack_send")
-            if self._dropped():
+            self._debit(nb, "ack_send")
+            # a lost ack, or a holder drained mid-round: the ack is unheard
+            if self._dropped() or not node.alive:
                 continue
-            if not node.alive:
-                continue  # holder drained mid-round; the ack falls on deaf ears
             self._debit(node, "ack_recv")
-            acks.append((j, ack.energy, ack.loc))
+            acks.append(ack)
         # the query went out before any ack came back
         self._event(PacketKind.QUERY, nid, None, True, False, heard, "hop_query")
-        for j, _, _ in acks:
-            self._event(PacketKind.ACK, j, nid, False, False, [nid], "ack")
+        for ack in acks:
+            self._event(PacketKind.ACK, ack.src, nid, False, False, [nid], "ack")
 
         chosen, outcome = self._hand_on(node, rec, acks)
         hop = HopAttempt(self.tick, rec.incident_id, nid,
-                         tuple((j, e) for j, e, _ in acks), chosen, outcome)
+                         tuple((a.src, a.energy) for a in acks), chosen, outcome)
         rec.hops.append(hop)
         self.trace.records.append(hop)
-        if chosen == self.base_id and outcome in HANDED_ON:
-            self._close_held(nid, "delivered")
-        elif outcome != "holder died" and len(rec.hops) >= self.attempt_cap:
+        if (not rec.closed and outcome != "holder died"
+                and len(rec.hops) >= self.attempt_cap):
             self._close_incident(rec, "hop_cap")  # the holder's last attempt is spent
             self._tline(f"incident {rec.incident_id} undelivered (hop cap)")
 
     def _hand_on(self, node: NodeState, rec: IncidentRecord,
-                 acks: list) -> tuple[int | None, str]:
+                 acks: list[Packet]) -> tuple[int | None, str]:
         """Hand the alarm to the eligible replier nearest the base; return
-        the node chosen, if any, and how the round ended."""
+        the node chosen, if any, and how the round ended.  A handover the
+        base takes closes the incident as delivered."""
         if not node.alive:
             return None, "holder died"
-        eligible = [(j, e, loc) for j, e, loc in acks if e > self.costs.threshold]
+        eligible = [a for a in acks if a.energy > self.costs.threshold]
         if not eligible:
             return None, "no eligible replier"
         nid = node.node_id
-        chosen, _, _ = min(
-            eligible, key=lambda it: (dist(it[2], self.base_pos), -it[1], it[0])
-        )
+        chosen = min(
+            eligible, key=lambda a: (dist(a.loc, self.base_pos), -a.energy, a.src)
+        ).src
         spkt = make_source(nid, node.pos, node.energy, rec.message)
         self._debit(node, "source_send")
 
@@ -647,10 +648,11 @@ class Simulation:
         if target.is_base:
             # handle_source has raised the base's flag1 and set its message
             self.trace.records.append(BaseReceipt(self.tick, "alarm", rec.message))
+            self._close_held(nid, "delivered")
         else:
             del self._active_irregular[nid]
             self._active_irregular[chosen] = rec
-            self._debit(target, "reset_send")
+        self._debit(target, "reset_send")
         if self._dropped() or not node.alive:
             self._event(PacketKind.ACK, chosen, nid, False, False, [], "reset_ack")
             return chosen, "confirmation lost"
@@ -665,18 +667,13 @@ class Simulation:
     def run_petrol_flow(self, nid: int) -> None:
         """One tick's flood rebroadcast by one infected node.
 
-        Rebroadcasting stops for the whole epoch once the base has the
-        alarm, and a packet never travels beyond the hop cap: nodes at
-        cap depth are infected but stay silent.
+        step() calls it for a flooded node that may act: one infected on
+        an earlier tick, while the base has not yet heard the flood.  A
+        packet never travels beyond the hop cap: nodes at cap depth are
+        infected but stay silent.
         """
         node = self.nodes[nid]
         epoch = self.active_flood
-        if epoch is None:
-            return
-        if node.infected_tick is not None and node.infected_tick >= self.tick:
-            return
-        if epoch.base_receipt_tick is not None and epoch.base_receipt_tick < self.tick:
-            return
         if node.hop_depth >= epoch.hop_cap:
             return
 
@@ -685,6 +682,7 @@ class Simulation:
         self._debit(node, "flood_send")
         received = self._receivers(self._nbrs[nid])
         for nb in received:
+            self._debit(nb, "flood_recv")
             if nb.is_base:
                 if epoch.base_receipt_tick is None:
                     epoch.base_receipt_tick = self.tick
@@ -693,7 +691,6 @@ class Simulation:
                     log.debug("t=%d flood reached the base from node %d", self.tick, nid)
                 continue
             j = nb.node_id
-            self._debit(nb, "flood_recv")
             if nb.flag2:
                 continue  # flooded already; a second packet changes nothing
             was_s = nb.flag1
@@ -712,11 +709,10 @@ class Simulation:
         The wave is control-plane bookkeeping and costs no energy; each
         tick it clears every S node at the next graph distance from the
         base.  When it has swept the whole component the epoch closes
-        and the base goes back to listening.
+        and the base goes back to listening.  step() calls it each tick
+        after the one the base heard the flood in.
         """
         epoch = self.active_flood
-        if epoch is None or epoch.base_receipt_tick is None:
-            return
         depth = self.tick - epoch.base_receipt_tick
         targets = [
             nid for nid, n in self.nodes.items()
@@ -757,10 +753,9 @@ class Simulation:
         self._debit(node, "alert_send")
         received = self._receivers(audience)
         for nb in received:
+            self._debit(nb, "alert_recv")
             if nb.is_base:
                 text = f"node number '{nid}' became disconnected"
                 self.trace.records.append(BaseReceipt(self.tick, "alert", text))
-            else:
-                self._debit(nb, "alert_recv")
         self._event(PacketKind.SOURCE, nid, None, True, False,
                     [nb.node_id for nb in received], "alert")

@@ -23,13 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .packet import (
-    Packet,
-    PacketKind,
-    RESET_MESSAGE,
-    affected_message,
-    make_ack,
-)
+from .packet import Packet, PacketKind, affected_message, make_ack
 from .topology import Topology
 
 
@@ -128,14 +122,14 @@ def handle_query(n: NodeState, q: Packet, tick: int) -> Packet | None:
     return None
 
 
-def handle_source(n: NodeState, s: Packet) -> Packet | None:
-    """Receive an alarm packet; returns the confirmation ack, if any.
+def handle_source(n: NodeState, s: Packet) -> None:
+    """Receive an alarm packet.
 
-    Unicast hop transfer (flag1 only): the node takes over the alarm,
-    becomes S and confirms with a RESET ack so the sender can stand
-    down.  A sensor that is already S refuses the handover (no ack);
-    the base always accepts.  Flood delivery (both flags): the node is
-    infected at one hop deeper than the packet, and nobody ever acks.
+    Unicast hop transfer (flag1 only): the node takes over the alarm and
+    becomes S.  A sensor that is already S refuses the handover and is
+    left as it was; the base always accepts.  The engine sends the
+    holder's confirmation (the reset_ack) itself.  Flood delivery (both
+    flags): the node is infected at one hop deeper than the packet.
     """
     if s.kind != PacketKind.SOURCE:
         raise ValueError("handle_source expects a source packet")
@@ -150,11 +144,8 @@ def handle_source(n: NodeState, s: Packet) -> Packet | None:
             n.flag2 = True
             n.message = s.message
             n.hop_depth = s.hop_count + 1
-        return None
-    if n.flag1 and not n.is_base:
-        return None
-    _promote(n, s.message, devastating=False)
-    return make_ack(n.node_id, n.energy, n.pos, message=RESET_MESSAGE)
+    elif n.is_base or not n.flag1:
+        _promote(n, s.message, devastating=False)
 
 
 def reset_node(n: NodeState) -> None:

@@ -32,7 +32,6 @@ QUERY_ACK_SIZE = 24
 SOURCE_SIZE = 64
 
 ENERGY_INF_WIRE = 0xFFFFFFFF
-RESET_MESSAGE = "RESET"
 
 _COORD_STEP = 16  # fixed-point denominator for 16-bit coordinates
 

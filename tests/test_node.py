@@ -24,7 +24,7 @@ from qcs_sim import (
     tick_transition,
 )
 from qcs_sim.node import NEVER_HEARD
-from qcs_sim.packet import RESET_MESSAGE, affected_message
+from qcs_sim.packet import affected_message
 
 from conftest import (
     brute_adjacency,
@@ -154,26 +154,26 @@ def test_handle_source_accepts_and_confirms():
     n = _node(nid=5, mode=MODE_Q, energy=700)
     msg = affected_message(9, (10.0, 10.0))
     spkt = make_source(9, (10.0, 10.0), 600, msg)
-    reset = handle_source(n, spkt)
+    handle_source(n, spkt)
     assert (n.mode, n.flag1, n.flag2) == (MODE_S, True, False)
     assert n.role == MODE_Q
     assert n.message == msg           # original alarm text travels unchanged
-    assert reset is not None
-    assert reset.message == RESET_MESSAGE
-    assert reset.src == 5
 
 
 def test_busy_sensor_refuses_handover():
     n = _node(mode=MODE_S)
     n.flag1 = True
-    assert handle_source(n, make_source(9, (0, 0), 5, "x")) is None
+    n.message = "own alarm"
+    handle_source(n, make_source(9, (0, 0), 5, "x"))
+    assert (n.flag1, n.flag2, n.message) == (True, False, "own alarm")
 
 
 def test_base_always_accepts():
     base = _node(nid=16, base=True, energy=math.inf, mode=MODE_S)
     base.flag1 = True
-    reset = handle_source(base, make_source(9, (0, 0), 5, "x"))
-    assert reset is not None
+    handle_source(base, make_source(9, (0, 0), 5, "x"))
+    assert (base.mode, base.flag1, base.flag2) == (MODE_S, True, False)
+    assert base.message == "x"
 
 
 def test_flood_packet_infects_at_next_depth():
