@@ -595,6 +595,8 @@ class Simulation:
                 continue
             self._debit(nb, "hop_query_recv")
             heard.append(nb.node_id)
+            if nb.energy <= 0:
+                continue  # hearing the query emptied it; the dead send no ack
             ack = handle_query(nb, hop_pkt, self.tick)
             if ack is None:
                 continue

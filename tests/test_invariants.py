@@ -9,7 +9,8 @@ incident says why it closed.  Its trace text must also agree with its
 record of transmissions, deaths and base receipts.  Pocket runs add a
 short chain of nodes the base cannot reach, with an alarm in it, and no
 incident may run more rounds than its attempt cap.  No dead sensor may
-act, on these runs or the golden runs.
+act, on these runs or the golden runs, and no node that the hop query's
+price empties may answer it.
 
 Every packet the engine builds in this module, the golden runs' too,
 must come back from the wire codec unchanged.
@@ -39,7 +40,7 @@ from test_golden import (
 
 RUNS = 60
 #: sha256 over the trace text of the RUNS random runs, in order
-RANDOM_TRACES_SHA256 = "e9c69c0549041d1b2ce337fd15c8c678f931711fcee01c8c5b9fba9255cf8507"
+RANDOM_TRACES_SHA256 = "8d979fb6bf6e49578db17afb9a1e0c97e19b2e58ef117ec4a251d2cf1ab9e02c"
 
 
 @pytest.fixture(autouse=True)
@@ -468,3 +469,16 @@ def test_dead_sensors_never_act(tmp_path, live_actors):
     assert all(live_actors[name] for name in (
         "step", "step_regular", "run_petrol_flow", "run_irregular_transfer",
         "isolation_check", "tick_transition"))
+
+
+def test_no_dead_node_answers_a_hop_query():
+    """A neighbour the hop query's receive price empties still heard the
+    query, but a dead node sends no ack: no replier reports an empty
+    battery."""
+    replies = 0
+    for sim in _random_runs():
+        for rec in sim.trace.incidents:
+            for hop in rec.hops:
+                assert all(e > 0 for _, e in hop.repliers), hop
+                replies += hop.replies
+    assert replies
