@@ -94,6 +94,8 @@ def test_draw_initial_energy_bounds_and_determinism():
         assert e == draw_initial_energy(seed, nid, lo, hi)
     assert draw_initial_energy("7", 1, lo, hi) == draw_initial_energy(7, 1, lo, hi)
     assert draw_initial_energy(7, 1, lo=10, hi=10) == 10
+    with pytest.raises(ValueError, match="empty energy range"):
+        draw_initial_energy(0, 1, 5, 4)
 
 
 def test_cost_model_validation():

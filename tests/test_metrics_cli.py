@@ -263,6 +263,10 @@ def test_cli_rejects_bad_sweep_ids(tmp_path, capsys):
                  "--sweep", "99"]) == 1
     assert main(["--scenario", str(SCN), "--out", str(out),
                  "--sweep", "abc"]) == 1
+    capsys.readouterr()
+    assert main(["--scenario", str(SCN), "--out", str(out),
+                 "--sweep", ","]) == 1
+    assert "lists no node ids" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_scenario_file(tmp_path, capsys):

@@ -97,6 +97,14 @@ def test_bundled_default_text_parses():
     (("radio_range = 110", "radio_range = 110\nradio_rnage = 90"),
      "[field] has unknown key 'radio_rnage'"),
     (("horizon = 30", "horizon = 30\nhorizon = 40"), "[sim] repeats key 'horizon'"),
+    (("[sim]", "[sim"), "malformed section header"),
+    (("threshold = 500", "threshold 500"), "expects key = value lines"),
+    (("\n1 0 0\n", "\n1 0\n"), "needs 'id x y [base]'"),
+    (("\n1 0 0\n", "\nx1 0 0\n"), "non-integer id"),
+    (("\n1 0 0\n", "\n0 0 0\n"), "node id must be a positive int"),
+    (("horizon = 30", "horizon = 3.5"), "must be an integer"),
+    (("2 1 70.5", "2.5 1 70.5"), "non-integer fields"),
+    (("threshold = 500", "threshold = -1"), "threshold cannot be negative"),
 ])
 def test_rejects_bad_values(mutation, needle):
     old, new = mutation
@@ -144,6 +152,10 @@ def test_load_scenario_names_the_file(tmp_path):
     with pytest.raises(ValueError) as err:
         load_scenario(p)
     assert "bad.scn" in str(err.value)
+    with pytest.raises(ValueError) as err:
+        load_scenario(tmp_path / "missing.scn")
+    assert "cannot read scenario file" in str(err.value)
+    assert "missing.scn" in str(err.value)
 
 
 def test_load_scenario_roundtrip(tmp_path):

@@ -57,3 +57,56 @@ def test_package_modules_use_every_import():
                 if name not in read:
                     unused.append((path.name, name))
     assert unused == []
+
+
+#: the trees whose code may use the package's public names
+_READERS = (SRC, SRC.parent.parent / "demos", SRC.parent.parent / "perfbench")
+
+
+def _public_definitions(tree: ast.Module):
+    """The public module-level functions, classes and constants of a
+    module, and the public methods of its classes."""
+    names = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(stmt, ast.ClassDef):
+            names += [f.name for f in stmt.body if isinstance(f, ast.FunctionDef)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name a tree reads: a Name loaded, an attribute, an import
+    alias, or a string constant that is an identifier (a name looked up
+    with getattr or patched by name)."""
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.alias):
+            read.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            read.add(n.value)
+    return read
+
+
+def test_every_public_name_has_a_caller_besides_its_tests():
+    """Each public function, class, constant and method of src/qcs_sim
+    is read somewhere in the package (not its __init__.py), the demos
+    or the benchmark: no public helper whose only caller is its test."""
+    read, defined = set(), []
+    for root in _READERS:
+        for path in sorted(root.glob("*.py")):
+            if path.parent == SRC and path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read |= _names_read(tree)
+            if root == SRC:
+                defined += [(path.name, name) for name in _public_definitions(tree)]
+    assert len(defined) > 50  # the walk found the definitions
+    assert [(file, name) for file, name in defined if name not in read] == []
