@@ -148,25 +148,24 @@ class EnergyLedger:
     def balance(self, node_id: int) -> float:
         return self.nodes[node_id].energy
 
-    def debit(self, tick: int, node_id: int, cause: str, amount: int) -> int:
-        """Charge a node, clamping at zero; returns the amount actually taken.
+    def debit(self, tick: int, node: NodeState, cause: str) -> int:
+        """Charge node the price of cause, clamped at zero; return the
+        amount taken.
 
         Infinite balances (the base station) are left untouched, and a
         row is recorded only when some energy actually moved.
         """
-        if amount < 0:
-            raise ValueError("debit amount cannot be negative")
-        node = self.nodes[node_id]
         bal = node.energy
         if bal == math.inf:
             return 0
-        taken = bal if bal < amount else amount
+        price = PRICES[cause]
+        taken = bal if bal < price else price
         if taken == 0:
             return 0
         bal -= taken
         node.energy = bal
         # what LedgerEntry(...) does, without its Python-level __new__ frame
-        self.entries.append(_new_row(LedgerEntry, (tick, node_id, cause, taken, bal)))
+        self.entries.append(_new_row(LedgerEntry, (tick, node.node_id, cause, taken, bal)))
         return taken
 
     def total_consumed(self) -> int:

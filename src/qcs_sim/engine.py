@@ -10,12 +10,14 @@ of the three routines its flags select:
     flags (1,0)  alarm forwarding: one greedy hop attempt toward the base
     flags (1,1)  flood: rebroadcast the alarm to everyone in range
 
-That act loop alone decides who acts: a node that became S during a
-tick (``infected_tick == tick``) starts acting the following tick, and
-once a reset wave is under way no flooded node rebroadcasts.  Packet
-loss, when enabled, is an independent coin flip per (packet, receiver)
-pair drawn from a dedicated seeded generator, so identical scenarios
-replay byte-identically.
+A closing pass then lets each live, unflagged sensor alert if it just
+lost its neighbours and swap its Q/C role.  One rule holds a node back
+in both passes: a sensor that took or handed on an alarm this tick
+(``alarm_tick == tick``) neither acts on an alarm nor swaps its role
+until the next tick.  Once a reset wave is under way no flooded node
+rebroadcasts.  Packet loss, when enabled, is an independent coin flip
+per (packet, receiver) pair drawn from a dedicated seeded generator, so
+identical scenarios replay byte-identically.
 
 One receive rule decides who hears a transmission: candidates are
 ``NodeState``s taken in ascending id order, a dead one (``energy <= 0``,
@@ -37,12 +39,12 @@ of a run's debits.  The hop round, the flood and the alert bill every
 receiver, the base included: the ledger leaves its infinite balance
 untouched, so no caller tests for the base before a debit.
 
-The tick loop visits live sensors only.  ``_sensors`` holds them in id
-order; a death only notes that the list is stale, and the end of
-``step`` drops the dead once, after the last loop that reads it.  A
-node that dies mid-tick stays in the list until then, so each loop
-still skips a node with ``energy <= 0``.  Energy only falls and a dead
-node draws no loss coin anywhere, so leaving it out changes nothing.
+The passes and the reset wave visit live sensors only.  ``_sensors``
+holds them in id order; a death only notes that the list is stale, and
+the end of ``step`` drops the dead once, after the last pass that reads
+it.  A node that dies mid-tick stays in the list until then, so each
+pass still skips a node with ``energy <= 0``.  Energy only falls and a
+dead node draws no loss coin anywhere, so leaving it out changes nothing.
 
 Flood epochs end through a reset wave: once the base hears the alarm,
 rebroadcasting stops and a zero-cost control wave walks outward one hop
@@ -327,9 +329,6 @@ class Simulation:
         # nodes the base cannot reach are absent
         self._base_depth = topo.base_hops
         self._base_ecc = max(self._base_depth.values())
-        self._acted_reset: set[int] = set()
-        # each node's alert audience, found the first time it alerts
-        self._alert_reach: dict[int, tuple[NodeState, ...]] = {}
 
         q = sorted(n for n, m in modes.items() if m == MODE_Q)
         c = sorted(n for n, m in modes.items() if m == MODE_C)
@@ -362,8 +361,7 @@ class Simulation:
 
     def _debit(self, node: NodeState, cause: str) -> None:
         """Charge a node the price of cause; a debit that empties it kills it."""
-        taken = self.ledger.debit(self.tick, node.node_id, cause, PRICES[cause])
-        if taken and node.energy <= 0:
+        if self.ledger.debit(self.tick, node, cause) and node.energy <= 0:
             self._died(node, cause)
 
     def _died(self, node: NodeState, cause: str) -> None:
@@ -437,10 +435,9 @@ class Simulation:
             f"sense node={ev.node} reading={fmt_num(ev.reading)}"
             f" -> flags=({int(node.flag1)},{int(node.flag2)}) mode={node.mode}"
         )
-        node.infected_tick = self.tick
+        node.alarm_tick = self.tick
         if after == (True, True):
             self._close_held(ev.node, "escalated")
-            node.hop_depth = 0
             self._join_flood(ev.node, self.tick)
         elif before == (False, False):
             self._open_incident(ev.node, self.tick, node.message)
@@ -459,7 +456,19 @@ class Simulation:
         return self.trace
 
     def step(self) -> None:
-        """Advance one tick through all phases."""
+        """Advance one tick: sense events, the reset wave's next hop, the
+        act pass, then the closing pass, in which each live, unflagged
+        sensor alerts if its isolation check fires and then swaps its Q/C
+        role, unless its own alert emptied it or it handed its alarm on.
+
+        One closing visit per sensor equals an isolation pass followed by
+        a transition pass.  The verdict reads only heard_tick, which no
+        alert or swap writes; an alert picks receivers by energy, never
+        by role; a swap writes only role.  So the same alerts fire with
+        the same coins, debits and deaths, and every sensor alive at the
+        tick's end ends in the same role.  One that a later alert empties
+        has already swapped, but nothing reads a dead sensor's role.
+        """
         tick = self.tick
         for ev in self._events_at.get(tick, ()):
             self._apply_sense(ev)
@@ -476,7 +485,7 @@ class Simulation:
             if node.energy <= 0:
                 continue
             if node.flag1:  # flag2 never stands without flag1
-                if node.infected_tick == tick:
+                if node.alarm_tick == tick:
                     continue  # took the alarm this tick; acts from the next
                 if not node.flag2:
                     self.run_irregular_transfer(node.node_id)
@@ -490,22 +499,19 @@ class Simulation:
                 continue
             if isolation_check(node, tick):
                 self._broadcast_alert(node.node_id)
+                if node.energy <= 0:
+                    continue  # its own alert emptied it
+            if node.alarm_tick != tick:  # else it handed its alarm on
+                tick_transition(node)
 
         # an alarm whose holder died where its own round did not close it
         for nid, rec in self._active_irregular.items():
             if not rec.closed and self.nodes[nid].energy <= 0:
                 self._close_incident(rec, "holder_died")
 
-        for node in sensors:
-            if (node.energy <= 0 or node.flag1 or node.flag2
-                    or node.node_id in self._acted_reset):
-                continue
-            tick_transition(node)
-
         if self._sensors_stale:
             self._sensors = [n for n in sensors if n.energy > 0]
             self._sensors_stale = False
-        self._acted_reset.clear()
         self.tick += 1
 
     # --------------------------------------------------------- regular step
@@ -646,7 +652,7 @@ class Simulation:
 
         # the chosen node acked this round, so it is not S and accepts
         handle_source(target, spkt)
-        target.infected_tick = self.tick
+        target.alarm_tick = self.tick
         if target.is_base:
             # handle_source has raised the base's flag1 and set its message
             self.trace.records.append(BaseReceipt(self.tick, "alarm", rec.message))
@@ -658,10 +664,10 @@ class Simulation:
         if self._dropped() or not node.alive:
             self._event(PacketKind.ACK, chosen, nid, False, False, [], "reset_ack")
             return chosen, "confirmation lost"
+        reset_node(node)  # before the confirmation's price can empty it
+        node.alarm_tick = self.tick  # handed on: keeps its role this tick
         self._debit(node, "reset_recv")
         self._event(PacketKind.ACK, chosen, nid, False, False, [nid], "reset_ack")
-        reset_node(node)
-        self._acted_reset.add(nid)
         return chosen, "confirmed"
 
     # ------------------------------------------------------------- flooding
@@ -700,7 +706,7 @@ class Simulation:
             if was_s:
                 # an alarm-forwarding node swept up by the flood
                 self._close_held(j, "escalated")
-            nb.infected_tick = self.tick
+            nb.alarm_tick = self.tick
             epoch.infected_at.setdefault(j, self.tick)
         self._event(PacketKind.SOURCE, nid, None, True, True,
                     [n.node_id for n in received], "flood", node.hop_depth)
@@ -712,25 +718,20 @@ class Simulation:
         tick it clears every S node at the next graph distance from the
         base.  When it has swept the whole component the epoch closes
         and the base goes back to listening.  step() calls it each tick
-        after the one the base heard the flood in.
+        after the one the base heard the flood in, before any debit of
+        that tick, so ``_sensors`` holds exactly the live sensors.
         """
         epoch = self.active_flood
         depth = self.tick - epoch.base_receipt_tick
-        targets = [
-            nid for nid, n in self.nodes.items()
-            if not n.is_base and n.alive and n.flag1
-            and self._base_depth.get(nid) == depth
-        ]
+        targets = [n.node_id for n in self._sensors
+                   if n.flag1 and self._base_depth.get(n.node_id) == depth]
         for nid in targets:
             self._close_held(nid, "base_reset")
             reset_node(self.nodes[nid])
         self._tline(f"reset-wave depth={depth} reset={fmt_ids(targets)}")
 
         if depth >= self._base_ecc:
-            leftovers = [
-                nid for nid, n in self.nodes.items()
-                if not n.is_base and n.alive and n.flag2
-            ]
+            leftovers = [n.node_id for n in self._sensors if n.flag2]
             for nid in leftovers:
                 reset_node(self.nodes[nid])
             if leftovers:
@@ -747,11 +748,8 @@ class Simulation:
     def _broadcast_alert(self, nid: int) -> None:
         """Long-range disconnect alert: heard directly, never relayed."""
         node = self.nodes[nid]
-        audience = self._alert_reach.get(nid)
-        if audience is None:
-            reach = ISOLATION_MULTIPLIER * self.topology.radio_range
-            audience = self._alert_reach[nid] = tuple(
-                map(self.nodes.__getitem__, self.topology.within(nid, reach)))
+        reach = ISOLATION_MULTIPLIER * self.topology.radio_range
+        audience = map(self.nodes.__getitem__, self.topology.within(nid, reach))
         self._debit(node, "alert_send")
         received = self._receivers(audience)
         for nb in received:

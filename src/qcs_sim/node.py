@@ -52,8 +52,10 @@ class NodeState:
     flag2: bool = False
     energy: float = 0  # a whole number, or inf for the base
     message: str = ""
+    # a flood's depth, nonzero only while flag2 is set: handle_source
+    # sets the two together and reset_node clears them together
     hop_depth: int = 0
-    infected_tick: int | None = None
+    alarm_tick: int | None = None  # the last tick it took or handed on an alarm
     heard_tick: int = NEVER_HEARD  # the last tick this node heard a query
 
     @property
@@ -160,7 +162,7 @@ def reset_node(n: NodeState) -> None:
     n.flag1 = n.flag2 = False
     n.message = ""
     n.hop_depth = 0
-    n.infected_tick = None
+    n.alarm_tick = None
     n.heard_tick = NEVER_HEARD
 
 

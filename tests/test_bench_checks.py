@@ -4,8 +4,9 @@
 sha256 of the reports against ``perfbench/digests.json``, and the
 engine invariants on each returned ``Trace`` and ``EnergyLedger``; then
 ``Op`` reads its counts off those objects.  A change that breaks any of
-these fails every benchmark call, so this test runs one realization of
-each workload through the benchmark's own hooks and checks.
+these fails every benchmark call, so this test runs every realization
+of each workload's default seed through the benchmark's own hooks and
+checks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,24 @@ REPO = Path(__file__).resolve().parent.parent
 BENCH = REPO / "perfbench"
 
 
+def _realizations() -> list[tuple[str, int]]:
+    """(workload, realization index) for every realization of each
+    workload's default seed, read from perfbench/workloads.py by path
+    without writing bytecode."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.modules[spec.name] = module  # dataclasses resolve names through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+    return [(name, j) for name, w in module.WORKLOADS.items() for j in range(w.realizations)]
+
+
 @pytest.fixture
 def bench(monkeypatch):
     """perfbench/run.py, imported by path without writing bytecode."""
@@ -39,10 +58,10 @@ def bench(monkeypatch):
         del sys.modules[name]
 
 
-@pytest.mark.parametrize("workload", ["grid225_lifetime", "sweep16_paper"])
-def test_benchmark_checks_pass(bench, workload, tmp_path):
+@pytest.mark.parametrize("workload, realization", _realizations())
+def test_benchmark_checks_pass(bench, workload, realization, tmp_path):
     w = bench.WORKLOADS[workload]
-    seed = w.scenario_seeds(w.default_seed)[0]
+    seed = w.scenario_seeds(w.default_seed)[realization]
     scn = tmp_path / f"{seed}.scn"
     scn.write_text(w.scenario_text(seed, REPO), encoding="utf-8")
     out = tmp_path / "out"

@@ -115,44 +115,38 @@ def _ledger(balances: dict[int, float]) -> EnergyLedger:
 
 def test_ledger_debit_and_rows():
     led = _ledger({1: 10, 2: math.inf})
-    taken = led.debit(0, 1, "query_send", 3)
-    assert taken == 3
-    assert led.balance(1) == 7
-    assert led.nodes[1].energy == 7
-    assert led.entries[-1].cause == "query_send"
-    assert led.entries[-1].balance == 7
+    taken = led.debit(0, led.nodes[1], "source_send")
+    assert taken == 4
+    assert led.balance(1) == 6
+    assert led.nodes[1].energy == 6
+    assert led.entries[-1].cause == "source_send"
+    assert led.entries[-1].balance == 6
 
 
 def test_ledger_clamps_at_zero():
     led = _ledger({1: 2})
-    taken = led.debit(0, 1, "source_send", 5)
+    taken = led.debit(0, led.nodes[1], "source_send")
     assert taken == 2
     assert led.balance(1) == 0
     assert not led.nodes[1].alive
     # further debits take nothing and add no rows
     n_rows = len(led.entries)
-    assert led.debit(1, 1, "query_recv", 1) == 0
+    assert led.debit(1, led.nodes[1], "query_recv") == 0
     assert len(led.entries) == n_rows
 
 
 def test_ledger_infinite_balance_untouched():
     led = _ledger({1: math.inf})
-    assert led.debit(0, 1, "query_recv", 4) == 0
+    assert led.debit(0, led.nodes[1], "alert_recv") == 0
     assert led.balance(1) == math.inf
     assert led.entries == []  # nothing of substance to record
 
 
-def test_ledger_rejects_negative_debit():
-    led = _ledger({1: 5})
-    with pytest.raises(ValueError):
-        led.debit(0, 1, "query_send", -1)
-
-
 def test_ledger_totals():
     led = _ledger({1: 10, 2: 10})
-    led.debit(0, 1, "query_send", 1)
-    led.debit(0, 2, "query_recv", 1)
-    led.debit(1, 1, "query_send", 1)
+    led.debit(0, led.nodes[1], "query_send")
+    led.debit(0, led.nodes[2], "query_recv")
+    led.debit(1, led.nodes[1], "query_send")
     assert sum(e.debit for e in led.entries if e.node_id == 1) == 2
     assert {e.cause for e in led.entries if e.node_id == 1} == {"query_send"}
     assert led.total_consumed() == 3

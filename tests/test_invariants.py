@@ -417,9 +417,9 @@ def test_no_incident_runs_more_rounds_than_attempt_cap():
 
 @pytest.fixture
 def live_actors(monkeypatch):
-    """Check that no dead node acts and that after every step the
-    simulation's sensor list holds exactly its live sensors, in id
-    order.  Returns the checked calls by name."""
+    """Check that no dead node acts or is reset and that after every
+    step the simulation's sensor list holds exactly its live sensors, in
+    id order.  Returns the checked calls by name."""
     calls = Counter()
     sim_cls = engine.Simulation
     step = sim_cls.step
@@ -445,7 +445,7 @@ def live_actors(monkeypatch):
     for name in ("run_petrol_flow", "run_irregular_transfer"):
         monkeypatch.setattr(sim_cls, name, acting(name, getattr(sim_cls, name),
                                                   lambda sim, nid: sim.nodes[nid]))
-    for name in ("isolation_check", "tick_transition"):
+    for name in ("isolation_check", "tick_transition", "reset_node"):
         monkeypatch.setattr(engine, name, acting(name, getattr(engine, name),
                                                  lambda n, *_: n))
     return calls
@@ -468,7 +468,7 @@ def test_dead_sensors_never_act(tmp_path, live_actors):
     assert died
     assert all(live_actors[name] for name in (
         "step", "step_regular", "run_petrol_flow", "run_irregular_transfer",
-        "isolation_check", "tick_transition"))
+        "isolation_check", "tick_transition", "reset_node"))
 
 
 def test_no_dead_node_answers_a_hop_query():

@@ -58,15 +58,15 @@ def test_ledger_csv_bytes_with_float_balances(tmp_path):
              3: NodeState(3, (2.0, 0.0), energy=0.5),
              9: NodeState(9, (3.0, 0.0), is_base=True, energy=math.inf)}
     ledger = EnergyLedger(nodes)
-    ledger.debit(0, 1, "query_send", 1)
-    ledger.debit(0, 9, "query_recv", 1)           # the base: no row
-    ledger.debit(1, 2, "flood_recv", 1)
-    ledger.debit(2, 3, "flood_send", 2)           # clamped at zero
+    ledger.debit(0, nodes[1], "query_send")
+    ledger.debit(0, nodes[9], "query_recv")       # the base: no row
+    ledger.debit(1, nodes[2], "flood_recv")
+    ledger.debit(2, nodes[3], "flood_send")       # clamped at zero
     out = tmp_path / "ledger.csv"
     write_ledger_csv(out, ledger)
     assert out.read_bytes() == (b"tick,node_id,cause,debit,balance\n"
                                 b"0,1,query_send,1,9.5\n"
-                                b"1,2,flood_recv,1,2\n"
+                                b"1,2,flood_recv,2,1\n"
                                 b"2,3,flood_send,0.5,0\n")
 
 

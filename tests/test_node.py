@@ -211,7 +211,7 @@ def test_reset_restores_stored_mode():
     for start in (MODE_Q, MODE_C):
         n = _node(mode=start)
         sense_and_classify(n, 70.0)
-        n.infected_tick = 3
+        n.alarm_tick = 3
         n.heard_tick = 3
         reset_node(n)
         assert n.heard_tick == NEVER_HEARD
@@ -219,7 +219,7 @@ def test_reset_restores_stored_mode():
         assert (n.flag1, n.flag2) == (False, False)
         assert n.message == ""
         assert n.hop_depth == 0
-        assert n.infected_tick is None
+        assert n.alarm_tick is None
 
 
 def test_reset_requires_a_held_alarm():
