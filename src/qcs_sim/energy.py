@@ -9,9 +9,9 @@ Radio work is billed twice over, in two independent currencies:
   for physically meaningful reporting.
 
 Sending and receiving the same packet cost the same amount.  The base
-station has an infinite supply and is never charged, because
-``EnergyLedger.debit`` leaves an infinite balance untouched and writes
-no row for it; a caller may bill the base like any other node.
+station has an infinite supply and is never charged: the engine's
+broadcast routine skips it, and ``EnergyLedger.debit`` leaves an
+infinite balance untouched and writes no row for it.
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ class EnergyLedger:
 
     A node's balance is its ``NodeState.energy``; the ledger writes it
     when a debit moves energy and reads it back through ``balance``.
-    ``Simulation.step_regular`` bills a regular query's sender and
-    listeners without calling ``debit``, and appends the same rows
-    ``debit`` would.
+    ``Simulation._broadcast`` bills every broadcast without calling
+    ``debit`` and appends the rows ``debit`` would; ``debit`` bills the
+    hop plane's point-to-point packets.
     """
 
     nodes: dict[int, NodeState]

@@ -19,25 +19,27 @@ rebroadcasts.  Packet loss, when enabled, is an independent coin flip
 per (packet, receiver) pair drawn from a dedicated seeded generator, so
 identical scenarios replay byte-identically.
 
-One receive rule decides who hears a transmission: candidates are
-``NodeState``s taken in ascending id order, a dead one (``energy <= 0``,
-which is what ``NodeState.alive`` means) is skipped without a coin, and
-each live one then draws its loss coin.  The flood rebroadcast, the
-isolation alert and the alarm handover go through ``_receivers``.  The
-regular query applies the same rule inline, in the one pass that also
-bills its listeners.  The forwarding hop's query round and its
-confirmation draw inline too: an ack's coin falls between two
-neighbours' query coins, and the holder's ack and confirmation coins
-are drawn before its own liveness is checked.
+One routine, ``_broadcast``, sends the four broadcasts: the regular
+query, the hop query, the flood rebroadcast and the isolation alert;
+``_BROADCASTS`` gives each its packet and its send and receive causes.
+It bills the sender, then takes the candidates (``NodeState``s in
+ascending id order) under one receive rule: a flagged sensor ignores a
+flag-clear packet, a dead one (``energy <= 0``, which is what
+``NodeState.alive`` means) is skipped without a coin, and a live one
+draws its loss coin.  Each node that hears is billed and handed to the
+caller before the next coin, so an ack's coin falls between two
+neighbours' query coins.  The handover and its confirmation draw their
+coins inline; the holder's ack and confirmation coins are drawn before
+its own liveness is checked.
 
 Every debit names a ledger cause and costs that cause's entry in
 ``energy.PRICES``, which also spells out how one forwarding hop
-comes to 6 + (acks heard) units for its holder.  A debit goes through
-``EnergyLedger.debit``, except a regular query's sender and listeners,
-which ``step_regular`` bills itself, row for row the same: they are most
-of a run's debits.  The hop round, the flood and the alert bill every
-receiver, the base included: the ledger leaves its infinite balance
-untouched, so no caller tests for the base before a debit.
+comes to 6 + (acks heard) units for its holder.  ``_broadcast`` writes
+its rows as ``EnergyLedger.debit`` writes one, with the same clamp, and
+leaves the base's infinite balance untouched.  The hop plane's
+point-to-point packets (ack, source, confirmation) go through
+``EnergyLedger.debit``, which leaves that balance untouched too, so no
+caller tests for the base before a debit.
 
 The passes and the reset wave visit live sensors only.  ``_sensors``
 holds them in id order; a death only notes that the list is stale, and
@@ -196,6 +198,14 @@ class BaseReceipt(NamedTuple):
 #: (hop_query, ack, source, reset_ack) prints none, its HopAttempt's line
 #: tells the round
 _LINE_LABEL = {"regular": "query", "flood": "flood", "alert": "isolation alert"}
+#: each broadcast by its note: (packet kind, flag1, flag2, send cause,
+#: receive cause); a sensor with flag1 raised hears only flag1 packets
+_BROADCASTS = {
+    "regular": (PacketKind.QUERY, False, False, "query_send", "query_recv"),
+    "hop_query": (PacketKind.QUERY, True, False, "hop_query", "hop_query_recv"),
+    "flood": (PacketKind.SOURCE, True, True, "flood_send", "flood_recv"),
+    "alert": (PacketKind.SOURCE, True, False, "alert_send", "alert_recv"),
+}
 #: the trace line of a base receipt, by the way the base heard it
 _RECEIPT_LINE = {"alarm": "base received alarm: {!r}",
                  "flood": "base received flood alarm: {!r}", "alert": "base: {}"}
@@ -376,14 +386,55 @@ class Simulation:
             return False
         return self.loss_rng.random() < p
 
-    def _receivers(self, candidates) -> list[NodeState]:
-        """The candidate nodes that hear a transmission: alive first, then
-        the loss coin, one coin per live candidate in candidate order."""
+    def _broadcast(self, sender: NodeState, note: str, candidates, hop: int = 0):
+        """Send the broadcast named note from a live sensor and yield each
+        candidate that hears it, in candidate order.
+
+        The sender pays its send cause first.  Each candidate then meets
+        the receive rule: a flagged sensor ignores a flag-clear packet, a
+        dead one is skipped without a coin, and a live one draws its loss
+        coin.  One that hears pays the receive cause (the base is left
+        untouched), dies if that empties it, and is yielded before the
+        next candidate's coin.  The PacketEvent follows the last
+        candidate, so a caller must run the generator to its end.
+        """
+        kind, flag1, flag2, send, recv = _BROADCASTS[note]
+        tick = self.tick
+        rows = self.ledger.entries
+        nid = sender.node_id
+        # a live sender and a positive price, so the clamped debit moves
+        # energy; the rows are those EnergyLedger.debit would write
+        bal = sender.energy
+        price = PRICES[send]
+        taken = bal if bal < price else price
+        bal -= taken
+        sender.energy = bal
+        rows.append(_new_tuple(LedgerEntry, (tick, nid, send, taken, bal)))
+        if bal <= 0:
+            self._died(sender, send)
+        price = PRICES[recv]
         p = self.sc.loss_prob
-        if p <= 0:
-            return [n for n in candidates if n.energy > 0]
         coin = self.loss_rng.random
-        return [n for n in candidates if n.energy > 0 and coin() >= p]
+        received = []
+        for nb in candidates:
+            if nb.flag1 and not flag1 and not nb.is_base:
+                continue
+            bal = nb.energy
+            if bal <= 0 or (p > 0 and coin() < p):
+                continue
+            j = nb.node_id
+            received.append(j)
+            if not nb.is_base:
+                taken = bal if bal < price else price
+                bal -= taken
+                nb.energy = bal
+                rows.append(_new_tuple(LedgerEntry, (tick, j, recv, taken, bal)))
+                if bal <= 0:
+                    self._died(nb, recv)
+            yield nb
+        self.trace.records.append(_new_tuple(PacketEvent, (
+            tick, kind, nid, None, flag1, flag2, tuple(received), note, hop,
+        )))
 
     # -------------------------------------------------------------- incidents
 
@@ -488,9 +539,9 @@ class Simulation:
                 if node.alarm_tick == tick:
                     continue  # took the alarm this tick; acts from the next
                 if not node.flag2:
-                    self.run_irregular_transfer(node.node_id)
+                    self.run_irregular_transfer(node)
                 elif not resetting:
-                    self.run_petrol_flow(node.node_id)
+                    self.run_petrol_flow(node)
             elif node.role == MODE_Q:
                 self.step_regular(node)
 
@@ -498,7 +549,7 @@ class Simulation:
             if node.energy <= 0 or node.flag1:
                 continue
             if isolation_check(node, tick):
-                self._broadcast_alert(node.node_id)
+                self._broadcast_alert(node)
                 if node.energy <= 0:
                     continue  # its own alert emptied it
             if node.alarm_tick != tick:  # else it handed its alarm on
@@ -520,67 +571,28 @@ class Simulation:
         """One live Q sensor broadcasts one status query; neighbours just
         listen.
 
-        The sender pays query_send first.  One pass over the neighbours
-        in id order then applies the receive rule and bills each
-        listener: an S sensor is busy forwarding and does not listen, a
-        dead one is skipped without a coin, and each live one draws its
-        loss coin.  handle_query's only effect for a flag-clear query is
-        to stamp the listener's heard_tick, so no packet is built on this
-        plane.  The sender's and each listener's rows are written here as
-        EnergyLedger.debit writes one, with the same clamp, and the
-        query's PacketEvent is appended here too: no call per debit.
+        _broadcast bills the sender and each listener and records the
+        query; an S sensor is busy forwarding and does not listen.
+        handle_query's only effect for a flag-clear query is to stamp the
+        listener's heard_tick, so no packet is built on this plane.
         """
         tick = self.tick
-        nid = node.node_id
-        rows = self.ledger.entries
-        # a live sensor and a positive price, so the clamped debit moves energy
-        bal = node.energy
-        price = PRICES["query_send"]
-        taken = bal if bal < price else price
-        bal -= taken
-        node.energy = bal
-        rows.append(_new_tuple(LedgerEntry, (tick, nid, "query_send", taken, bal)))
-        if bal <= 0:
-            self._died(node, "query_send")
-        price = PRICES["query_recv"]
-        p = self.sc.loss_prob
-        coin = self.loss_rng.random
-        received = []
-        for nb in self._nbrs[nid]:
-            if nb.flag1 and not nb.is_base:
-                continue
-            bal = nb.energy
-            if bal <= 0 or (p > 0 and coin() < p):
-                continue
+        for nb in self._broadcast(node, "regular", self._nbrs[node.node_id]):
             nb.heard_tick = tick
-            j = nb.node_id
-            received.append(j)
-            if nb.is_base:
-                if not nb.flag1 and nb.message != NETWORK_FINE:
-                    # a base that holds an alarm keeps its alarm text
-                    nb.message = NETWORK_FINE
-                    self._tline(f"base: {NETWORK_FINE!r}")
-                continue
-            # bal > 0 and price > 0, so the clamped debit moves energy
-            taken = bal if bal < price else price
-            bal -= taken
-            nb.energy = bal
-            rows.append(_new_tuple(LedgerEntry, (tick, j, "query_recv", taken, bal)))
-            if bal <= 0:
-                self._died(nb, "query_recv")
-        self.trace.records.append(_new_tuple(PacketEvent, (
-            tick, PacketKind.QUERY, nid, None, False, False, tuple(received), "regular", 0,
-        )))
+            # a base that holds an alarm keeps its alarm text
+            if nb.is_base and not nb.flag1 and nb.message != NETWORK_FINE:
+                nb.message = NETWORK_FINE
+                self._tline(f"base: {NETWORK_FINE!r}")
 
     # ----------------------------------------------------- alarm forwarding
 
-    def run_irregular_transfer(self, nid: int) -> None:
+    def run_irregular_transfer(self, node: NodeState) -> None:
         """One greedy hop attempt: query, collect acks, hand the alarm on.
 
         Called once per tick while the node holds an open alarm; the
         alarm travels one accepted hop per tick until the base takes it.
         """
-        node = self.nodes[nid]
+        nid = node.node_id
         rec = self._active_irregular.get(nid)
         if rec is None:
             # the confirmation back to the previous holder was lost and the
@@ -591,16 +603,10 @@ class Simulation:
             return
 
         hop_pkt = make_query(nid, flag1=True, loc=node.pos, energy=node.energy)
-        self._debit(node, "hop_query")
-        heard = []
         acks = []  # the ack packets the holder heard
-        # not _receivers: each ack's loss coin is drawn between two
-        # neighbours' query coins, and before the holder's liveness check
-        for nb in self._nbrs[nid]:
-            if nb.energy <= 0 or self._dropped():
-                continue
-            self._debit(nb, "hop_query_recv")
-            heard.append(nb.node_id)
+        # each ack's loss coin is drawn between two neighbours' query
+        # coins, and before the holder's liveness check
+        for nb in self._broadcast(node, "hop_query", self._nbrs[nid]):
             if nb.energy <= 0:
                 continue  # hearing the query emptied it; the dead send no ack
             ack = handle_query(nb, hop_pkt, self.tick)
@@ -612,8 +618,7 @@ class Simulation:
                 continue
             self._debit(node, "ack_recv")
             acks.append(ack)
-        # the query went out before any ack came back
-        self._event(PacketKind.QUERY, nid, None, True, False, heard, "hop_query")
+        # _broadcast recorded the query when the round ended; its acks follow
         for ack in acks:
             self._event(PacketKind.ACK, ack.src, nid, False, False, [nid], "ack")
 
@@ -645,9 +650,10 @@ class Simulation:
         self._debit(node, "source_send")
 
         target = self.nodes[chosen]
-        received = [n.node_id for n in self._receivers((target,))]
-        self._event(PacketKind.SOURCE, nid, chosen, True, False, received, "source")
-        if not received:
+        heard = target.energy > 0 and not self._dropped()
+        self._event(PacketKind.SOURCE, nid, chosen, True, False,
+                    [chosen] if heard else [], "source")
+        if not heard:
             return chosen, "lost"  # the holder keeps the alarm and retries
 
         # the chosen node acked this round, so it is not S and accepts
@@ -672,7 +678,7 @@ class Simulation:
 
     # ------------------------------------------------------------- flooding
 
-    def run_petrol_flow(self, nid: int) -> None:
+    def run_petrol_flow(self, node: NodeState) -> None:
         """One tick's flood rebroadcast by one infected node.
 
         step() calls it for a flooded node that may act: one infected on
@@ -680,17 +686,14 @@ class Simulation:
         packet never travels beyond the hop cap: nodes at cap depth are
         infected but stay silent.
         """
-        node = self.nodes[nid]
         epoch = self.active_flood
         if node.hop_depth >= epoch.hop_cap:
             return
 
+        nid = node.node_id
         pkt = make_source(nid, node.pos, node.energy, node.message,
                           hop_count=node.hop_depth, devastating=True)
-        self._debit(node, "flood_send")
-        received = self._receivers(self._nbrs[nid])
-        for nb in received:
-            self._debit(nb, "flood_recv")
+        for nb in self._broadcast(node, "flood", self._nbrs[nid], node.hop_depth):
             if nb.is_base:
                 if epoch.base_receipt_tick is None:
                     epoch.base_receipt_tick = self.tick
@@ -708,8 +711,6 @@ class Simulation:
                 self._close_held(j, "escalated")
             nb.alarm_tick = self.tick
             epoch.infected_at.setdefault(j, self.tick)
-        self._event(PacketKind.SOURCE, nid, None, True, True,
-                    [n.node_id for n in received], "flood", node.hop_depth)
 
     def base_reset(self) -> None:
         """Advance the reset wave one hop outward from the base.
@@ -745,17 +746,12 @@ class Simulation:
 
     # ------------------------------------------------------------ isolation
 
-    def _broadcast_alert(self, nid: int) -> None:
+    def _broadcast_alert(self, node: NodeState) -> None:
         """Long-range disconnect alert: heard directly, never relayed."""
-        node = self.nodes[nid]
+        nid = node.node_id
         reach = ISOLATION_MULTIPLIER * self.topology.radio_range
         audience = map(self.nodes.__getitem__, self.topology.within(nid, reach))
-        self._debit(node, "alert_send")
-        received = self._receivers(audience)
-        for nb in received:
-            self._debit(nb, "alert_recv")
+        for nb in self._broadcast(node, "alert", audience):
             if nb.is_base:
                 text = f"node number '{nid}' became disconnected"
                 self.trace.records.append(BaseReceipt(self.tick, "alert", text))
-        self._event(PacketKind.SOURCE, nid, None, True, False,
-                    [nb.node_id for nb in received], "alert")

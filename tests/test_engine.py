@@ -104,6 +104,42 @@ def test_query_lines_keep_listener_order():
     assert lines[i:i + len(want)] == want
 
 
+def test_flood_and_alert_lines_keep_receiver_order():
+    # small batteries: receivers on both sides of the base's id die in
+    # the broadcast the base hears, and each death line lands among that
+    # broadcast's lines in receiver order, not all before the base's line
+    flood = Topology(
+        nodes={1: (688.0, 912.0), 2: (704.0, 960.0), 3: (672.0, 1056.0),
+               4: (704.0, 1008.0), 5: (624.0, 960.0)},
+        base_id=4, radio_range=110.0, field_size=(1200.0, 1200.0))
+    alert = Topology(
+        nodes={1: (384.0, 672.0), 2: (464.0, 720.0), 3: (384.0, 768.0),
+               4: (432.0, 608.0), 5: (448.0, 800.0), 6: (368.0, 784.0),
+               7: (416.0, 736.0), 8: (448.0, 528.0), 9: (368.0, 592.0)},
+        base_id=5, radio_range=110.0, field_size=(1200.0, 1200.0))
+    runs = [
+        (make_scenario(flood, seed=82, horizon=25, events=(SenseEvent(7, 3, 95.0),),
+                       costs=CostModel(threshold=0, init_min=17, init_max=18)), [
+            "t=  8 node 2 died (flood_recv)",
+            "t=  8 base received flood alarm: 'Affected NODE is ->NODE3 At Location (672 1056)'",
+            "t=  8 node 5 died (flood_recv)",
+            "t=  8 flood src=3 hop=0 recv=[2,4,5]",
+        ]),
+        (make_scenario(alert, seed=52, horizon=25,
+                       costs=CostModel(threshold=0, init_min=21, init_max=24)), [
+            "t= 11 node 2 died (alert_send)",
+            "t= 11 node 4 died (alert_recv)",
+            "t= 11 base: node number '2' became disconnected",
+            "t= 11 node 9 died (alert_recv)",
+            "t= 11 isolation alert src=2 recv=[4,5,6,8,9]",
+        ]),
+    ]
+    for sc, want in runs:
+        lines = Simulation(sc).run().render().splitlines()
+        i = lines.index(want[0])
+        assert lines[i:i + len(want)] == want
+
+
 def test_neighbour_tuples_hold_the_node_states():
     rng = random.Random(17)
     topos = [default16_topology()] + [random_connected_topology(rng) for _ in range(5)]

@@ -440,11 +440,9 @@ def live_actors(monkeypatch):
         return act
 
     monkeypatch.setattr(sim_cls, "step", checked_step)
-    monkeypatch.setattr(sim_cls, "step_regular",
-                        acting("step_regular", sim_cls.step_regular, lambda sim, n: n))
-    for name in ("run_petrol_flow", "run_irregular_transfer"):
+    for name in ("step_regular", "run_petrol_flow", "run_irregular_transfer"):
         monkeypatch.setattr(sim_cls, name, acting(name, getattr(sim_cls, name),
-                                                  lambda sim, nid: sim.nodes[nid]))
+                                                  lambda sim, n: n))
     for name in ("isolation_check", "tick_transition", "reset_node"):
         monkeypatch.setattr(engine, name, acting(name, getattr(engine, name),
                                                  lambda n, *_: n))
@@ -469,6 +467,29 @@ def test_dead_sensors_never_act(tmp_path, live_actors):
     assert all(live_actors[name] for name in (
         "step", "step_regular", "run_petrol_flow", "run_irregular_transfer",
         "isolation_check", "tick_transition", "reset_node"))
+
+
+def test_flagged_sensors_hear_only_flag1_broadcasts(monkeypatch):
+    """A sensor with flag1 raised is busy forwarding: it ignores the
+    flag-clear regular query but is billed for each hop query, flood and
+    alert it hears.  Each broadcast's flagged candidates are read before
+    it goes out, and their rows after it ends."""
+    broadcast = engine.Simulation._broadcast
+    billed, flagged_listeners = Counter(), Counter()
+
+    def spy(sim, sender, note, candidates, hop=0):
+        candidates = list(candidates)
+        flagged = {n.node_id for n in candidates if n.flag1 and not n.is_base}
+        start = len(sim.ledger.entries)
+        yield from broadcast(sim, sender, note, candidates, hop)
+        flagged_listeners[note] += len(flagged)
+        billed.update(e.cause for e in sim.ledger.entries[start:] if e.node_id in flagged)
+
+    monkeypatch.setattr(engine.Simulation, "_broadcast", spy)
+    for _ in _random_runs():
+        pass
+    assert flagged_listeners["regular"]  # flagged sensors sat within a query's range
+    assert set(billed) == {"hop_query_recv", "flood_recv", "alert_recv"}
 
 
 def test_no_dead_node_answers_a_hop_query():

@@ -110,3 +110,49 @@ def test_every_public_name_has_a_caller_besides_its_tests():
                 defined += [(path.name, name) for name in _public_definitions(tree)]
     assert len(defined) > 50  # the walk found the definitions
     assert [(file, name) for file, name in defined if name not in read] == []
+
+
+#: the one place each record class is built, by (class, function): a
+#: broadcast's rows and event in Simulation._broadcast, a point-to-point
+#: debit's row in EnergyLedger.debit, and a point packet's event in
+#: Simulation._event
+_BUILDERS = {
+    "LedgerEntry": {("EnergyLedger", "debit"), ("Simulation", "_broadcast")},
+    "PacketEvent": {("Simulation", "_broadcast"), ("Simulation", "_event")},
+}
+
+
+def _record_builds(tree: ast.Module) -> list[tuple[str, str, str]]:
+    """(record class, enclosing class, enclosing function) of every call
+    that builds a record class by name: ``C(...)``, ``C._make(...)`` or
+    ``tuple.__new__(C, ...)`` under any alias."""
+    found = []
+
+    def visit(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, fn)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                visit(child, cls, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                named = [func.value if isinstance(func, ast.Attribute) else func]
+                named += child.args[:1]
+                found.extend((n.id, cls, fn) for n in named
+                             if isinstance(n, ast.Name) and n.id in _BUILDERS)
+            visit(child, cls, fn)
+
+    visit(tree, "", "")
+    return found
+
+
+def test_ledger_rows_and_packet_events_are_built_in_one_place_each():
+    """No plane bills or records a transmission with its own copy of the
+    ledger's row or the trace's PacketEvent."""
+    builders = {name: set() for name in _BUILDERS}
+    for path in sorted(SRC.glob("*.py")):
+        for name, cls, fn in _record_builds(ast.parse(path.read_text(encoding="utf-8"))):
+            builders[name].add((cls, fn))
+    assert builders == _BUILDERS
