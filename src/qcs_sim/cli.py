@@ -112,10 +112,10 @@ def _cmd_run(sc: Scenario, out: Path) -> int:
     metrics.write_ledger_csv(out / "ledger.csv", sim.ledger)
     metrics.write_energy_diff_csv(
         out / "energy_diff.csv",
-        metrics.energy_diff_rows("run", trace.initial_energy, sim.ledger),
+        metrics.energy_diff_rows("run", trace),
     )
     metrics.write_paths_csv(out / "paths.csv", metrics.paths_rows(trace.incidents))
-    summary = metrics.render_summary("simulation summary", trace, sim.ledger)
+    summary = metrics.render_summary("simulation summary", trace)
     metrics.write_text(out / "summary.txt", summary)
     print(f"ran {sc.horizon} ticks, {len(trace.incidents)} incident(s), "
           f"{len(trace.floods)} flood(s)")
@@ -141,9 +141,7 @@ def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
         sim = Simulation(run_sc)
         trace = sim.run()
         rec = trace.incidents[0]
-        energy_rows.extend(
-            metrics.energy_diff_rows(label, trace.initial_energy, sim.ledger)
-        )
+        energy_rows.extend(metrics.energy_diff_rows(label, trace))
         path_rows.extend(metrics.paths_rows([rec], labels=[label]))
         metrics.write_ledger_csv(out / f"ledger_{label}.csv", sim.ledger)
         trace_parts.append(f"== {label} (source node {nid}) ==")

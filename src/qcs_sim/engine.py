@@ -53,6 +53,10 @@ rebroadcasting stops and a zero-cost control wave walks outward one hop
 per tick, clearing flags, which returns every node to the Q/C role it
 held before the alarm.  Overlapping devastating events join the epoch
 in progress; a fresh epoch can begin once the wave completes.
+
+The simulation writes no text: it appends typed records to
+``Trace.records``, and ``Trace.render`` alone turns them, with the
+scenario and the initial and final node states, into ``trace.txt``.
 """
 
 from __future__ import annotations
@@ -194,6 +198,32 @@ class BaseReceipt(NamedTuple):
     text: str
 
 
+class Sense(NamedTuple):
+    """A reading that raised a node's flags, leaving it S with flag2 as
+    given, or that a dead node ignored (flag2 None)."""
+
+    tick: int
+    node: int
+    reading: float
+    flag2: bool | None
+
+
+class ResetStep(NamedTuple):
+    """One hop of a reset wave: the flagged sensors it cleared at depth,
+    then the flooded ones its last hop swept up (else None)."""
+
+    tick: int
+    depth: int
+    reset: tuple[int, ...]
+    leftovers: tuple[int, ...] | None
+
+
+class BaseListening(NamedTuple):
+    """A regular query set the base's message back to "Network is fine"."""
+
+    tick: int
+
+
 #: the trace label of each transmission that prints a line; the hop plane
 #: (hop_query, ack, source, reset_ack) prints none, its HopAttempt's line
 #: tells the round
@@ -224,22 +254,29 @@ _HOP_LINE = {
 class Trace:
     """Everything a run produced, in deterministic order.
 
-    ``records`` holds text lines, transmissions (``PacketEvent``),
-    deaths (``Death``), base receipts (``BaseReceipt``) and hop rounds
-    (``HopAttempt``, the same objects as each incident's ``hops``) in
-    the order they happened, each fact once; ``packet_events``,
-    ``deaths`` and ``base_inbox`` are views of it, and ``render``
-    prints the lines of those that have one.  No per-tick copy of node
-    state is kept; a caller that wants one steps the Simulation and
-    reads its nodes.
+    ``records`` holds typed records only, each fact once, in the order
+    they happened: ``PacketEvent``, ``Death``, ``BaseReceipt``,
+    ``HopAttempt`` (the same objects as each incident's ``hops``),
+    ``Sense``, ``ResetStep`` and ``BaseListening``; ``packet_events``,
+    ``deaths`` and ``base_inbox`` are views of it.  ``render`` alone
+    writes trace text, its ``end:`` line from the final node states that
+    ``run`` hands to ``nodes``.  No per-tick copy of node state is kept;
+    a caller that wants one steps the Simulation and reads its nodes.
     """
 
-    records: list[str | PacketEvent | Death | BaseReceipt | HopAttempt] = field(
-        default_factory=list)
+    scenario: Scenario
+    modes: dict[int, str]  # each sensor's initial Q/C role
+    initial_energy: dict[int, float]
+    records: list[PacketEvent | Death | BaseReceipt | HopAttempt | Sense | ResetStep
+                  | BaseListening] = field(default_factory=list)
     incidents: list[IncidentRecord] = field(default_factory=list)
     floods: list[FloodRecord] = field(default_factory=list)
-    initial_energy: dict[int, float] = field(default_factory=dict)
-    base: NodeState | None = None  # the base station's final state
+    nodes: dict[int, NodeState] = field(default_factory=dict)  # final states, in id order
+
+    @property
+    def base(self) -> NodeState:
+        """The base station's final state."""
+        return self.nodes[self.scenario.topology.base_id]
 
     @property
     def packet_events(self) -> list[PacketEvent]:
@@ -257,26 +294,60 @@ class Trace:
         return [(r.tick, r.text) for r in self.records if type(r) is BaseReceipt]
 
     def render(self) -> str:
-        lines = []
+        sc = self.scenario
+        topo = sc.topology
+        w, h = topo.field_size
+        q = sorted(n for n, m in self.modes.items() if m == MODE_Q)
+        c = sorted(n for n, m in self.modes.items() if m == MODE_C)
+        lines = [
+            f"init: field={fmt_num(w)}x{fmt_num(h)} range={fmt_num(topo.radio_range)}"
+            f" nodes={len(topo.nodes)} base={topo.base_id} seed={sc.seed}"
+            f" loss={fmt_num(sc.loss_prob)}",
+            f"init: modes Q={fmt_ids(q)} C={fmt_ids(c)}",
+            "init: energy "
+            + " ".join(f"{n}={fmt_num(e)}" for n, e in self.initial_energy.items()),
+        ]
         rounds = [0] * len(self.incidents)  # each incident's rounds so far
         for r in self.records:
-            if type(r) is str:
-                lines.append(r)
-            elif type(r) is Death:
-                lines.append(f"t={r.tick:>3} node {r.node} died ({r.cause})")
+            # most records are transmissions, and most of those print nothing
+            if type(r) is PacketEvent:
+                if r.note in _LINE_LABEL:
+                    hop = f" hop={r.hop}" if r.note == "flood" else ""
+                    lines.append(f"t={r.tick:>3} {_LINE_LABEL[r.note]} src={r.src}{hop}"
+                                 f" recv={fmt_ids(r.receivers)}")
+                continue
+            head = f"t={r.tick:>3} "
+            if type(r) is Death:
+                lines.append(f"{head}node {r.node} died ({r.cause})")
             elif type(r) is BaseReceipt:
-                lines.append(f"t={r.tick:>3} " + _RECEIPT_LINE[r.via].format(r.text))
+                lines.append(head + _RECEIPT_LINE[r.via].format(r.text))
             elif type(r) is HopAttempt:  # incidents are numbered from 1
                 k = r.incident - 1
+                rec = self.incidents[k]
                 rounds[k] += 1
                 path = ""
                 if r.outcome == "confirmed":  # the only line that prints a path
-                    path = fmt_ids(self.incidents[k].path_after(rounds[k]))
-                lines.append(f"t={r.tick:>3} " + _HOP_LINE[r.outcome].format(r, path))
-            elif r.note in _LINE_LABEL:
-                hop = f" hop={r.hop}" if r.note == "flood" else ""
-                lines.append(f"t={r.tick:>3} {_LINE_LABEL[r.note]} src={r.src}{hop}"
-                             f" recv={fmt_ids(r.receivers)}")
+                    path = fmt_ids(rec.path_after(rounds[k]))
+                lines.append(head + _HOP_LINE[r.outcome].format(r, path))
+                if rec.close_reason == "hop_cap" and rounds[k] == len(rec.hops):
+                    lines.append(f"{head}incident {r.incident} undelivered (hop cap)")
+            elif type(r) is Sense:
+                sensed = f"{head}sense node={r.node} reading={fmt_num(r.reading)}"
+                if r.flag2 is None:
+                    lines.append(f"{sensed} ignored (dead)")
+                else:
+                    lines.append(f"{sensed} -> flags=(1,{int(r.flag2)}) mode=S")
+            elif type(r) is ResetStep:
+                lines.append(f"{head}reset-wave depth={r.depth} reset={fmt_ids(r.reset)}")
+                if r.leftovers:
+                    lines.append(f"{head}reset-wave cleanup reset={fmt_ids(r.leftovers)}")
+                if r.leftovers is not None:
+                    lines.append(f"{head}reset-wave complete")
+            else:  # BaseListening
+                lines.append(f"{head}base: {NETWORK_FINE!r}")
+        if self.nodes:
+            lines.append("end: balances " + " ".join(
+                f"{n}={fmt_num(s.energy)}" for n, s in self.nodes.items()))
         return "\n".join(lines) + "\n"
 
 
@@ -329,8 +400,7 @@ class Simulation:
         self.loss_rng = random.Random(f"loss:{seed}")
 
         self.tick = 0
-        self.trace = Trace()
-        self.trace.initial_energy = {nid: n.energy for nid, n in self.nodes.items()}
+        self.trace = Trace(scenario, modes, {nid: n.energy for nid, n in self.nodes.items()})
         self._events_at: dict[int, list[SenseEvent]] = {}
         for ev in scenario.events:
             self._events_at.setdefault(ev.tick, []).append(ev)
@@ -340,28 +410,7 @@ class Simulation:
         self._base_depth = topo.base_hops
         self._base_ecc = max(self._base_depth.values())
 
-        q = sorted(n for n, m in modes.items() if m == MODE_Q)
-        c = sorted(n for n, m in modes.items() if m == MODE_C)
-        w, h = topo.field_size
-        self._line(
-            f"init: field={fmt_num(w)}x{fmt_num(h)} range={fmt_num(topo.radio_range)}"
-            f" nodes={len(topo.nodes)} base={self.base_id} seed={seed}"
-            f" loss={fmt_num(scenario.loss_prob)}"
-        )
-        self._line(f"init: modes Q={fmt_ids(q)} C={fmt_ids(c)}")
-        self._line(
-            "init: energy "
-            + " ".join(f"{n}={fmt_num(e)}"
-                       for n, e in self.trace.initial_energy.items())
-        )
-
     # ---------------------------------------------------------------- helpers
-
-    def _line(self, text: str) -> None:
-        self.trace.records.append(text)
-
-    def _tline(self, text: str) -> None:
-        self.trace.records.append(f"t={self.tick:>3} {text}")
 
     def _event(self, kind: PacketKind, src: int, dst: int | None, flag1: bool,
                flag2: bool, receivers: list[int], note: str, hop: int = 0) -> None:
@@ -475,17 +524,14 @@ class Simulation:
     def _apply_sense(self, ev: SenseEvent) -> None:
         node = self.nodes[ev.node]
         if not node.alive:
-            self._tline(f"sense node={ev.node} reading={fmt_num(ev.reading)} ignored (dead)")
+            self.trace.records.append(Sense(self.tick, ev.node, ev.reading, None))
             return
         before = (node.flag1, node.flag2)
         sense_and_classify(node, ev.reading)
         after = (node.flag1, node.flag2)
         if after == before:
             return
-        self._tline(
-            f"sense node={ev.node} reading={fmt_num(ev.reading)}"
-            f" -> flags=({int(node.flag1)},{int(node.flag2)}) mode={node.mode}"
-        )
+        self.trace.records.append(Sense(self.tick, ev.node, ev.reading, node.flag2))
         node.alarm_tick = self.tick
         if after == (True, True):
             self._close_held(ev.node, "escalated")
@@ -499,11 +545,7 @@ class Simulation:
         """Run the rest of the horizon and return the finished trace."""
         while self.tick < self.sc.horizon:
             self.step()
-        self._line(
-            "end: balances "
-            + " ".join(f"{n}={fmt_num(self.ledger.balance(n))}" for n in self.nodes)
-        )
-        self.trace.base = self.nodes[self.base_id]
+        self.trace.nodes = self.nodes
         return self.trace
 
     def step(self) -> None:
@@ -582,7 +624,7 @@ class Simulation:
             # a base that holds an alarm keeps its alarm text
             if nb.is_base and not nb.flag1 and nb.message != NETWORK_FINE:
                 nb.message = NETWORK_FINE
-                self._tline(f"base: {NETWORK_FINE!r}")
+                self.trace.records.append(BaseListening(tick))
 
     # ----------------------------------------------------- alarm forwarding
 
@@ -630,7 +672,6 @@ class Simulation:
         if (not rec.closed and outcome != "holder died"
                 and len(rec.hops) >= self.attempt_cap):
             self._close_incident(rec, "hop_cap")  # the holder's last attempt is spent
-            self._tline(f"incident {rec.incident_id} undelivered (hop cap)")
 
     def _hand_on(self, node: NodeState, rec: IncidentRecord,
                  acks: list[Packet]) -> tuple[int | None, str]:
@@ -724,25 +765,23 @@ class Simulation:
         """
         epoch = self.active_flood
         depth = self.tick - epoch.base_receipt_tick
-        targets = [n.node_id for n in self._sensors
-                   if n.flag1 and self._base_depth.get(n.node_id) == depth]
+        targets = tuple(n.node_id for n in self._sensors
+                        if n.flag1 and self._base_depth.get(n.node_id) == depth)
         for nid in targets:
             self._close_held(nid, "base_reset")
             reset_node(self.nodes[nid])
-        self._tline(f"reset-wave depth={depth} reset={fmt_ids(targets)}")
 
+        leftovers = None  # until the wave's last hop
         if depth >= self._base_ecc:
-            leftovers = [n.node_id for n in self._sensors if n.flag2]
+            leftovers = tuple(n.node_id for n in self._sensors if n.flag2)
             for nid in leftovers:
                 reset_node(self.nodes[nid])
-            if leftovers:
-                self._tline(f"reset-wave cleanup reset={fmt_ids(leftovers)}")
             base = self.nodes[self.base_id]
             base.flag1 = base.flag2 = False
             epoch.completed_tick = self.tick
             self.active_flood = None
-            self._tline("reset-wave complete")
             log.debug("t=%d reset wave complete", self.tick)
+        self.trace.records.append(ResetStep(self.tick, depth, targets, leftovers))
 
     # ------------------------------------------------------------ isolation
 

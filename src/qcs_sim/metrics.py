@@ -43,13 +43,12 @@ def write_ledger_csv(path: str | Path, ledger: EnergyLedger) -> None:
     ))
 
 
-def energy_diff_rows(label: str, initial_energy: dict[int, float],
-                     ledger: EnergyLedger) -> list[tuple[str, int, int]]:
+def energy_diff_rows(label: str, trace: Trace) -> list[tuple[str, int, int]]:
     """Per-sensor consumption over a full pass, initial minus final, in
     ascending id order."""
     return [
-        (label, nid, int(initial_energy[nid] - n.energy))
-        for nid, n in ledger.nodes.items() if not n.is_base
+        (label, nid, int(trace.initial_energy[nid] - n.energy))
+        for nid, n in trace.nodes.items() if not n.is_base
     ]
 
 
@@ -115,7 +114,7 @@ def render_incident(rec: IncidentRecord) -> str:
     )
 
 
-def render_summary(title: str, trace: Trace, ledger: EnergyLedger) -> str:
+def render_summary(title: str, trace: Trace) -> str:
     """Human-readable run summary including the base station record."""
     lines = [title, "=" * len(title), ""]
     lines.append("base station")
@@ -123,11 +122,8 @@ def render_summary(title: str, trace: Trace, ledger: EnergyLedger) -> str:
     lines.append("")
 
     lines.append("base inbox")
-    if trace.base_inbox:
-        for tick, msg in trace.base_inbox:
-            lines.append(f"  t={tick} '{msg}'")
-    else:
-        lines.append("  (empty)")
+    inbox = [f"  t={tick} '{msg}'" for tick, msg in trace.base_inbox]
+    lines.extend(inbox or ["  (empty)"])
     lines.append("")
 
     lines.append("incidents")
@@ -158,7 +154,7 @@ def render_summary(title: str, trace: Trace, ledger: EnergyLedger) -> str:
 
     # initial minus final is each sensor's summed debits, so the units
     # total needs no walk over the ledger's rows
-    per_node = energy_diff_rows("", trace.initial_energy, ledger)
+    per_node = energy_diff_rows("", trace)
     lines.append("energy")
     lines.append(f"  total units consumed: {sum(units for _, _, units in per_node)}")
     mj = total_radio_millijoules(trace.packet_events)
@@ -167,11 +163,7 @@ def render_summary(title: str, trace: Trace, ledger: EnergyLedger) -> str:
     lines.append(f"  consumed per node: {consumed}")
     lines.append("")
 
-    if trace.deaths:
-        lines.append(
-            "deaths: " + " ".join(f"{nid}@t{t}" for t, nid in trace.deaths)
-        )
-    else:
-        lines.append("deaths: none")
+    deaths = " ".join(f"{nid}@t{t}" for t, nid in trace.deaths)
+    lines.append(f"deaths: {deaths or 'none'}")
     lines.append("")
     return "\n".join(lines)

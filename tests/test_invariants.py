@@ -6,7 +6,9 @@ die mid-run.  Every run must keep the ledger and the trace consistent:
 initial minus final balance equals the summed debits, no balance goes
 below zero, each node that empties dies exactly once, and every closed
 incident says why it closed.  Its trace text must also agree with its
-record of transmissions, deaths and base receipts.  Pocket runs add a
+record of transmissions, deaths, base receipts, hop rounds, sense
+events, reset-wave hops and the base's returns to listening, and the
+record holds no text, on these runs or the golden runs.  Pocket runs add a
 short chain of nodes the base cannot reach, with an alarm in it, and no
 incident may run more rounds than its attempt cap.  No dead sensor may
 act, on these runs or the golden runs, and no node that the hop query's
@@ -28,7 +30,9 @@ from collections import Counter
 import pytest
 
 from qcs_sim import CostModel, Simulation, Topology, default16_scenario_text, engine, node
-from qcs_sim.engine import BaseReceipt, Death, HopAttempt
+from qcs_sim.engine import (
+    BaseListening, BaseReceipt, Death, HopAttempt, PacketEvent, ResetStep, Sense,
+)
 from qcs_sim.metrics import render_summary
 from qcs_sim.packet import PacketKind, decode, encode
 from qcs_sim.scenario import SenseEvent
@@ -251,6 +255,78 @@ def _hop_rounds(sim: Simulation) -> list[tuple]:
     return out
 
 
+_STATE_LINE = re.compile(
+    r"t= *(?P<tick>\d+) (?:sense node=(?P<node>\d+) reading=(?P<reading>\S+)"
+    r" (?:ignored \(dead\)|-> flags=\(1,(?P<flag2>[01])\) mode=S)"
+    r"|reset-wave depth=(?P<depth>\d+) reset=\[(?P<reset>[\d,]*)\]"
+    r"|reset-wave cleanup reset=\[(?P<cleanup>[\d,]*)\]"
+    r"|(?P<complete>reset-wave complete)"
+    r"|(?P<listening>base: 'Network is fine')"
+    r"|incident (?P<capped>\d+) undelivered \(hop cap\))")
+
+
+def _ids(text: str) -> tuple[int, ...]:
+    return tuple(int(n) for n in text.split(",") if n)
+
+
+def _state_lines(text: str) -> list:
+    """The record each sense, reset-wave, base-listening and hop-cap line
+    of trace text stands for, in order: a Sense, a ResetStep, whose
+    leftovers a later cleanup line and complete line of its tick fill
+    in, a BaseListening, or ("hop cap", tick, incident)."""
+    out = []
+    cleanup = ()
+    for line in text.splitlines():
+        m = _STATE_LINE.fullmatch(line)
+        if not m:
+            continue
+        g = m.groupdict()
+        tick = int(g["tick"])
+        if g["node"]:
+            flag2 = None if g["flag2"] is None else g["flag2"] == "1"
+            out.append(Sense(tick, int(g["node"]), float(g["reading"]), flag2))
+        elif g["depth"]:
+            out.append(ResetStep(tick, int(g["depth"]), _ids(g["reset"]), None))
+        elif g["listening"]:
+            out.append(BaseListening(tick))
+        elif g["capped"]:
+            out.append(("hop cap", tick, int(g["capped"])))
+        else:  # a cleanup or complete line closes the step just printed
+            assert type(out[-1]) is ResetStep and out[-1].tick == tick, line
+            if g["complete"]:
+                out[-1] = out[-1]._replace(leftovers=cleanup)
+                cleanup = ()
+            else:
+                cleanup = _ids(g["cleanup"])
+    return out
+
+
+def _state_records(sim: Simulation) -> list:
+    """_state_lines's item for every Sense, ResetStep and BaseListening in
+    the record and for the last round of each incident closed hop_cap,
+    in order."""
+    out = []
+    for r in sim.trace.records:
+        if type(r) in (Sense, ResetStep, BaseListening):
+            out.append(r)
+        elif type(r) is HopAttempt:
+            rec = sim.trace.incidents[r.incident - 1]
+            if rec.close_reason == "hop_cap" and r is rec.hops[-1]:
+                out.append(("hop cap", r.tick, r.incident))
+    return out
+
+
+def _variant(item) -> str | None:
+    """Which kind of state line an item of _state_records prints."""
+    if type(item) is Sense:
+        return "raised sense" if item.flag2 is not None else "dead sense"
+    if type(item) is ResetStep:
+        if item.leftovers is not None:
+            return "wave with leftovers" if item.leftovers else "wave without leftovers"
+        return None
+    return "base listening" if type(item) is BaseListening else "hop cap"
+
+
 def test_trace_text_agrees_with_the_record():
     """Each query, flood and isolation alert line stands for one recorded
     transmission, in the same order, with the same tick, sender, hop
@@ -261,10 +337,14 @@ def test_trace_text_agrees_with_the_record():
     HopAttempt, the very object its incident keeps, in the same order,
     with the same tick, holder, replies, chosen node and outcome; each
     delivered incident matches one alarm receipt at the base, and each
-    alarm receipt one delivered incident."""
+    alarm receipt one delivered incident.  Each sense, reset-wave and
+    base-listening line stands for one Sense, ResetStep or
+    BaseListening, and each hop-cap line for the last round of an
+    incident closed hop_cap, in the same order, with the same fields."""
     notes = Counter()
     facts = Counter()
     outcomes = Counter()
+    variants = Counter()
     for sim in _random_runs():
         record = sim.trace.packet_events
         events = [(ev.tick, ev.note, ev.src, ev.hop, ev.receivers) for ev in record]
@@ -294,6 +374,10 @@ def test_trace_text_agrees_with_the_record():
             if ev.note == "ack":
                 assert prev.note in ("hop_query", "ack") and prev.tick == ev.tick
                 assert (prev.src if prev.note == "hop_query" else prev.dst) == ev.dst
+
+        states = _state_records(sim)
+        assert _state_lines(text) == states
+        variants.update(map(_variant, states))
     # the runs print every kind of packet line, and send hop-plane packets
     assert all(notes[n] for n in ("regular", "flood", "alert", "hop_query", "ack"))
     # ...and every kind of death and base-receipt line
@@ -301,6 +385,36 @@ def test_trace_text_agrees_with_the_record():
     # ...and every hop outcome
     assert set(outcomes) == {"holder died", "no eligible replier", "lost",
                              "confirmation lost", "confirmed"}
+    # ...and every kind of sense, reset-wave, base-listening and hop-cap line
+    assert all(variants[v] for v in (
+        "raised sense", "dead sense", "wave with leftovers", "wave without leftovers",
+        "base listening", "hop cap"))
+
+
+def test_records_hold_no_text(tmp_path, monkeypatch):
+    """Every item in Trace.records, on the random runs and the golden
+    runs, is one of the record types, so Trace.render is the one writer
+    of trace text."""
+    run = engine.Simulation.run
+    traces = []
+
+    def kept(sim):
+        traces.append(run(sim))
+        return traces[-1]
+
+    monkeypatch.setattr(engine.Simulation, "run", kept)
+    for _ in _random_runs():
+        pass
+    run16 = default16_scenario_text(seed=7, horizon=20,
+                                    events=((2, 10, 70), (5, 4, 95)))
+    assert _reports(tmp_path / "run16", _write(tmp_path, run16)) == GOLDEN_RUN16
+    assert _reports(tmp_path / "sweep", REPO / "scenarios" / "default16.scn",
+                    "--sweep", "13,12,15,2,14,8,9") == GOLDEN_SWEEP16
+    grid = _write(tmp_path, _grid225_text())
+    assert _reports(tmp_path / "grid", grid) == GOLDEN_GRID225
+    assert len(traces) == RUNS + 1 + 7 + 1
+    kinds = (PacketEvent, Death, BaseReceipt, HopAttempt, Sense, ResetStep, BaseListening)
+    assert {type(r) for t in traces for r in t.records} == set(kinds)
 
 
 def test_isolation_verdict_matches_the_stateful_rule(tmp_path, isolation_oracle):
@@ -336,7 +450,7 @@ def test_golden_runs_build_only_wire_exact_packets(tmp_path, wire_built):
 
 def test_summary_units_total_is_the_summed_debits():
     for sim in _random_runs():
-        text = render_summary("run", sim.trace, sim.ledger)
+        text = render_summary("run", sim.trace)
         total = sum(e.debit for e in sim.ledger.entries)
         assert f"\n  total units consumed: {total}\n" in text
 

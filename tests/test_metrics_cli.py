@@ -72,7 +72,7 @@ def test_ledger_csv_bytes_with_float_balances(tmp_path):
 
 def test_energy_diff_rows_match_ledger(tmp_path):
     sim, tr = run16(seed=7, horizon=12)
-    rows = energy_diff_rows("run", tr.initial_energy, sim.ledger)
+    rows = energy_diff_rows("run", tr)
     assert [nid for _, nid, _ in rows] == sim.topology.sensor_ids()
     for label, nid, consumed in rows:
         assert label == "run"
@@ -122,7 +122,7 @@ def test_base_record_rendering():
 
 def test_summary_mentions_key_facts():
     sim, tr = run16(seed=7, horizon=20, events=((2, 10, 70.0),))
-    text = render_summary("demo run", tr, sim.ledger)
+    text = render_summary("demo run", tr)
     assert "demo run" in text
     assert "BASE STATION" in text
     assert "Affected NODE is ->NODE10" in text

@@ -122,29 +122,32 @@ _BUILDERS = {
 }
 
 
+def _scoped_nodes(node: ast.AST, cls: str = "", fn: str = ""):
+    """Every node below node, with the names of its enclosing class and
+    function ("" where there is none)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            scope = child.name, fn
+        elif isinstance(child, ast.FunctionDef):
+            scope = cls, child.name
+        else:
+            scope = cls, fn
+        yield (child, *scope)
+        yield from _scoped_nodes(child, *scope)
+
+
 def _record_builds(tree: ast.Module) -> list[tuple[str, str, str]]:
     """(record class, enclosing class, enclosing function) of every call
     that builds a record class by name: ``C(...)``, ``C._make(...)`` or
     ``tuple.__new__(C, ...)`` under any alias."""
     found = []
-
-    def visit(node, cls, fn):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, child.name, fn)
-                continue
-            if isinstance(child, ast.FunctionDef):
-                visit(child, cls, child.name)
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                named = [func.value if isinstance(func, ast.Attribute) else func]
-                named += child.args[:1]
-                found.extend((n.id, cls, fn) for n in named
-                             if isinstance(n, ast.Name) and n.id in _BUILDERS)
-            visit(child, cls, fn)
-
-    visit(tree, "", "")
+    for node, cls, fn in _scoped_nodes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            named = [func.value if isinstance(func, ast.Attribute) else func]
+            named += node.args[:1]
+            found.extend((n.id, cls, fn) for n in named
+                         if isinstance(n, ast.Name) and n.id in _BUILDERS)
     return found
 
 
@@ -156,3 +159,39 @@ def test_ledger_rows_and_packet_events_are_built_in_one_place_each():
         for name, cls, fn in _record_builds(ast.parse(path.read_text(encoding="utf-8"))):
             builders[name].add((cls, fn))
     assert builders == _BUILDERS
+
+
+#: how a line of trace text starts; a generator key such as "init:7"
+#: has no space after its colon
+_TRACE_LINE_STARTS = ("t=", "init: ", "end: ")
+
+
+def _trace_text_sites(tree: ast.Module) -> set[tuple[str, str]]:
+    """(enclosing class, enclosing function) of every string literal or
+    f-string that starts like a line of trace text, leaving out the
+    format of a ``log.*(...)`` call, which goes to the log."""
+    logged = {
+        id(node.args[0]) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "log"
+    }
+    sites = set()
+    for node, cls, fn in _scoped_nodes(tree):
+        if id(node) in logged:
+            continue
+        head = node.values[0] if isinstance(node, ast.JoinedStr) and node.values else node
+        if (isinstance(head, ast.Constant) and isinstance(head.value, str)
+                and head.value.startswith(_TRACE_LINE_STARTS)):
+            sites.add((cls, fn))
+    return sites
+
+
+def test_trace_text_is_written_in_one_place():
+    """Every string that starts a line of trace text sits in Trace.render
+    or in a module-level line table of engine.py: the simulation records
+    typed facts and no other code formats them."""
+    places = set()
+    for path in sorted(SRC.glob("*.py")):
+        places |= {(path.name, *site)
+                   for site in _trace_text_sites(ast.parse(path.read_text(encoding="utf-8")))}
+    assert places - {("engine.py", "", "")} == {("engine.py", "Trace", "render")}
