@@ -12,6 +12,10 @@ Sending and receiving the same packet cost the same amount.  The base
 station has an infinite supply and is never charged: the engine's
 broadcast routine skips it, and ``EnergyLedger.debit`` leaves an
 infinite balance untouched and writes no row for it.
+
+The ledger stores its rows as flat cells, five values per row in column
+order, so a run keeps no row object per send or receive; ``entries``
+reads them back as ``LedgerEntry`` rows.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .packet import ENERGY_INF_WIRE, QUERY_ACK_SIZE, SOURCE_SIZE
@@ -119,7 +124,7 @@ class CostModel:
 
 
 class LedgerEntry(NamedTuple):
-    """One debit row; a tuple, as a run records one per send and receive."""
+    """One debit row, as ``EnergyLedger.entries`` reads it from the cells."""
 
     tick: int
     node_id: int
@@ -128,6 +133,10 @@ class LedgerEntry(NamedTuple):
     balance: float
 
 
+#: values per row in EnergyLedger.cells, one per LedgerEntry field
+ROW_CELLS = len(LedgerEntry._fields)
+
+# builds a LedgerEntry from its values without the Python-level __new__ frame
 _new_row = tuple.__new__
 
 
@@ -137,13 +146,32 @@ class EnergyLedger:
 
     A node's balance is its ``NodeState.energy``; the ledger writes it
     when a debit moves energy and reads it back through ``balance``.
-    ``Simulation._broadcast`` bills every broadcast without calling
-    ``debit`` and appends the rows ``debit`` would; ``debit`` bills the
-    hop plane's point-to-point packets.
+    ``cells`` holds the rows flat, five values per row in column order:
+    tick, node_id, cause, debit, balance.  ``debit`` bills the hop
+    plane's point-to-point packets; ``Simulation._broadcast`` bills every
+    broadcast without calling it and extends ``cells`` with the rows
+    ``debit`` would write.
     """
 
     nodes: dict[int, NodeState]
-    entries: list[LedgerEntry] = field(default_factory=list)
+    cells: list[int | str | float] = field(default_factory=list)
+    _rows: list[LedgerEntry] = field(default_factory=list, init=False, repr=False,
+                                     compare=False)
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        """Every row as a LedgerEntry, in the order it was written.
+
+        A view to read, not to change: the list is kept and grown from
+        the rows it already holds, so a caller that reads it after every
+        debit costs one LedgerEntry per row, not one per row per read.
+        """
+        rows = self._rows
+        done = ROW_CELLS * len(rows)
+        if done < len(self.cells):
+            it = iter(self.cells[done:])
+            rows.extend(map(_new_row, repeat(LedgerEntry), zip(*[it] * ROW_CELLS)))
+        return rows
 
     def balance(self, node_id: int) -> float:
         return self.nodes[node_id].energy
@@ -164,9 +192,8 @@ class EnergyLedger:
             return 0
         bal -= taken
         node.energy = bal
-        # what LedgerEntry(...) does, without its Python-level __new__ frame
-        self.entries.append(_new_row(LedgerEntry, (tick, node.node_id, cause, taken, bal)))
+        self.cells.extend((tick, node.node_id, cause, taken, bal))
         return taken
 
     def total_consumed(self) -> int:
-        return sum(e.debit for e in self.entries)
+        return sum(self.cells[3::ROW_CELLS])

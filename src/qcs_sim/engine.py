@@ -35,8 +35,9 @@ its own liveness is checked.
 Every debit names a ledger cause and costs that cause's entry in
 ``energy.PRICES``, which also spells out how one forwarding hop
 comes to 6 + (acks heard) units for its holder.  ``_broadcast`` writes
-its rows as ``EnergyLedger.debit`` writes one, with the same clamp, and
-leaves the base's infinite balance untouched.  The hop plane's
+its rows as ``EnergyLedger.debit`` writes one, with the same clamp:
+five values appended to the ledger's flat ``cells``, no object per row.
+It leaves the base's infinite balance untouched.  The hop plane's
 point-to-point packets (ack, source, confirmation) go through
 ``EnergyLedger.debit``, which leaves that balance untouched too, so no
 caller tests for the base before a debit.
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .energy import (
-    ISOLATION_MULTIPLIER, PRICES, EnergyLedger, LedgerEntry, draw_initial_energy,
+    ISOLATION_MULTIPLIER, PRICES, EnergyLedger, draw_initial_energy,
 )
 from .node import (
     MODE_C,
@@ -449,7 +450,7 @@ class Simulation:
         """
         kind, flag1, flag2, send, recv = _BROADCASTS[note]
         tick = self.tick
-        rows = self.ledger.entries
+        cells = self.ledger.cells
         nid = sender.node_id
         # a live sender and a positive price, so the clamped debit moves
         # energy; the rows are those EnergyLedger.debit would write
@@ -458,7 +459,7 @@ class Simulation:
         taken = bal if bal < price else price
         bal -= taken
         sender.energy = bal
-        rows.append(_new_tuple(LedgerEntry, (tick, nid, send, taken, bal)))
+        cells.extend((tick, nid, send, taken, bal))
         if bal <= 0:
             self._died(sender, send)
         price = PRICES[recv]
@@ -477,7 +478,7 @@ class Simulation:
                 taken = bal if bal < price else price
                 bal -= taken
                 nb.energy = bal
-                rows.append(_new_tuple(LedgerEntry, (tick, j, recv, taken, bal)))
+                cells.extend((tick, j, recv, taken, bal))
                 if bal <= 0:
                     self._died(nb, recv)
             yield nb

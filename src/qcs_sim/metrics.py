@@ -4,15 +4,16 @@ All outputs are deterministic byte for byte: fixed column order, LF
 line endings, and number formatting that never depends on locale.
 
 The CSVs are written as plain comma-joined rows, streamed one row at a
-time: no field can need quoting, since causes, labels and numbers never
-hold a comma, a quote or a newline.
+time, or for ``ledger.csv`` one chunk of rows per format call: no field
+can need quoting, since causes, labels and numbers never hold a comma,
+a quote or a newline.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .energy import EnergyLedger, joules
+from .energy import ROW_CELLS, EnergyLedger, joules
 from .engine import IncidentRecord, PacketEvent, Trace
 from .node import NodeState
 from .numtext import fmt_ids, fmt_num
@@ -34,13 +35,32 @@ def write_trace(path: str | Path, trace: Trace) -> None:
     write_text(path, trace.render())
 
 
+#: ledger rows formatted by one % call; a bound on the writer's transient
+#: memory, which one call over every row would double
+_LEDGER_CHUNK = 2048
+_LEDGER_ROW = "%s,%s,%s,%s,%s\n"
+
+
+def _ledger_chunks(cells: list):
+    """The ledger's rows as text, one string per chunk of rows.
+
+    A debit or balance column that holds anything but ints (only the
+    public EnergyLedger API can put a float there) is formatted through
+    fmt_num first, so every chunk takes the same % path.  Ints sum to an
+    int and a float does not, so one sum per column tells.
+    """
+    step = ROW_CELLS * _LEDGER_CHUNK
+    for start in range(0, len(cells), step):
+        chunk = cells[start:start + step]
+        for col in (3, 4):  # debit, balance
+            if type(sum(chunk[col::ROW_CELLS])) is not int:
+                chunk[col::ROW_CELLS] = [fmt_num(v, "Inf") for v in chunk[col::ROW_CELLS]]
+        yield _LEDGER_ROW * (len(chunk) // ROW_CELLS) % tuple(chunk)
+
+
 def write_ledger_csv(path: str | Path, ledger: EnergyLedger) -> None:
     """One row per debit: tick, node_id, cause, debit, balance."""
-    _write_csv(path, "tick,node_id,cause,debit,balance", (
-        f"{tick},{nid},{cause},{debit},"
-        f"{bal if type(bal) is int else fmt_num(bal, 'Inf')}\n"
-        for tick, nid, cause, debit, bal in ledger.entries
-    ))
+    _write_csv(path, "tick,node_id,cause,debit,balance", _ledger_chunks(ledger.cells))
 
 
 def energy_diff_rows(label: str, trace: Trace) -> list[tuple[str, int, int]]:

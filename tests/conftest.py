@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from qcs_sim import CostModel, Scenario, Topology
+from qcs_sim.numtext import fmt_num
 from qcs_sim.scenario import SenseEvent
 
 GRID = 16  # integer coordinates stay exactly representable on the wire
@@ -141,6 +142,16 @@ class Samples:
 
     modes: list[dict[int, str]]                 # every node's mode, per tick
     flooded: list[tuple[int, frozenset[int]]]   # (tick, flooded sensors)
+
+
+def ledger_csv_reference(ledger) -> bytes:
+    """ledger.csv as one formatted line per LedgerEntry of the ledger's
+    entries view, each number through fmt_num."""
+    lines = ["tick,node_id,cause,debit,balance"]
+    for e in ledger.entries:
+        lines.append(",".join((str(e.tick), str(e.node_id), e.cause,
+                               fmt_num(e.debit, "Inf"), fmt_num(e.balance, "Inf"))))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def run_sampled(sim):

@@ -3,7 +3,8 @@
 The other suites compare runs with each other; these compare each run
 with recorded bytes, so a refactor that shifts any report by one byte
 fails here.  A change that alters output on purpose re-pins the digests
-and says why.
+and says why.  Each ledger.csv these runs write must also equal one
+formatted line per row of the ledger's entries view.
 """
 
 from __future__ import annotations
@@ -11,7 +12,11 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from qcs_sim import cli, default16_scenario_text
+import pytest
+
+from qcs_sim import cli, default16_scenario_text, metrics
+
+from conftest import ledger_csv_reference
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -44,6 +49,22 @@ GOLDEN_GRID225 = {
     "summary.txt": "4aa346490e1533cf09aa7b6e60f2ced3a82475656350ee9d22520b216358c23d",
     "trace.txt": "9f837c679d5f6e8cb5bf32dba85ad32684f2b73e7c48b52c508dfe547f6f67b6",
 }
+
+
+@pytest.fixture
+def ledger_csv_checked(monkeypatch):
+    """Every ledger.csv written must equal a per-row formatting of its
+    ledger; the list counts the files checked."""
+    write = metrics.write_ledger_csv
+    checked = []
+
+    def checked_write(path, ledger):
+        write(path, ledger)
+        assert Path(path).read_bytes() == ledger_csv_reference(ledger), path
+        checked.append(path)
+
+    monkeypatch.setattr(metrics, "write_ledger_csv", checked_write)
+    return checked
 
 
 def _grid225_text() -> str:
@@ -79,17 +100,20 @@ def _write(tmp_path: Path, text: str) -> Path:
     return path
 
 
-def test_golden_default16_run(tmp_path, capsys):
+def test_golden_default16_run(tmp_path, capsys, ledger_csv_checked):
     text = default16_scenario_text(seed=7, horizon=20,
                                    events=((2, 10, 70), (5, 4, 95)))
     assert _reports(tmp_path, _write(tmp_path, text)) == GOLDEN_RUN16
+    assert len(ledger_csv_checked) == 1
 
 
-def test_golden_paper_sweep(tmp_path, capsys):
+def test_golden_paper_sweep(tmp_path, capsys, ledger_csv_checked):
     got = _reports(tmp_path, REPO / "scenarios" / "default16.scn",
                    "--sweep", "13,12,15,2,14,8,9")
     assert got == GOLDEN_SWEEP16
+    assert len(ledger_csv_checked) == 7
 
 
-def test_golden_grid225_lifetime(tmp_path, capsys):
+def test_golden_grid225_lifetime(tmp_path, capsys, ledger_csv_checked):
     assert _reports(tmp_path, _write(tmp_path, _grid225_text())) == GOLDEN_GRID225
+    assert len(ledger_csv_checked) == 1

@@ -8,11 +8,13 @@ below zero, each node that empties dies exactly once, and every closed
 incident says why it closed.  Its trace text must also agree with its
 record of transmissions, deaths, base receipts, hop rounds, sense
 events, reset-wave hops and the base's returns to listening, and the
-record holds no text, on these runs or the golden runs.  Pocket runs add a
-short chain of nodes the base cannot reach, with an alarm in it, and no
-incident may run more rounds than its attempt cap.  No dead sensor may
-act, on these runs or the golden runs, and no node that the hop query's
-price empties may answer it.
+record holds no text, on these runs or the golden runs.  The ledger's
+entries view reads the same rows mid-run as at the end, and ledger.csv
+equals a per-row formatting of them.  Pocket runs add a short chain of
+nodes the base cannot reach, with an alarm in it, and no incident may
+run more rounds than its attempt cap.  No dead sensor may act, on these
+runs or the golden runs, and no node that the hop query's price empties
+may answer it.
 
 Every packet the engine builds in this module, the golden runs' too,
 must come back from the wire codec unchanged.
@@ -29,7 +31,8 @@ from collections import Counter
 
 import pytest
 
-from qcs_sim import CostModel, Simulation, Topology, default16_scenario_text, engine, node
+from qcs_sim import CostModel, Simulation, Topology, default16_scenario_text, engine, metrics, node
+from qcs_sim.energy import ROW_CELLS, EnergyLedger, LedgerEntry
 from qcs_sim.engine import (
     BaseListening, BaseReceipt, Death, HopAttempt, PacketEvent, ResetStep, Sense,
 )
@@ -37,7 +40,7 @@ from qcs_sim.metrics import render_summary
 from qcs_sim.packet import PacketKind, decode, encode
 from qcs_sim.scenario import SenseEvent
 
-from conftest import GRID, make_scenario, random_connected_topology
+from conftest import GRID, ledger_csv_reference, make_scenario, random_connected_topology
 from test_golden import (
     GOLDEN_GRID225, GOLDEN_RUN16, GOLDEN_SWEEP16, REPO, _grid225_text, _reports, _write,
 )
@@ -446,6 +449,43 @@ def test_golden_runs_build_only_wire_exact_packets(tmp_path, wire_built):
     grid = _write(tmp_path, _grid225_text())
     assert _reports(tmp_path / "grid", grid) == GOLDEN_GRID225
     assert set(wire_built) == set(PacketKind)
+
+
+def test_ledger_csv_matches_a_per_row_formatting(tmp_path):
+    """The chunked ledger writer's bytes equal one formatted line per
+    LedgerEntry on the random runs; test_golden checks the golden runs
+    and the sweep the same way."""
+    for i, sim in enumerate(_random_runs()):
+        path = tmp_path / f"random{i}.csv"
+        metrics.write_ledger_csv(path, sim.ledger)
+        assert path.read_bytes() == ledger_csv_reference(sim.ledger), i
+
+
+def test_entries_read_mid_run_equal_one_read_at_the_end(monkeypatch):
+    """Reading the entries view after every step gives the rows that one
+    read of the same cells at the end gives: each a LedgerEntry, five
+    cells to a row, their debits summing to total_consumed()."""
+    step = engine.Simulation.step
+    reads: dict[Simulation, list] = {}
+
+    def read_after(sim):
+        step(sim)
+        rows = sim.ledger.entries
+        reads.setdefault(sim, []).append((len(rows), rows[-1:]))
+
+    monkeypatch.setattr(engine.Simulation, "step", read_after)
+    for _ in _random_runs():
+        pass
+    assert len(reads) == RUNS
+    for sim, seen in reads.items():
+        ledger = sim.ledger
+        once = EnergyLedger(sim.nodes, list(ledger.cells)).entries
+        assert ledger.entries == once
+        assert all(type(e) is LedgerEntry for e in once)
+        assert len(ledger.cells) == ROW_CELLS * len(once)
+        assert ledger.total_consumed() == sum(e.debit for e in once)
+        assert [n for n, _ in seen] == sorted(n for n, _ in seen)
+        assert all(once[max(n - 1, 0):n] == last for n, last in seen)
 
 
 def test_summary_units_total_is_the_summed_debits():

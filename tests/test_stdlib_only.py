@@ -113,11 +113,11 @@ def test_every_public_name_has_a_caller_besides_its_tests():
 
 
 #: the one place each record class is built, by (class, function): a
-#: broadcast's rows and event in Simulation._broadcast, a point-to-point
-#: debit's row in EnergyLedger.debit, and a point packet's event in
-#: Simulation._event
+#: ledger row in the EnergyLedger.entries view of the ledger's cells, a
+#: broadcast's event in Simulation._broadcast and a point packet's event
+#: in Simulation._event
 _BUILDERS = {
-    "LedgerEntry": {("EnergyLedger", "debit"), ("Simulation", "_broadcast")},
+    "LedgerEntry": {("EnergyLedger", "entries")},
     "PacketEvent": {("Simulation", "_broadcast"), ("Simulation", "_event")},
 }
 
@@ -159,6 +159,64 @@ def test_ledger_rows_and_packet_events_are_built_in_one_place_each():
         for name, cls, fn in _record_builds(ast.parse(path.read_text(encoding="utf-8"))):
             builders[name].add((cls, fn))
     assert builders == _BUILDERS
+
+
+#: the list methods that change a list in place
+_LIST_WRITES = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def _cells_writes(tree: ast.Module) -> list[tuple[str, str, ast.AST]]:
+    """(enclosing class, enclosing function, node) of every write to a
+    ledger's cells, reached as ``X.cells`` or through a name bound to it
+    in the same function: a list method looked up on them, or an
+    assignment, augmented assignment or del that targets them or one of
+    their items."""
+    scoped = list(_scoped_nodes(tree))
+    aliases = {(cls, fn, t.id) for node, cls, fn in scoped if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "cells"
+               for t in node.targets if isinstance(t, ast.Name)}
+
+    def is_cells(node, cls, fn):
+        return ((isinstance(node, ast.Attribute) and node.attr == "cells")
+                or (isinstance(node, ast.Name) and (cls, fn, node.id) in aliases))
+
+    writes = []
+    for node, cls, fn in scoped:
+        if isinstance(node, ast.Attribute) and node.attr in _LIST_WRITES:
+            targets = [node.value]
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif isinstance(node, (ast.Assign, ast.Delete)):
+            targets = [t for t in node.targets if not isinstance(t, ast.Name)]
+        else:
+            continue
+        targets = [t.value if isinstance(t, ast.Subscript) else t for t in targets]
+        if any(is_cells(t, cls, fn) for t in targets):
+            writes.append((cls, fn, node))
+    return writes
+
+
+def test_ledger_cells_have_one_row_layout():
+    """Only EnergyLedger.debit and Simulation._broadcast write a ledger's
+    cells, each by extending them with one row: a tuple of one value per
+    LedgerEntry field, in column order."""
+    from qcs_sim.energy import LedgerEntry
+
+    sites, rows = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {id(child): node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for cls, fn, node in _cells_writes(tree):
+            sites.add((cls, fn))
+            call = parents.get(id(node))
+            assert (isinstance(node, ast.Attribute) and node.attr == "extend"
+                    and isinstance(call, ast.Call) and call.func is node
+                    and len(call.args) == 1 and isinstance(call.args[0], ast.Tuple)), (
+                path.name, cls, fn, ast.unparse(node))
+            rows.append(len(call.args[0].elts))
+    assert sites == {("EnergyLedger", "debit"), ("Simulation", "_broadcast")}
+    assert rows == [len(LedgerEntry._fields)] * len(rows) and len(rows) >= 3
 
 
 #: how a line of trace text starts; a generator key such as "init:7"
