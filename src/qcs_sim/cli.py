@@ -196,9 +196,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot create output directory {out}: "
               f"{err.strerror or err}", file=sys.stderr)
         return 1
-    if ids is not None:
-        return _cmd_sweep(sc, ids, out)
-    return _cmd_run(sc, out)
+    try:
+        if ids is not None:
+            return _cmd_sweep(sc, ids, out)
+        return _cmd_run(sc, out)
+    except OSError as err:  # a report file that cannot be written
+        print(f"error: cannot write {err.filename or out}: "
+              f"{err.strerror or err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -295,6 +295,17 @@ class Trace:
         return [(r.tick, r.text) for r in self.records if type(r) is BaseReceipt]
 
     def render(self) -> str:
+        """The text of ``trace.txt``: three ``init:`` lines, then the
+        ``t=NNN`` lines of the records in order (query, flood and
+        isolation-alert broadcasts, deaths, base receipts, hop rounds,
+        senses, reset-wave steps, the base's return to listening; the
+        hop plane's transmissions print none), then ``end: balances``.
+
+        The ``t=NNN`` head is formatted once per tick.  A broadcast
+        line's text after it is formatted once per (note, src, hop,
+        receivers) and reused within this call, since a sender with the
+        same audience repeats it tick after tick.
+        """
         sc = self.scenario
         topo = sc.topology
         w, h = topo.field_size
@@ -309,15 +320,23 @@ class Trace:
             + " ".join(f"{n}={fmt_num(e)}" for n, e in self.initial_energy.items()),
         ]
         rounds = [0] * len(self.incidents)  # each incident's rounds so far
+        tails: dict[tuple[str, int, int, tuple[int, ...]], str] = {}
+        tick = None
         for r in self.records:
+            if r.tick != tick:  # records come in tick order: once per tick
+                tick = r.tick
+                head = f"t={tick:>3} "
             # most records are transmissions, and most of those print nothing
             if type(r) is PacketEvent:
                 if r.note in _LINE_LABEL:
-                    hop = f" hop={r.hop}" if r.note == "flood" else ""
-                    lines.append(f"t={r.tick:>3} {_LINE_LABEL[r.note]} src={r.src}{hop}"
-                                 f" recv={fmt_ids(r.receivers)}")
+                    key = (r.note, r.src, r.hop, r.receivers)
+                    tail = tails.get(key)
+                    if tail is None:
+                        hop = f" hop={r.hop}" if r.note == "flood" else ""
+                        tail = tails[key] = (f"{_LINE_LABEL[r.note]} src={r.src}{hop}"
+                                             f" recv={fmt_ids(r.receivers)}")
+                    lines.append(head + tail)
                 continue
-            head = f"t={r.tick:>3} "
             if type(r) is Death:
                 lines.append(f"{head}node {r.node} died ({r.cause})")
             elif type(r) is BaseReceipt:

@@ -155,9 +155,17 @@ def decode(data: bytes) -> Packet:
         raise PacketError(f"{kind.name} packet must be {expected} bytes, got {len(data)}")
     src = data[1]
     hop = data[2]
+    if data[3]:
+        raise PacketError(f"reserved header byte 3 is not zero ({data[3]:#04x})")
     x16, y16, e32 = struct.unpack(">HHI", data[4:12])
     energy = math.inf if e32 == ENERGY_INF_WIRE else e32
-    message = data[12:].rstrip(b"\x00").decode("utf-8")
+    msg = data[12:].rstrip(b"\x00")
+    if b"\x00" in msg:
+        raise PacketError("message holds a NUL byte before its padding")
+    try:
+        message = msg.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise PacketError(f"message is not valid UTF-8: {err.reason}") from None
     return Packet(
         kind=kind,
         flags=flags,

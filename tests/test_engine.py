@@ -140,6 +140,39 @@ def test_flood_and_alert_lines_keep_receiver_order():
         assert lines[i:i + len(want)] == want
 
 
+_BROADCAST_LABEL = {"regular": "query", "flood": "flood", "alert": "isolation alert"}
+
+
+@pytest.mark.parametrize("events, want", [
+    # node 11 rebroadcasts node 1's flood at depth 4, then node 13's, in
+    # a fresh epoch, at depth 1, both times to [10,13]; node 13's own
+    # lines share their receivers too (hop 5, then hop 0 as the origin);
+    # nodes 14 and 15 both query [12,16]
+    (((0, 1, 95.0), (16, 13, 95.0)),
+     ["t=  5 flood src=11 hop=4 recv=[10,13]", "t= 18 flood src=11 hop=1 recv=[10,13]",
+      "t=  0 query src=14 recv=[12,16]", "t=  5 query src=15 recv=[12,16]"]),
+    # node 13's regular queries and its own flood (hop 0, as a query's
+    # hop) reach the same [11,15]; nodes 6 and 11 both query [10]
+    (((4, 13, 95.0),),
+     ["t=  2 query src=13 recv=[11,15]", "t=  5 flood src=13 hop=0 recv=[11,15]",
+      "t= 10 query src=13 recv=[11,15]",
+      "t=  0 query src=6 recv=[10]", "t=  5 query src=11 recv=[10]"]),
+], ids=["flood-at-two-depths", "query-then-flood"])
+def test_broadcast_lines_that_share_receivers_keep_their_label_and_hop(events, want):
+    # each query, flood and alert line equals its event formatted afresh,
+    # so a line that reuses another's text with a different label, hop,
+    # sender or tick shows up here
+    tr = sim16(events=events).run()
+    lines = [ln for ln in tr.render().splitlines()
+             if ln.split(" src=")[0][6:] in _BROADCAST_LABEL.values()]
+    assert lines == [
+        f"t={e.tick:>3} {_BROADCAST_LABEL[e.note]} src={e.src}"
+        + (f" hop={e.hop}" if e.note == "flood" else "")
+        + f" recv=[{','.join(map(str, e.receivers))}]"
+        for e in tr.packet_events if e.note in _BROADCAST_LABEL]
+    assert set(want) <= set(lines)
+
+
 def test_neighbour_tuples_hold_the_node_states():
     rng = random.Random(17)
     topos = [default16_topology()] + [random_connected_topology(rng) for _ in range(5)]

@@ -334,6 +334,19 @@ def test_cli_out_that_cannot_be_created(tmp_path, capsys, args):
     assert taken.read_text() == "a file, not a directory\n"
 
 
+@pytest.mark.parametrize("args, report", [([], "trace.txt"),
+                                          (["--sweep", "13,2"], "ledger_irregular1.csv")],
+                         ids=["run", "sweep"])
+def test_cli_report_that_cannot_be_written(tmp_path, capsys, args, report):
+    out = tmp_path / "o"
+    (out / report).mkdir(parents=True)
+    assert main(["--scenario", str(SCN), "--out", str(out)] + args) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == f"error: cannot write {out / report}: Is a directory\n"
+    assert (out / report).is_dir()
+
+
 def test_cli_loss_override(tmp_path):
     out = tmp_path / "lossy"
     scn = _scenario_file(tmp_path, "lossy", seed=7, loss_prob=1.0)

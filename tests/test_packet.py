@@ -142,6 +142,18 @@ def test_decode_rejects_bad_input():
     wrongkind[0] = PacketKind.SOURCE << 2 | 2
     with pytest.raises(PacketError):
         decode(bytes(wrongkind))
+    byte3 = bytearray(good)
+    byte3[3] = 1
+    with pytest.raises(PacketError):
+        decode(bytes(byte3))                # reserved byte 3 set
+    utf = bytearray(good)
+    utf[12] = 0xFF
+    with pytest.raises(PacketError):
+        decode(bytes(utf))                  # message not UTF-8
+    nul = bytearray(good)
+    nul[13] = ord("a")
+    with pytest.raises(PacketError):
+        decode(bytes(nul))                  # NUL before the padding
 
 
 def test_peek_flags_reads_only_header():
