@@ -21,16 +21,20 @@ identical scenarios replay byte-identically.
 
 One routine, ``_broadcast``, sends the four broadcasts: the regular
 query, the hop query, the flood rebroadcast and the isolation alert;
-``_BROADCASTS`` gives each its packet and its send and receive causes.
-It bills the sender, then takes the candidates (``NodeState``s in
-ascending id order) under one receive rule: a flagged sensor ignores a
-flag-clear packet, a dead one (``energy <= 0``, which is what
-``NodeState.alive`` means) is skipped without a coin, and a live one
-draws its loss coin.  Each node that hears is billed and handed to the
-caller before the next coin, so an ack's coin falls between two
-neighbours' query coins.  The handover and its confirmation draw their
-coins inline; the holder's ack and confirmation coins are drawn before
-its own liveness is checked.
+``_BROADCASTS`` gives each its packet, its send and receive causes and
+their prices.  It bills the sender, then takes the candidates
+(``NodeState``s in ascending id order) under one receive rule: a flagged
+sensor ignores a flag-clear packet, a dead one (``energy <= 0``, which
+is what ``NodeState.alive`` means) is skipped without a coin, and a live
+one draws its loss coin.  Each node that hears is billed.  The regular
+query ends there, in the routine's own loop: the hearer's ``heard_tick``
+is stamped, and a base that holds no alarm goes back to "Network is
+fine" in its place among the receivers.  A hearer of a flag1 broadcast
+(hop query, flood, alert) is handed to the caller before the next coin,
+so an ack's coin falls between two neighbours' query coins.  The
+handover and its confirmation draw their coins inline; the holder's ack
+and confirmation coins are drawn before its own liveness is checked.
+A flood rebroadcast builds its packet only for a hearer that reads it.
 
 Every debit names a ledger cause and costs that cause's entry in
 ``energy.PRICES``, which also spells out how one forwarding hop
@@ -230,12 +234,16 @@ class BaseListening(NamedTuple):
 #: tells the round
 _LINE_LABEL = {"regular": "query", "flood": "flood", "alert": "isolation alert"}
 #: each broadcast by its note: (packet kind, flag1, flag2, send cause,
-#: receive cause); a sensor with flag1 raised hears only flag1 packets
+#: receive cause, send price, receive price); a sensor with flag1 raised
+#: hears only flag1 packets
 _BROADCASTS = {
-    "regular": (PacketKind.QUERY, False, False, "query_send", "query_recv"),
-    "hop_query": (PacketKind.QUERY, True, False, "hop_query", "hop_query_recv"),
-    "flood": (PacketKind.SOURCE, True, True, "flood_send", "flood_recv"),
-    "alert": (PacketKind.SOURCE, True, False, "alert_send", "alert_recv"),
+    note: (kind, flag1, flag2, send, recv, PRICES[send], PRICES[recv])
+    for note, kind, flag1, flag2, send, recv in (
+        ("regular", PacketKind.QUERY, False, False, "query_send", "query_recv"),
+        ("hop_query", PacketKind.QUERY, True, False, "hop_query", "hop_query_recv"),
+        ("flood", PacketKind.SOURCE, True, True, "flood_send", "flood_recv"),
+        ("alert", PacketKind.SOURCE, True, False, "alert_send", "alert_recv"),
+    )
 }
 #: the trace line of a base receipt, by the way the base heard it
 _RECEIPT_LINE = {"alarm": "base received alarm: {!r}",
@@ -456,32 +464,34 @@ class Simulation:
         return self.loss_rng.random() < p
 
     def _broadcast(self, sender: NodeState, note: str, candidates, hop: int = 0):
-        """Send the broadcast named note from a live sensor and yield each
-        candidate that hears it, in candidate order.
+        """Send the broadcast named note from a live sensor; for a flag1
+        broadcast, yield each candidate that hears it, in candidate order.
 
-        The sender pays its send cause first.  Each candidate then meets
+        The sender pays its send price first.  Each candidate then meets
         the receive rule: a flagged sensor ignores a flag-clear packet, a
         dead one is skipped without a coin, and a live one draws its loss
-        coin.  One that hears pays the receive cause (the base is left
-        untouched), dies if that empties it, and is yielded before the
-        next candidate's coin.  The PacketEvent follows the last
-        candidate, so a caller must run the generator to its end.
+        coin.  One that hears pays the receive price (the base is left
+        untouched) and dies if that empties it.  The regular query is
+        handled here in full: each hearer's heard_tick is stamped, and a
+        base that holds no alarm goes back to "Network is fine" in its
+        place among the receivers, so nothing is yielded.  A hearer of a
+        hop query, flood or alert is yielded before the next candidate's
+        coin, since its caller acts on it first.  The PacketEvent follows
+        the last candidate, so a caller must run the generator to its end.
         """
-        kind, flag1, flag2, send, recv = _BROADCASTS[note]
+        kind, flag1, flag2, send, recv, send_price, price = _BROADCASTS[note]
         tick = self.tick
         cells = self.ledger.cells
         nid = sender.node_id
         # a live sender and a positive price, so the clamped debit moves
         # energy; the rows are those EnergyLedger.debit would write
         bal = sender.energy
-        price = PRICES[send]
-        taken = bal if bal < price else price
+        taken = bal if bal < send_price else send_price
         bal -= taken
         sender.energy = bal
         cells.extend((tick, nid, send, taken, bal))
         if bal <= 0:
             self._died(sender, send)
-        price = PRICES[recv]
         p = self.sc.loss_prob
         coin = self.loss_rng.random
         received = []
@@ -500,7 +510,15 @@ class Simulation:
                 cells.extend((tick, j, recv, taken, bal))
                 if bal <= 0:
                     self._died(nb, recv)
-            yield nb
+            elif not (flag1 or nb.flag1) and nb.message != NETWORK_FINE:
+                # a regular query puts a base back to listening; one that
+                # holds an alarm keeps its alarm text
+                nb.message = NETWORK_FINE
+                self.trace.records.append(BaseListening(tick))
+            if flag1:
+                yield nb
+            else:
+                nb.heard_tick = tick
         self.trace.records.append(_new_tuple(PacketEvent, (
             tick, kind, nid, None, flag1, flag2, tuple(received), note, hop,
         )))
@@ -633,18 +651,16 @@ class Simulation:
         """One live Q sensor broadcasts one status query; neighbours just
         listen.
 
-        _broadcast bills the sender and each listener and records the
-        query; an S sensor is busy forwarding and does not listen.
-        handle_query's only effect for a flag-clear query is to stamp the
-        listener's heard_tick, so no packet is built on this plane.
+        _broadcast does all of it in one run of its generator, which
+        yields nothing for this note: it bills the sender and each
+        listener, stamps each listener's heard_tick (handle_query's only
+        effect for a flag-clear query, so no packet is built on this
+        plane), sets a base that holds no alarm back to "Network is fine",
+        and records the query.  An S sensor is busy forwarding and does
+        not listen.
         """
-        tick = self.tick
-        for nb in self._broadcast(node, "regular", self._nbrs[node.node_id]):
-            nb.heard_tick = tick
-            # a base that holds an alarm keeps its alarm text
-            if nb.is_base and not nb.flag1 and nb.message != NETWORK_FINE:
-                nb.message = NETWORK_FINE
-                self.trace.records.append(BaseListening(tick))
+        for _ in self._broadcast(node, "regular", self._nbrs[node.node_id]):
+            pass
 
     # ----------------------------------------------------- alarm forwarding
 
@@ -746,27 +762,35 @@ class Simulation:
         an earlier tick, while the base has not yet heard the flood.  A
         packet never travels beyond the hop cap: nodes at cap depth are
         infected but stay silent.
+
+        The packet is built for the first hearer that reads it, a sensor
+        not yet flooded or the base on its first receipt, and carries the
+        sender's balance from before it paid for the send.  Most hearers
+        are flooded already, so most rebroadcasts build none.
         """
         epoch = self.active_flood
         if node.hop_depth >= epoch.hop_cap:
             return
 
         nid = node.node_id
-        pkt = make_source(nid, node.pos, node.energy, node.message,
-                          hop_count=node.hop_depth, devastating=True)
+        energy = node.energy  # before _broadcast bills the send
+        pkt = None
         for nb in self._broadcast(node, "flood", self._nbrs[nid], node.hop_depth):
-            if nb.is_base:
-                if epoch.base_receipt_tick is None:
-                    epoch.base_receipt_tick = self.tick
-                    handle_source(nb, pkt)
-                    self.trace.records.append(BaseReceipt(self.tick, "flood", pkt.message))
-                    log.debug("t=%d flood reached the base from node %d", self.tick, nid)
+            # a second packet changes nothing for a flooded sensor, and the
+            # base takes only the first
+            if epoch.base_receipt_tick is not None if nb.is_base else nb.flag2:
                 continue
-            j = nb.node_id
-            if nb.flag2:
-                continue  # flooded already; a second packet changes nothing
+            if pkt is None:
+                pkt = make_source(nid, node.pos, energy, node.message,
+                                  hop_count=node.hop_depth, devastating=True)
             was_s = nb.flag1
             handle_source(nb, pkt)
+            if nb.is_base:
+                epoch.base_receipt_tick = self.tick
+                self.trace.records.append(BaseReceipt(self.tick, "flood", pkt.message))
+                log.debug("t=%d flood reached the base from node %d", self.tick, nid)
+                continue
+            j = nb.node_id
             if was_s:
                 # an alarm-forwarding node swept up by the flood
                 self._close_held(j, "escalated")

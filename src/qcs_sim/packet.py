@@ -182,11 +182,17 @@ def affected_message(node_id: int, loc: tuple[float, float]) -> str:
     return f"Affected NODE is ->NODE{node_id} At Location ({fmt_num(loc[0])} {fmt_num(loc[1])})"
 
 
+#: the three legal flag pairs, built once; Flags is frozen, so packets share them
+_FLAGS = {(False, False): Flags(), (True, False): Flags(True), (True, True): Flags(True, True)}
+
+
 def make_query(src: int, flag1: bool = False, flag2: bool = False,
                loc: tuple[float, float] = (0.0, 0.0), energy: float = 0) -> Packet:
+    # an illegal pair is not in _FLAGS, and Flags raises for it
+    flags = _FLAGS.get((flag1, flag2)) or Flags(flag1, flag2)
     return Packet(
         kind=PacketKind.QUERY,
-        flags=Flags(flag1, flag2),
+        flags=flags,
         src=src,
         hop_count=0,
         loc=loc,
@@ -197,7 +203,7 @@ def make_query(src: int, flag1: bool = False, flag2: bool = False,
 def make_ack(src: int, energy: float, loc: tuple[float, float], message: str = "") -> Packet:
     return Packet(
         kind=PacketKind.ACK,
-        flags=Flags(),
+        flags=_FLAGS[False, False],
         src=src,
         hop_count=0,
         loc=loc,
@@ -210,7 +216,7 @@ def make_source(src: int, loc: tuple[float, float], energy: float, message: str,
                 hop_count: int = 0, devastating: bool = False) -> Packet:
     return Packet(
         kind=PacketKind.SOURCE,
-        flags=Flags(flag1=True, flag2=devastating),
+        flags=_FLAGS[True, bool(devastating)],
         src=src,
         hop_count=hop_count,
         loc=loc,

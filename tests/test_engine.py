@@ -140,6 +140,26 @@ def test_flood_and_alert_lines_keep_receiver_order():
         assert lines[i:i + len(want)] == want
 
 
+def test_base_returns_to_listening_among_a_query_s_receivers():
+    # one-unit batteries: node 4 queries nodes 1, 2 (the base) and 3, and
+    # each receiver's death line and the base's return to "Network is
+    # fine" come in receiver order, before the query's own line
+    topo = Topology(nodes={1: (100.0, 100.0), 2: (175.0, 100.0), 3: (250.0, 100.0),
+                           4: (175.0, 175.0)},
+                    base_id=2, radio_range=110.0, field_size=(400.0, 400.0))
+    sc = make_scenario(topo, seed=0, horizon=3,
+                       costs=CostModel(threshold=0, init_min=1, init_max=1))
+    lines = Simulation(sc).run().render().splitlines()
+    want = [
+        "t=  0 node 4 died (query_send)",
+        "t=  0 node 1 died (query_recv)",
+        "t=  0 base: 'Network is fine'",
+        "t=  0 node 3 died (query_recv)",
+        "t=  0 query src=4 recv=[1,2,3]",
+    ]
+    assert [ln for ln in lines if ln.startswith("t=  0 ")] == want
+
+
 _BROADCAST_LABEL = {"regular": "query", "flood": "flood", "alert": "isolation alert"}
 
 
@@ -470,6 +490,36 @@ def test_flood_ball_on_random_layouts():
             ball = {nid for nid, d in hops.items()
                     if d <= r and nid != topo.base_id}
             assert set(s_set) == ball, (t, origin)
+
+
+def test_flood_packets_are_built_only_for_a_hearer_that_reads_them(monkeypatch):
+    """run_petrol_flow builds its packet for the first hearer that reads
+    it, so every flood packet reaches handle_source; the packet carries
+    its sender's balance from before the flood_send."""
+    built, handled = [], set()
+    make_source, handle_source = engine.make_source, engine.handle_source
+
+    def build(*args, **kwargs):
+        p = make_source(*args, **kwargs)
+        if p.flags.flag2:  # only run_petrol_flow builds flood packets
+            built.append((sim.tick, p))
+        return p
+
+    def handle(n, s):
+        handled.add(id(s))
+        return handle_source(n, s)
+
+    monkeypatch.setattr(engine, "make_source", build)
+    monkeypatch.setattr(engine, "handle_source", handle)
+    sim = sim16(events=((2, 4, 95.0), (3, 9, 95.0)))
+    tr = sim.run()
+    sent = {(e.tick, e.node_id): e.balance + e.debit
+            for e in sim.ledger.entries if e.cause == "flood_send"}
+    rebroadcasts = sum(e.note == "flood" for e in tr.packet_events)
+    assert 0 < len(built) < rebroadcasts  # most rebroadcasts reach only the flooded
+    for tick, p in built:
+        assert id(p) in handled, (tick, p.src)
+        assert p.energy == sent[tick, p.src], (tick, p.src)
 
 
 def test_flood_reset_wave_walks_outward():

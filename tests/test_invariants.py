@@ -627,15 +627,19 @@ def test_flagged_sensors_hear_only_flag1_broadcasts(monkeypatch):
     """A sensor with flag1 raised is busy forwarding: it ignores the
     flag-clear regular query but is billed for each hop query, flood and
     alert it hears.  Each broadcast's flagged candidates are read before
-    it goes out, and their rows after it ends."""
+    it goes out, and their rows after it ends.  The regular query yields
+    no hearer to its caller; the flag1 broadcasts yield theirs."""
     broadcast = engine.Simulation._broadcast
-    billed, flagged_listeners = Counter(), Counter()
+    billed, flagged_listeners, sends, yields = Counter(), Counter(), Counter(), Counter()
 
     def spy(sim, sender, note, candidates, hop=0):
         candidates = list(candidates)
         flagged = {n.node_id for n in candidates if n.flag1 and not n.is_base}
         start = len(sim.ledger.entries)
-        yield from broadcast(sim, sender, note, candidates, hop)
+        sends[note] += 1
+        for nb in broadcast(sim, sender, note, candidates, hop):
+            yields[note] += 1
+            yield nb
         flagged_listeners[note] += len(flagged)
         billed.update(e.cause for e in sim.ledger.entries[start:] if e.node_id in flagged)
 
@@ -644,6 +648,8 @@ def test_flagged_sensors_hear_only_flag1_broadcasts(monkeypatch):
         pass
     assert flagged_listeners["regular"]  # flagged sensors sat within a query's range
     assert set(billed) == {"hop_query_recv", "flood_recv", "alert_recv"}
+    assert sends["regular"] and yields["regular"] == 0
+    assert all(yields[note] for note in ("hop_query", "flood", "alert"))
 
 
 def test_no_dead_node_answers_a_hop_query():

@@ -117,6 +117,12 @@ def test_message_limits():
 def test_flag2_requires_flag1():
     with pytest.raises(PacketError):
         Flags(flag1=False, flag2=True)
+    # the builders share prebuilt flags, and an illegal pair still raises
+    with pytest.raises(PacketError):
+        make_query(1, flag1=False, flag2=True)
+    assert make_query(1, flag1=True).flags == Flags(True, False)
+    assert make_source(1, (0, 0), 5, "m", devastating=True).flags == Flags(True, True)
+    assert make_ack(1, 5, (0, 0)).flags == Flags()
 
 
 def test_decode_rejects_bad_input():
