@@ -7,19 +7,16 @@ and the battery lifetime formula.
 """
 
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from qcs_sim import (
-    DEVASTATING_LEVEL,
-    IRREGULAR_LEVEL,
     PacketKind,
-    SenseEvent,
     Simulation,
     default16_scenario_text,
     joules,
     lifetime,
     parse_scenario,
+    sweep_scenario,
 )
 from qcs_sim.energy import PRICES
 from qcs_sim.metrics import write_paths_csv
@@ -41,19 +38,16 @@ print("          with standby drain 0.25 ->",
       lifetime(4000.0, 1.0, 0.25), "periods")
 print()
 
-# one incident per origin, fresh network each time
+# one incident per origin, fresh network each time, each run derived the
+# way the command line's --sweep derives it
 origins = (13, 12, 15, 2, 14, 8, 9)
 base_sc = parse_scenario(default16_scenario_text(seed=7, horizon=20))
-reading = (IRREGULAR_LEVEL + DEVASTATING_LEVEL) / 2
-horizon = max(base_sc.horizon, len(base_sc.topology.nodes) + 2)
 rows = []
 print("sweep: one forwarding incident per origin")
 print(f"  {'origin':>6} {'path':>4} {'hops':>4} {'comparisons':>11} "
       f"{'ratio':>6}")
 for i, origin in enumerate(origins, start=1):
-    sc = replace(base_sc, seed=f"7:sweep:{i}",
-                 events=(SenseEvent(0, origin, reading),), horizon=horizon)
-    trace = Simulation(sc).run()
+    trace = Simulation(sweep_scenario(base_sc, i, origin)).run()
     rec = trace.incidents[0]
     nodes = len(rec.path)
     rows.append((f"irregular{i}", nodes, rec.comparisons))

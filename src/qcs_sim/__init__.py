@@ -45,7 +45,7 @@ from .energy import (
     lifetime,
     draw_initial_energy,
 )
-from .scenario import Scenario, SenseEvent, parse_scenario, load_scenario
+from .scenario import Scenario, SenseEvent, parse_scenario, load_scenario, sweep_scenario
 from .layouts import default16_topology, default16_scenario_text
 from .engine import (
     Simulation,

@@ -29,16 +29,14 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import metrics
 from .energy import joules, lifetime
 from .engine import Simulation
-from .node import DEVASTATING_LEVEL, IRREGULAR_LEVEL
 from .numtext import fmt_num
 from .packet import QUERY_ACK_SIZE, SOURCE_SIZE
-from .scenario import Scenario, SenseEvent, load_scenario
+from .scenario import Scenario, load_scenario, sweep_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,20 +123,13 @@ def _cmd_run(sc: Scenario, out: Path) -> int:
 
 
 def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
-    reading = (IRREGULAR_LEVEL + DEVASTATING_LEVEL) / 2
-    horizon = max(sc.horizon, len(sc.topology.nodes) + 2)
-
     energy_rows = []
     path_rows = []
     trace_parts = []
     summary_parts = ["incident sweep", "==============", ""]
     for i, nid in enumerate(ids, start=1):
         label = f"irregular{i}"
-        run_sc = replace(
-            sc, seed=f"{sc.seed}:sweep:{i}",
-            events=(SenseEvent(0, nid, reading),), horizon=horizon,
-        )
-        sim = Simulation(run_sc)
+        sim = Simulation(sweep_scenario(sc, i, nid))
         trace = sim.run()
         rec = trace.incidents[0]
         energy_rows.extend(metrics.energy_diff_rows(label, trace))

@@ -20,21 +20,22 @@ per (packet, receiver) pair drawn from a dedicated seeded generator, so
 identical scenarios replay byte-identically.
 
 One routine, ``_broadcast``, sends the four broadcasts: the regular
-query, the hop query, the flood rebroadcast and the isolation alert;
-``_BROADCASTS`` gives each its packet, its send and receive causes and
-their prices.  It bills the sender, then takes the candidates
-(``NodeState``s in ascending id order) under one receive rule: a flagged
-sensor ignores a flag-clear packet, a dead one (``energy <= 0``, which
-is what ``NodeState.alive`` means) is skipped without a coin, and a live
-one draws its loss coin.  Each node that hears is billed.  The regular
-query ends there, in the routine's own loop: the hearer's ``heard_tick``
-is stamped, and a base that holds no alarm goes back to "Network is
-fine" in its place among the receivers.  A hearer of a flag1 broadcast
-(hop query, flood, alert) is handed to the caller before the next coin,
-so an ack's coin falls between two neighbours' query coins.  The
-handover and its confirmation draw their coins inline; the holder's ack
-and confirmation coins are drawn before its own liveness is checked.
-A flood rebroadcast builds its packet only for a hearer that reads it.
+query, the hop query, the flood rebroadcast and the isolation alert.
+``NOTES`` tells, by its note, what each transmission is: its packet, its
+causes and their prices, and its trace label.  ``_broadcast`` bills the
+sender, then takes the candidates (``NodeState``s in ascending id order)
+under one receive rule: a flagged sensor ignores a flag-clear packet, a
+dead one (``energy <= 0``, which is what ``NodeState.alive`` means) is
+skipped without a coin, and a live one draws its loss coin.  Each node
+that hears is billed.  The regular query ends there, in the routine's
+own loop: the hearer's ``heard_tick`` is stamped, and a base that holds
+no alarm goes back to "Network is fine" in its place among the
+receivers.  A hearer of a flag1 broadcast (hop query, flood, alert) is
+handed to the caller before the next coin, so an ack's coin falls
+between two neighbours' query coins.  The handover and its confirmation
+draw their coins inline; the holder's ack and confirmation coins are
+drawn before its own liveness is checked.  A flood rebroadcast builds
+its packet only for a hearer that reads it.
 
 Every debit names a ledger cause and costs that cause's entry in
 ``energy.PRICES``, which also spells out how one forwarding hop
@@ -139,11 +140,7 @@ class IncidentRecord:
     @property
     def path(self) -> list[int]:
         """The origin, then each node the alarm was handed on to."""
-        return self.path_after(len(self.hops))
-
-    def path_after(self, rounds: int) -> list[int]:
-        """The path as it stood after the record's first rounds rounds."""
-        return [self.origin] + [h.chosen for h in self.hops[:rounds] if h.outcome in HANDED_ON]
+        return [self.origin] + [h.chosen for h in self.hops if h.outcome in HANDED_ON]
 
     @property
     def delivery_tick(self) -> int | None:
@@ -174,16 +171,13 @@ class FloodRecord:
 
 
 class PacketEvent(NamedTuple):
-    """One transmission: who sent what, and who actually received it."""
+    """One transmission: who sent which note, and who actually received it."""
 
     tick: int
-    kind: PacketKind
+    note: str
     src: int
     dst: int | None  # None for broadcasts
-    flag1: bool
-    flag2: bool
     receivers: tuple[int, ...]
-    note: str
     hop: int  # the packet's hop count; only a flood's is above 0
 
 
@@ -229,20 +223,31 @@ class BaseListening(NamedTuple):
     tick: int
 
 
-#: the trace label of each transmission that prints a line; the hop plane
-#: (hop_query, ack, source, reset_ack) prints none, its HopAttempt's line
-#: tells the round
-_LINE_LABEL = {"regular": "query", "flood": "flood", "alert": "isolation alert"}
-#: each broadcast by its note: (packet kind, flag1, flag2, send cause,
-#: receive cause, send price, receive price); a sensor with flag1 raised
-#: hears only flag1 packets
-_BROADCASTS = {
-    note: (kind, flag1, flag2, send, recv, PRICES[send], PRICES[recv])
-    for note, kind, flag1, flag2, send, recv in (
-        ("regular", PacketKind.QUERY, False, False, "query_send", "query_recv"),
-        ("hop_query", PacketKind.QUERY, True, False, "hop_query", "hop_query_recv"),
-        ("flood", PacketKind.SOURCE, True, True, "flood_send", "flood_recv"),
-        ("alert", PacketKind.SOURCE, True, False, "alert_send", "alert_recv"),
+class Note(NamedTuple):
+    """What each transmission with a note is: its packet, the ledger causes
+    of its sender and of each hearer, with their prices, and its line's label."""
+
+    kind: PacketKind
+    flag1: bool
+    flag2: bool
+    send: str
+    recv: str | None  # None where the sender pays both radio ends
+    label: str | None  # None for the hop plane: its HopAttempt line tells the round
+    send_price: int
+    recv_price: int  # 0 without a receive cause
+
+
+#: every transmission by its note; a flagged sensor hears only flag1 broadcasts
+NOTES = {
+    note: Note(kind, flag1, flag2, send, recv, label, PRICES[send], PRICES[recv] if recv else 0)
+    for note, kind, flag1, flag2, send, recv, label in (
+        ("regular", PacketKind.QUERY, False, False, "query_send", "query_recv", "query"),
+        ("hop_query", PacketKind.QUERY, True, False, "hop_query", "hop_query_recv", None),
+        ("flood", PacketKind.SOURCE, True, True, "flood_send", "flood_recv", "flood"),
+        ("alert", PacketKind.SOURCE, True, False, "alert_send", "alert_recv", "isolation alert"),
+        ("ack", PacketKind.ACK, False, False, "ack_send", "ack_recv", None),
+        ("source", PacketKind.SOURCE, True, False, "source_send", None, None),
+        ("reset_ack", PacketKind.ACK, False, False, "reset_send", "reset_recv", None),
     )
 }
 #: the trace line of a base receipt, by the way the base heard it
@@ -327,7 +332,7 @@ class Trace:
             "init: energy "
             + " ".join(f"{n}={fmt_num(e)}" for n, e in self.initial_energy.items()),
         ]
-        rounds = [0] * len(self.incidents)  # each incident's rounds so far
+        paths = [[rec.origin] for rec in self.incidents]  # each incident's path so far
         tails: dict[tuple[str, int, int, tuple[int, ...]], str] = {}
         tick = None
         for r in self.records:
@@ -336,13 +341,13 @@ class Trace:
                 head = f"t={tick:>3} "
             # most records are transmissions, and most of those print nothing
             if type(r) is PacketEvent:
-                if r.note in _LINE_LABEL:
+                label = NOTES[r.note].label
+                if label is not None:
                     key = (r.note, r.src, r.hop, r.receivers)
                     tail = tails.get(key)
                     if tail is None:
                         hop = f" hop={r.hop}" if r.note == "flood" else ""
-                        tail = tails[key] = (f"{_LINE_LABEL[r.note]} src={r.src}{hop}"
-                                             f" recv={fmt_ids(r.receivers)}")
+                        tail = tails[key] = f"{label} src={r.src}{hop} recv={fmt_ids(r.receivers)}"
                     lines.append(head + tail)
                 continue
             if type(r) is Death:
@@ -350,14 +355,12 @@ class Trace:
             elif type(r) is BaseReceipt:
                 lines.append(head + _RECEIPT_LINE[r.via].format(r.text))
             elif type(r) is HopAttempt:  # incidents are numbered from 1
-                k = r.incident - 1
-                rec = self.incidents[k]
-                rounds[k] += 1
-                path = ""
-                if r.outcome == "confirmed":  # the only line that prints a path
-                    path = fmt_ids(rec.path_after(rounds[k]))
-                lines.append(head + _HOP_LINE[r.outcome].format(r, path))
-                if rec.close_reason == "hop_cap" and rounds[k] == len(rec.hops):
+                rec = self.incidents[r.incident - 1]
+                path = paths[r.incident - 1]
+                if r.outcome in HANDED_ON:
+                    path.append(r.chosen)
+                lines.append(head + _HOP_LINE[r.outcome].format(r, fmt_ids(path)))
+                if rec.close_reason == "hop_cap" and r is rec.hops[-1]:
                     lines.append(f"{head}incident {r.incident} undelivered (hop cap)")
             elif type(r) is Sense:
                 sensed = f"{head}sense node={r.node} reading={fmt_num(r.reading)}"
@@ -440,11 +443,10 @@ class Simulation:
 
     # ---------------------------------------------------------------- helpers
 
-    def _event(self, kind: PacketKind, src: int, dst: int | None, flag1: bool,
-               flag2: bool, receivers: list[int], note: str, hop: int = 0) -> None:
+    def _event(self, note: str, src: int, dst: int, receivers: tuple[int, ...]) -> None:
+        """Record one of the hop plane's point-to-point transmissions."""
         self.trace.records.append(_new_tuple(PacketEvent, (
-            self.tick, kind, src, dst, flag1, flag2, tuple(receivers), note, hop,
-        )))
+            self.tick, note, src, dst, receivers, 0)))
 
     def _debit(self, node: NodeState, cause: str) -> None:
         """Charge a node the price of cause; a debit that empties it kills it."""
@@ -459,9 +461,7 @@ class Simulation:
 
     def _dropped(self) -> bool:
         p = self.sc.loss_prob
-        if p <= 0:
-            return False
-        return self.loss_rng.random() < p
+        return p > 0 and self.loss_rng.random() < p
 
     def _broadcast(self, sender: NodeState, note: str, candidates, hop: int = 0):
         """Send the broadcast named note from a live sensor; for a flag1
@@ -479,7 +479,7 @@ class Simulation:
         coin, since its caller acts on it first.  The PacketEvent follows
         the last candidate, so a caller must run the generator to its end.
         """
-        kind, flag1, flag2, send, recv, send_price, price = _BROADCASTS[note]
+        _, flag1, _, send, recv, _, send_price, price = NOTES[note]
         tick = self.tick
         cells = self.ledger.cells
         nid = sender.node_id
@@ -520,8 +520,7 @@ class Simulation:
             else:
                 nb.heard_tick = tick
         self.trace.records.append(_new_tuple(PacketEvent, (
-            tick, kind, nid, None, flag1, flag2, tuple(received), note, hop,
-        )))
+            tick, note, nid, None, tuple(received), hop)))
 
     # -------------------------------------------------------------- incidents
 
@@ -698,7 +697,7 @@ class Simulation:
             acks.append(ack)
         # _broadcast recorded the query when the round ended; its acks follow
         for ack in acks:
-            self._event(PacketKind.ACK, ack.src, nid, False, False, [nid], "ack")
+            self._event("ack", ack.src, nid, (nid,))
 
         chosen, outcome = self._hand_on(node, rec, acks)
         hop = HopAttempt(self.tick, rec.incident_id, nid,
@@ -728,8 +727,7 @@ class Simulation:
 
         target = self.nodes[chosen]
         heard = target.energy > 0 and not self._dropped()
-        self._event(PacketKind.SOURCE, nid, chosen, True, False,
-                    [chosen] if heard else [], "source")
+        self._event("source", nid, chosen, (chosen,) if heard else ())
         if not heard:
             return chosen, "lost"  # the holder keeps the alarm and retries
 
@@ -745,12 +743,12 @@ class Simulation:
             self._active_irregular[chosen] = rec
         self._debit(target, "reset_send")
         if self._dropped() or not node.alive:
-            self._event(PacketKind.ACK, chosen, nid, False, False, [], "reset_ack")
+            self._event("reset_ack", chosen, nid, ())
             return chosen, "confirmation lost"
         reset_node(node)  # before the confirmation's price can empty it
         node.alarm_tick = self.tick  # handed on: keeps its role this tick
         self._debit(node, "reset_recv")
-        self._event(PacketKind.ACK, chosen, nid, False, False, [nid], "reset_ack")
+        self._event("reset_ack", chosen, nid, (nid,))
         return chosen, "confirmed"
 
     # ------------------------------------------------------------- flooding

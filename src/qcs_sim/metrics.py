@@ -14,10 +14,9 @@ from __future__ import annotations
 from pathlib import Path
 
 from .energy import ROW_CELLS, EnergyLedger, joules
-from .engine import IncidentRecord, PacketEvent, Trace
+from .engine import NOTES, IncidentRecord, PacketEvent, Trace
 from .node import NodeState
 from .numtext import fmt_ids, fmt_num
-from .packet import PacketKind
 
 
 def _write_csv(path: str | Path, header: str, rows) -> None:
@@ -95,8 +94,8 @@ def write_paths_csv(path: str | Path, rows: list[tuple[str, int, int]]) -> None:
     ))
 
 
-#: millijoules for one send or receive of each kind of packet
-_MJ_PER_EVENT = {kind: joules(kind.size) for kind in PacketKind}
+#: millijoules for one send or receive, by note: the price of its packet kind
+_MJ_PER_EVENT = {note: joules(n.kind.size) for note, n in NOTES.items()}
 
 
 def total_radio_millijoules(events: list[PacketEvent]) -> float:
@@ -104,7 +103,7 @@ def total_radio_millijoules(events: list[PacketEvent]) -> float:
     mj = _MJ_PER_EVENT
     total = 0.0
     for ev in events:
-        total += (1 + len(ev.receivers)) * mj[ev.kind]
+        total += (1 + len(ev.receivers)) * mj[ev.note]
     return total
 
 

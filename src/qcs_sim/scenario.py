@@ -16,10 +16,11 @@ reads scenario text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .energy import CostModel
+from .node import DEVASTATING_LEVEL, IRREGULAR_LEVEL
 from .numtext import parse_num
 from .topology import NodeId, Position, Topology
 
@@ -208,3 +209,13 @@ def load_scenario(path: str | Path) -> Scenario:
         return parse_scenario(text)
     except ValueError as e:
         raise ValueError(f"{p}: {e}") from None
+
+
+def sweep_scenario(sc: Scenario, i: int, node: int) -> Scenario:
+    """Run i of an incident sweep over sc, counted from 1: its own derived
+    seed, one irregular (not devastating) reading at node on tick 0, and
+    a horizon long enough for the alarm to cross the network."""
+    return replace(
+        sc, seed=f"{sc.seed}:sweep:{i}", horizon=max(sc.horizon, len(sc.topology.nodes) + 2),
+        events=(SenseEvent(0, node, (IRREGULAR_LEVEL + DEVASTATING_LEVEL) / 2),),
+    )

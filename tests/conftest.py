@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from qcs_sim import CostModel, Scenario, Topology
+from qcs_sim.engine import NOTES
 from qcs_sim.numtext import fmt_num
 from qcs_sim.scenario import SenseEvent
 
@@ -209,7 +210,7 @@ def audit_regular_window(sim, trace, modes_by_tick, t0: int, t1: int) -> None:
         heard: dict[int, int] = {}
         for ev in events:
             assert ev.note == "regular"
-            assert not ev.flag1 and not ev.flag2
+            assert not NOTES[ev.note].flag1 and not NOTES[ev.note].flag2
             assert set(ev.receivers) == set(topo.neighbors(ev.src))
             for r in ev.receivers:
                 heard[r] = heard.get(r, 0) + 1

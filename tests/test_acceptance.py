@@ -27,6 +27,7 @@ from qcs_sim import (
     parse_scenario,
 )
 from qcs_sim.cli import main as cli_main
+from qcs_sim.engine import NOTES
 from qcs_sim.packet import Flags, Packet, PacketKind, decode, encode
 from qcs_sim.scenario import SenseEvent
 
@@ -154,7 +155,7 @@ def test_criterion_06_silence_law_and_alternation():
     text = default16_scenario_text(seed=7, horizon=20, loss_prob=0.0)
     sim = Simulation(parse_scenario(text))
     tr, seen = run_sampled(sim)
-    assert all(ev.kind == PacketKind.QUERY and ev.note == "regular"
+    assert all(NOTES[ev.note].kind == PacketKind.QUERY and ev.note == "regular"
                for ev in tr.packet_events)
     audit_regular_window(sim, tr, seen.modes, 0, 20)
 

@@ -50,24 +50,32 @@ RUNS = 60
 RANDOM_TRACES_SHA256 = "8d979fb6bf6e49578db17afb9a1e0c97e19b2e58ef117ec4a251d2cf1ab9e02c"
 
 
+#: the notes whose packets each builder makes, and the module the
+#: engine looks the builder up in
+_BUILT_FOR = {"make_query": (engine, ("hop_query",)), "make_ack": (node, ("ack",)),
+              "make_source": (engine, ("source", "flood"))}
+
+
 @pytest.fixture(autouse=True)
 def wire_built(monkeypatch):
-    """Check that decode(encode(p)) == p for every packet the engine builds
-    (make_ack is looked up in node, the others in engine), and count the
-    packets built by kind."""
+    """Check that decode(encode(p)) == p for every packet the engine
+    builds, and that its kind and flags are those of a NOTES row for a
+    note it is built for; count the packets built by kind."""
     built = Counter()
 
-    def checked(make):
+    def checked(make, notes):
+        rows = {(n.kind, n.flag1, n.flag2) for n in map(engine.NOTES.get, notes)}
+
         def build(*args, **kwargs):
             p = make(*args, **kwargs)
             assert decode(encode(p)) == p, p
+            assert (p.kind, p.flags.flag1, p.flags.flag2) in rows, (notes, p)
             built[p.kind] += 1
             return p
         return build
 
-    monkeypatch.setattr(engine, "make_query", checked(engine.make_query))
-    monkeypatch.setattr(engine, "make_source", checked(engine.make_source))
-    monkeypatch.setattr(node, "make_ack", checked(node.make_ack))
+    for name, (module, notes) in _BUILT_FOR.items():
+        monkeypatch.setattr(module, name, checked(getattr(module, name), notes))
     return built
 
 
@@ -128,6 +136,7 @@ def _random_runs():
 
 def test_invariants_hold_on_random_runs(wire_built):
     seen = Counter()
+    notes = set()
     for sim in _random_runs():
         trace, ledger = sim.trace, sim.ledger
 
@@ -154,11 +163,13 @@ def test_invariants_hold_on_random_runs(wire_built):
                 assert sim.nodes[rec.path[-1]].alive, rec
         seen["deaths"] += len(trace.deaths)
         seen["floods"] += len(trace.floods)
+        notes |= {ev.note for ev in trace.packet_events}
 
     # the random inputs reach the states the invariants are about
     assert seen["deaths"] and seen["floods"]
     assert {"delivered", "escalated", "holder_died", "hop_cap", "base_reset"} <= set(seen)
     assert set(wire_built) == set(PacketKind)  # every kind went through the codec
+    assert notes == set(engine.NOTES)  # each note sent is a NOTES row, and each row is sent
 
 
 def test_random_runs_print_their_pinned_trace_text():

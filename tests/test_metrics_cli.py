@@ -12,6 +12,7 @@ import pytest
 
 from qcs_sim import Simulation, default16_scenario_text, joules, parse_scenario
 from qcs_sim.cli import main
+from qcs_sim.engine import NOTES
 from qcs_sim.energy import EnergyLedger
 from qcs_sim.metrics import (
     energy_diff_rows,
@@ -124,7 +125,7 @@ def test_total_radio_millijoules():
     sim, tr = run16(seed=7, horizon=3)
     by_hand = 0.0
     for ev in tr.packet_events:
-        size = 64 if ev.kind.name == "SOURCE" else 24
+        size = 64 if NOTES[ev.note].kind.name == "SOURCE" else 24
         by_hand += (1 + len(ev.receivers)) * joules(size)
     assert total_radio_millijoules(tr.packet_events) == pytest.approx(by_hand)
 
