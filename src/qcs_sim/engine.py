@@ -700,8 +700,8 @@ class Simulation:
             self._event("ack", ack.src, nid, (nid,))
 
         chosen, outcome = self._hand_on(node, rec, acks)
-        hop = HopAttempt(self.tick, rec.incident_id, nid,
-                         tuple((a.src, a.energy) for a in acks), chosen, outcome)
+        hop = _new_tuple(HopAttempt, (self.tick, rec.incident_id, nid,
+                                      tuple((a.src, a.energy) for a in acks), chosen, outcome))
         rec.hops.append(hop)
         self.trace.records.append(hop)
         if (not rec.closed and outcome != "holder died"

@@ -15,6 +15,12 @@ Every packet is a fixed-width big-endian record:
 Totals: query/ack 24 bytes, source 64 bytes.  The flags are readable
 from the first four bytes alone, so a receiver can dispatch on them
 without decoding the body.
+
+In memory a ``Packet`` is an immutable ``NamedTuple`` of those fields.
+Its builders (``make_query``, ``make_ack``, ``make_source`` and
+``decode``) build it positionally with ``tuple.__new__``, without the
+Python-level ``__new__`` frame of a keyword call: an alarm-forwarding
+round builds its query, one ack per replier and its handover.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .numtext import fmt_num
 
@@ -67,8 +74,7 @@ class Flags:
             raise PacketError("flag2 set without flag1")
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     kind: PacketKind
     flags: Flags
     src: int
@@ -76,6 +82,10 @@ class Packet:
     loc: tuple[float, float]
     energy: float  # non-negative int-valued, or math.inf for the base
     message: str = ""
+
+
+#: builds a Packet from its seven fields in order, without a __new__ frame
+_new_packet = tuple.__new__
 
 
 def message_cap(kind: PacketKind) -> int:
@@ -166,15 +176,8 @@ def decode(data: bytes) -> Packet:
         message = msg.decode("utf-8")
     except UnicodeDecodeError as err:
         raise PacketError(f"message is not valid UTF-8: {err.reason}") from None
-    return Packet(
-        kind=kind,
-        flags=flags,
-        src=src,
-        hop_count=hop,
-        loc=(x16 / _COORD_STEP, y16 / _COORD_STEP),
-        energy=energy,
-        message=message,
-    )
+    return _new_packet(Packet, (kind, flags, src, hop, (x16 / _COORD_STEP, y16 / _COORD_STEP),
+                                energy, message))
 
 
 def affected_message(node_id: int, loc: tuple[float, float]) -> str:
@@ -190,36 +193,15 @@ def make_query(src: int, flag1: bool = False, flag2: bool = False,
                loc: tuple[float, float] = (0.0, 0.0), energy: float = 0) -> Packet:
     # an illegal pair is not in _FLAGS, and Flags raises for it
     flags = _FLAGS.get((flag1, flag2)) or Flags(flag1, flag2)
-    return Packet(
-        kind=PacketKind.QUERY,
-        flags=flags,
-        src=src,
-        hop_count=0,
-        loc=loc,
-        energy=energy,
-    )
+    return _new_packet(Packet, (PacketKind.QUERY, flags, src, 0, loc, energy, ""))
 
 
 def make_ack(src: int, energy: float, loc: tuple[float, float], message: str = "") -> Packet:
-    return Packet(
-        kind=PacketKind.ACK,
-        flags=_FLAGS[False, False],
-        src=src,
-        hop_count=0,
-        loc=loc,
-        energy=energy,
-        message=message,
-    )
+    return _new_packet(Packet, (PacketKind.ACK, _FLAGS[False, False], src, 0, loc, energy,
+                                message))
 
 
 def make_source(src: int, loc: tuple[float, float], energy: float, message: str,
                 hop_count: int = 0, devastating: bool = False) -> Packet:
-    return Packet(
-        kind=PacketKind.SOURCE,
-        flags=_FLAGS[True, bool(devastating)],
-        src=src,
-        hop_count=hop_count,
-        loc=loc,
-        energy=energy,
-        message=message,
-    )
+    return _new_packet(Packet, (PacketKind.SOURCE, _FLAGS[True, bool(devastating)], src,
+                                hop_count, loc, energy, message))

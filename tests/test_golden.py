@@ -4,19 +4,22 @@ The other suites compare runs with each other; these compare each run
 with recorded bytes, so a refactor that shifts any report by one byte
 fails here.  A change that alters output on purpose re-pins the digests
 and says why.  Each ledger.csv these runs write must also equal one
-formatted line per row of the ledger's entries view.
+formatted line per row of the ledger's entries view, and the grid run's
+reports must not depend on the interpreter's hash seed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from qcs_sim import cli, default16_scenario_text, metrics
 
-from conftest import ledger_csv_reference
+from conftest import ledger_csv_reference, subprocess_env
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -117,3 +120,19 @@ def test_golden_paper_sweep(tmp_path, capsys, ledger_csv_checked):
 def test_golden_grid225_lifetime(tmp_path, capsys, ledger_csv_checked):
     assert _reports(tmp_path, _write(tmp_path, _grid225_text())) == GOLDEN_GRID225
     assert len(ledger_csv_checked) == 1
+
+
+def test_grid225_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """The CLI in two child interpreters with different PYTHONHASHSEED
+    values writes the same bytes, the pinned ones, for every report."""
+    scenario = _write(tmp_path, _grid225_text())
+    outs = {seed: tmp_path / f"hash{seed}" for seed in ("0", "4242")}
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "qcs_sim.cli", "--scenario", str(scenario), "--out", str(out)],
+        stdout=subprocess.DEVNULL, env=subprocess_env(PYTHONHASHSEED=seed))
+        for seed, out in outs.items()]
+    assert [p.wait(timeout=60) for p in procs] == [0, 0]
+    first, second = ({p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                     for out in outs.values())
+    assert first == second
+    assert {name: hashlib.sha256(b).hexdigest() for name, b in first.items()} == GOLDEN_GRID225

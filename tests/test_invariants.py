@@ -48,6 +48,13 @@ from test_golden import (
 RUNS = 60
 #: sha256 over the trace text of the RUNS random runs, in order
 RANDOM_TRACES_SHA256 = "8d979fb6bf6e49578db17afb9a1e0c97e19b2e58ef117ec4a251d2cf1ab9e02c"
+#: sha256 over each other report of the RUNS random runs, in order
+RANDOM_REPORTS_SHA256 = {
+    "energy_diff.csv": "efcdf0260a07f029fbb848b4454e1501dc31ad4c64ceaad03003def4aa04de81",
+    "ledger.csv": "0d7d583998054f14e12769111236db71c357161f2f6b8dac5b4bd18263a1fe86",
+    "paths.csv": "5165fd8916d0150f48dfc0c23a82422f2f9d7ea0a0089e7bc660ef8181852166",
+    "summary.txt": "64793487300cecbbc9ed9324d3899a3d5b1061b3e00ccf36bf3081585f9efe05",
+}
 
 
 #: the notes whose packets each builder makes, and the module the
@@ -179,6 +186,23 @@ def test_random_runs_print_their_pinned_trace_text():
     for sim in _random_runs():
         digest.update(sim.trace.render().encode())
     assert digest.hexdigest() == RANDOM_TRACES_SHA256
+
+
+def test_random_runs_write_their_pinned_reports(tmp_path):
+    """The other four reports of the random runs, written as a single
+    run writes them, pinned one digest per report kind."""
+    digests = {name: hashlib.sha256() for name in RANDOM_REPORTS_SHA256}
+    for sim in _random_runs():
+        trace = sim.trace
+        metrics.write_ledger_csv(tmp_path / "ledger.csv", sim.ledger)
+        metrics.write_energy_diff_csv(tmp_path / "energy_diff.csv",
+                                      metrics.energy_diff_rows("run", trace))
+        metrics.write_paths_csv(tmp_path / "paths.csv", metrics.paths_rows(trace.incidents))
+        metrics.write_text(tmp_path / "summary.txt",
+                           render_summary("simulation summary", trace))
+        for name, digest in digests.items():
+            digest.update((tmp_path / name).read_bytes())
+    assert {name: d.hexdigest() for name, d in digests.items()} == RANDOM_REPORTS_SHA256
 
 
 _PACKET_LINE = re.compile(

@@ -125,6 +125,39 @@ def test_flag2_requires_flag1():
     assert make_ack(1, 5, (0, 0)).flags == Flags()
 
 
+def _typed(pkt: Packet) -> list[tuple[type, object]]:
+    """Each field's type and value in order: QUERY == 0 as an IntEnum, so
+    a swap of kind and a zero hop count shows only in the types."""
+    return [(type(v), v) for v in pkt]
+
+
+def test_builders_fill_each_field_in_its_place():
+    """Every field holds a different value, so a builder that put any
+    two positional fields in each other's place fails here."""
+    loc = (1.5, 2.5)
+    built = {
+        "make_query": (make_query(7, flag1=True, loc=loc, energy=50),
+                       Packet(kind=PacketKind.QUERY, flags=Flags(True), src=7,
+                              hop_count=0, loc=loc, energy=50, message="")),
+        "make_ack": (make_ack(7, 50, loc, message="ok"),
+                     Packet(kind=PacketKind.ACK, flags=Flags(), src=7,
+                            hop_count=0, loc=loc, energy=50, message="ok")),
+        "make_source": (make_source(7, loc, 50, "m", hop_count=9, devastating=True),
+                        Packet(kind=PacketKind.SOURCE, flags=Flags(True, True), src=7,
+                               hop_count=9, loc=loc, energy=50, message="m")),
+    }
+    sent = Packet(kind=PacketKind.SOURCE, flags=Flags(True), src=7, hop_count=9,
+                  loc=loc, energy=50, message="m")
+    built["decode"] = (decode(encode(sent)), sent)
+    for name, (got, want) in built.items():
+        assert _typed(got) == _typed(want), name
+        assert type(got) is Packet, name
+        with pytest.raises(AttributeError):
+            got.src = 8
+    with pytest.raises(PacketError):
+        make_query(7, flag1=False, flag2=True)
+
+
 def test_decode_rejects_bad_input():
     good = bytearray(encode(make_query(1)))
     with pytest.raises(PacketError):
