@@ -47,9 +47,5 @@ from .energy import (
 )
 from .scenario import Scenario, SenseEvent, parse_scenario, load_scenario, sweep_scenario
 from .layouts import default16_topology, default16_scenario_text
-from .engine import (
-    Simulation,
-    Trace,
-    IncidentRecord,
-    FloodRecord,
-)
+from .record import Trace, IncidentRecord, FloodRecord
+from .engine import Simulation

@@ -14,9 +14,9 @@ from __future__ import annotations
 from pathlib import Path
 
 from .energy import ROW_CELLS, EnergyLedger, joules
-from .engine import NOTES, IncidentRecord, PacketEvent, Trace
 from .node import NodeState
 from .numtext import fmt_ids, fmt_num
+from .record import NOTES, IncidentRecord, PacketEvent, Trace
 
 
 def _write_csv(path: str | Path, header: str, rows) -> None:

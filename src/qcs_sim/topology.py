@@ -8,7 +8,7 @@ classified the same way on every platform (no sqrt rounding).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .packet import PacketError, PacketKind, affected_message, encode_coord, message_cap
@@ -37,7 +37,6 @@ class Topology:
     base_id: NodeId
     radio_range: float
     field_size: tuple[float, float]
-    _adj: dict[NodeId, tuple[NodeId, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_id not in self.nodes:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from qcs_sim import CostModel, Scenario, Topology
-from qcs_sim.engine import NOTES
 from qcs_sim.numtext import fmt_num
+from qcs_sim.record import NOTES
 from qcs_sim.scenario import SenseEvent
 
 GRID = 16  # integer coordinates stay exactly representable on the wire

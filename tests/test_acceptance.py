@@ -27,8 +27,8 @@ from qcs_sim import (
     parse_scenario,
 )
 from qcs_sim.cli import main as cli_main
-from qcs_sim.engine import NOTES
 from qcs_sim.packet import Flags, Packet, PacketKind, decode, encode
+from qcs_sim.record import NOTES
 from qcs_sim.scenario import SenseEvent
 
 from conftest import (

@@ -24,6 +24,7 @@ from qcs_sim import (
 from qcs_sim import engine
 from qcs_sim.energy import PRICES
 from qcs_sim.packet import PacketKind
+from qcs_sim.record import NOTES
 from qcs_sim.scenario import SenseEvent
 
 from conftest import (
@@ -78,7 +79,7 @@ def test_regular_plane_builds_no_packet(monkeypatch):
     sim = sim16(horizon=20)
     tr, seen = run_sampled(sim)
     assert tr.packet_events
-    assert all(engine.NOTES[ev.note].kind == PacketKind.QUERY and ev.note == "regular"
+    assert all(NOTES[ev.note].kind == PacketKind.QUERY and ev.note == "regular"
                for ev in tr.packet_events)
     # each listener's stamp is the last tick one of its neighbours polled
     for nid in sim.topology.sensor_ids():
@@ -746,12 +747,12 @@ def test_note_table_bills_each_priced_cause_under_one_note():
     """Each ledger cause is the send or receive cause of exactly one
     note, at its PRICES entry; only the source handover, whose sender
     pays both radio ends, has no receive cause."""
-    notes = engine.NOTES.values()
+    notes = NOTES.values()
     causes = [cause for n in notes for cause in (n.send, n.recv) if cause is not None]
     assert sorted(causes) == sorted(PRICES)
     assert all(n.send_price == PRICES[n.send] for n in notes)
     assert all(n.recv_price == PRICES[n.recv] for n in notes if n.recv is not None)
-    assert [note for note, n in engine.NOTES.items() if n.recv is None] == ["source"]
+    assert [note for note, n in NOTES.items() if n.recv is None] == ["source"]
 
 
 def test_determinism_is_byte_exact():

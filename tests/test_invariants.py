@@ -16,6 +16,11 @@ run more rounds than its attempt cap.  No dead sensor may act, on these
 runs or the golden runs, and no node that the hop query's price empties
 may answer it.
 
+Every report of the random runs, the pocket runs, a sweep-mode corpus
+run through the CLI and one crafted run is pinned by sha256, and these
+corpora together reach every note, close reason, hop outcome and death
+cause, and a flood that closes an open alarm.
+
 Every packet the engine builds in this module, the golden runs' too,
 must come back from the wire codec unchanged.
 """
@@ -31,14 +36,17 @@ from collections import Counter
 
 import pytest
 
-from qcs_sim import CostModel, Simulation, Topology, default16_scenario_text, engine, metrics, node
-from qcs_sim.energy import ROW_CELLS, EnergyLedger, LedgerEntry
-from qcs_sim.engine import (
-    BaseListening, BaseReceipt, Death, HopAttempt, PacketEvent, ResetStep, Sense,
+from qcs_sim import (
+    CostModel, Simulation, Topology, cli, default16_scenario_text, engine, metrics, node,
 )
+from qcs_sim.energy import PRICES, ROW_CELLS, EnergyLedger, LedgerEntry
 from qcs_sim.metrics import render_summary
+from qcs_sim.numtext import fmt_num
 from qcs_sim.packet import PacketKind, decode, encode
-from qcs_sim.scenario import SenseEvent
+from qcs_sim.record import (
+    NOTES, BaseListening, BaseReceipt, Death, HopAttempt, PacketEvent, ResetStep, Sense,
+)
+from qcs_sim.scenario import SenseEvent, parse_scenario
 
 from conftest import GRID, ledger_csv_reference, make_scenario, random_connected_topology
 from test_golden import (
@@ -54,6 +62,35 @@ RANDOM_REPORTS_SHA256 = {
     "ledger.csv": "0d7d583998054f14e12769111236db71c357161f2f6b8dac5b4bd18263a1fe86",
     "paths.csv": "5165fd8916d0150f48dfc0c23a82422f2f9d7ea0a0089e7bc660ef8181852166",
     "summary.txt": "64793487300cecbbc9ed9324d3899a3d5b1061b3e00ccf36bf3081585f9efe05",
+}
+#: sha256 over each report of the POCKET_RUNS pocket runs, in order
+POCKET_REPORTS_SHA256 = {
+    "energy_diff.csv": "71559f4c4eded04fd722e08d5627a2fda89afd6eb5a0023eaabbb677ca48b7ec",
+    "ledger.csv": "ad6d6d1ea325058af1692d5ffea18af5593f932ca9909778428a38b39023aa60",
+    "paths.csv": "4b16a323733e4798fd4115a14f3dafdfabd233cd641b81f1832d0d7438aa2b70",
+    "summary.txt": "77db04269785eb3ad922afafc1e1e18ee55bc2c523686527f4b8e5803d75c6e4",
+    "trace.txt": "04b4f02ca1167737840dc482ef22e11b376d8bcc8f7bc17b43f2354ced9b203b",
+}
+#: sha256 over each report file of the SWEEPS sweep-mode CLI calls, in
+#: order, over the calls that wrote it
+SWEEP_REPORTS_SHA256 = {
+    "energy_diff.csv": "9a7f7fa374456be2d6f0e7d41140ed5704c9a7b490337a2b1d5ac021571aafe8",
+    "ledger_irregular1.csv": "5407a2ae6b65936a568dde2ade1d82be9b757eaba854bcc2f5854d50cd6247e2",
+    "ledger_irregular2.csv": "2041815e42f7843b9676c13176e5a92a87020e1bd49ea0d45877d11ca79cf62d",
+    "ledger_irregular3.csv": "74e91cfe9d205ad0b559ae48dd5aa40eb90fa8efebb85598684576ff690465d9",
+    "ledger_irregular4.csv": "07e4f304e592bdfa7a3dcf1d027c42adb7117c7c7e67c9546b6ef94e6e770373",
+    "paths.csv": "2749a80dc7ba1c10d72b95d944c2291ce315fad200e150be3887831582ce6ad6",
+    "summary.txt": "13855229a81061a5058c24dd7c2ddfd50e5081003fb1cae9cb3ca098e3950f4e",
+    "trace.txt": "188364507fc74421509a6b2c070c0979d571e0427fafdedd4ef1b2897ff8d1be",
+}
+#: sha256 of each report of RESET_SEND_DEATH, the crafted run in which
+#: the accepting node's reset_send empties it
+RESET_SEND_DEATH_SHA256 = {
+    "energy_diff.csv": "78ff07fdb187925ba03beb22c823a90d5b777c04b55e3ddba84248f70ec075ca",
+    "ledger.csv": "59a9f9f67c0c29c1b21915a10528b010d4339c164b8f4f7d3fb46aaaedb51358",
+    "paths.csv": "124c88f78b9264c2d1ef53649f81f9e81f1944b843490c8aef587e8533fddc77",
+    "summary.txt": "ec64144b62189af58356eb70f869c8bbbfcbfebb97da0787669bdaa17de05f83",
+    "trace.txt": "8eb0423bb8dd84583ba0532a6e89006cdef7b840607e83753d2d07b14f9fc135",
 }
 
 
@@ -71,7 +108,7 @@ def wire_built(monkeypatch):
     built = Counter()
 
     def checked(make, notes):
-        rows = {(n.kind, n.flag1, n.flag2) for n in map(engine.NOTES.get, notes)}
+        rows = {(n.kind, n.flag1, n.flag2) for n in map(NOTES.get, notes)}
 
         def build(*args, **kwargs):
             p = make(*args, **kwargs)
@@ -176,7 +213,7 @@ def test_invariants_hold_on_random_runs(wire_built):
     assert seen["deaths"] and seen["floods"]
     assert {"delivered", "escalated", "holder_died", "hop_cap", "base_reset"} <= set(seen)
     assert set(wire_built) == set(PacketKind)  # every kind went through the codec
-    assert notes == set(engine.NOTES)  # each note sent is a NOTES row, and each row is sent
+    assert notes == set(NOTES)  # each note sent is a NOTES row, and each row is sent
 
 
 def test_random_runs_print_their_pinned_trace_text():
@@ -188,21 +225,35 @@ def test_random_runs_print_their_pinned_trace_text():
     assert digest.hexdigest() == RANDOM_TRACES_SHA256
 
 
-def test_random_runs_write_their_pinned_reports(tmp_path):
-    """The other four reports of the random runs, written as a single
-    run writes them, pinned one digest per report kind."""
-    digests = {name: hashlib.sha256() for name in RANDOM_REPORTS_SHA256}
-    for sim in _random_runs():
+def _digests(outs) -> dict[str, str]:
+    """sha256 over each report file of the directories outs, in turn, by
+    file name."""
+    digests = {}
+    for out in outs:
+        for path in sorted(out.iterdir()):
+            digests.setdefault(path.name, hashlib.sha256()).update(path.read_bytes())
+    return {name: d.hexdigest() for name, d in digests.items()}
+
+
+def _written(out, sims):
+    """Write the five reports of each of sims into the directory out, as
+    a single run writes them, and yield out after each."""
+    for sim in sims:
         trace = sim.trace
-        metrics.write_ledger_csv(tmp_path / "ledger.csv", sim.ledger)
-        metrics.write_energy_diff_csv(tmp_path / "energy_diff.csv",
+        metrics.write_trace(out / "trace.txt", trace)
+        metrics.write_ledger_csv(out / "ledger.csv", sim.ledger)
+        metrics.write_energy_diff_csv(out / "energy_diff.csv",
                                       metrics.energy_diff_rows("run", trace))
-        metrics.write_paths_csv(tmp_path / "paths.csv", metrics.paths_rows(trace.incidents))
-        metrics.write_text(tmp_path / "summary.txt",
-                           render_summary("simulation summary", trace))
-        for name, digest in digests.items():
-            digest.update((tmp_path / name).read_bytes())
-    assert {name: d.hexdigest() for name, d in digests.items()} == RANDOM_REPORTS_SHA256
+        metrics.write_paths_csv(out / "paths.csv", metrics.paths_rows(trace.incidents))
+        metrics.write_text(out / "summary.txt", render_summary("simulation summary", trace))
+        yield out
+
+
+def test_random_runs_write_their_pinned_reports(tmp_path):
+    """Every report of the random runs, written as a single run writes
+    them, pinned one digest per report kind."""
+    assert _digests(_written(tmp_path, _random_runs())) == {
+        "trace.txt": RANDOM_TRACES_SHA256, **RANDOM_REPORTS_SHA256}
 
 
 _PACKET_LINE = re.compile(
@@ -587,6 +638,12 @@ def _pocket_runs():
         yield sim, chain
 
 
+def test_pocket_runs_write_their_pinned_reports(tmp_path):
+    """Every report of the pocket runs, pinned one digest per report kind."""
+    pockets = (sim for sim, _ in _pocket_runs())
+    assert _digests(_written(tmp_path, pockets)) == POCKET_REPORTS_SHA256
+
+
 def test_no_incident_runs_more_rounds_than_attempt_cap():
     """An alarm raised out of the base's reach bounces inside its pocket
     until attempt_cap rounds close it, however those rounds ended."""
@@ -698,3 +755,120 @@ def test_no_dead_node_answers_a_hop_query():
                 assert all(e > 0 for _, e in hop.repliers), hop
                 replies += hop.replies
     assert replies
+
+
+SWEEPS = 8
+
+
+def _scenario_text(topo: Topology, costs: CostModel, seed: int, horizon: int,
+                   loss_prob: float) -> str:
+    w, h = topo.field_size
+    return "\n".join([
+        "[field]", f"width = {fmt_num(w)}", f"height = {fmt_num(h)}",
+        f"radio_range = {fmt_num(topo.radio_range)}",
+        "[nodes]", *(f"{nid} {fmt_num(x)} {fmt_num(y)}" + (" base" if nid == topo.base_id else "")
+                     for nid, (x, y) in sorted(topo.nodes.items())),
+        "[costs]", f"threshold = {costs.threshold}", f"init_min = {costs.init_min}",
+        f"init_max = {costs.init_max}",
+        "[sim]", f"seed = {seed}", f"horizon = {horizon}", f"loss_prob = {fmt_num(loss_prob)}",
+        "",
+    ])
+
+
+def _sweep_corpus(tmp_path):
+    """Run the CLI's sweep mode over 2-4 sensors of each of SWEEPS random
+    connected layouts, with small batteries and loss; yield each call's
+    output directory."""
+    rng = random.Random(2711)
+    for i in range(SWEEPS):
+        topo = random_connected_topology(rng, n_max=16)
+        ids = rng.sample(topo.sensor_ids(), rng.randint(2, 4))
+        lo = rng.randint(10, 40)
+        costs = CostModel(threshold=rng.randrange(lo), init_min=lo, init_max=rng.randint(lo, 40))
+        text = _scenario_text(topo, costs, rng.randrange(10_000), rng.randint(10, 30),
+                              rng.choice((0, 0.05, 0.1, 0.2)))
+        out = tmp_path / f"sweep{i}"
+        out.mkdir()
+        path = _write(out, text)
+        assert cli.main(["--scenario", str(path), "--sweep", ",".join(map(str, ids)),
+                         "--out", str(out / "out")]) == 0
+        yield out / "out"
+
+
+def test_sweep_corpus_writes_its_pinned_reports(tmp_path):
+    """Every report file of the sweep-mode corpus, pinned one digest per
+    file name over the calls that wrote it."""
+    assert _digests(_sweep_corpus(tmp_path)) == SWEEP_REPORTS_SHA256
+
+
+#: a holder, its one neighbour and the base in a line; node 2 takes node
+#: 3's alarm on its last units, and the reset_send it owes empties it
+RESET_SEND_DEATH = """\
+[field]
+width = 300
+height = 100
+radio_range = 110
+[nodes]
+1 0 0 base
+2 100 0
+3 200 0
+[costs]
+threshold = 0
+init_min = 4
+init_max = 4
+[events]
+0 3 70
+[sim]
+seed = 1
+horizon = 4
+"""
+
+
+def test_reset_send_death_writes_its_pinned_reports(tmp_path):
+    assert _reports(tmp_path, _write(tmp_path, RESET_SEND_DEATH)) == RESET_SEND_DEATH_SHA256
+
+
+def test_pinned_corpora_reach_every_note_reason_outcome_and_death(tmp_path, monkeypatch):
+    """The random runs, the pocket runs, the sweep corpus and the crafted
+    reset_send run together send every note, close incidents for every
+    reason, end hop rounds in every outcome, lose a node to each priced
+    cause, and flood over a sensor that holds an open alarm."""
+    run = engine.Simulation.run
+    sims = []
+
+    def kept(sim):
+        sims.append(sim)
+        return run(sim)
+
+    monkeypatch.setattr(engine.Simulation, "run", kept)
+    for _ in _random_runs():
+        pass
+    for _ in _pocket_runs():
+        pass
+    for _ in _sweep_corpus(tmp_path):
+        pass
+    Simulation(parse_scenario(RESET_SEND_DEATH)).run()
+
+    notes, reasons, outcomes, deaths, swept = set(), set(), set(), set(), 0
+    for sim in sims:
+        trace = sim.trace
+        notes |= {ev.note for ev in trace.packet_events}
+        outcomes |= {r.outcome for r in trace.records if type(r) is HopAttempt}
+        deaths |= {r.cause for r in trace.records if type(r) is Death}
+        raised = [r for r in trace.records if type(r) is Sense and r.flag2]
+        for rec in trace.incidents:
+            reasons.add(rec.close_reason)
+            if rec.close_reason != "escalated":
+                continue
+            # no devastating reading reached the holder after it took
+            # the alarm, so a flood rebroadcast closed it
+            holder, since = rec.path[-1], rec.hops[-1].tick if rec.hops else rec.start_tick
+            if not any(r.node == holder and r.tick >= since for r in raised):
+                assert any(holder in f.infected_at for f in trace.floods), rec
+                swept += 1
+    assert notes == set(NOTES)
+    assert reasons - {""} == {"delivered", "escalated", "holder_died", "hop_cap", "base_reset"}
+    assert outcomes == {"holder died", "no eligible replier", "lost",
+                        "confirmation lost", "confirmed"}
+    assert deaths == set(PRICES)
+    assert swept

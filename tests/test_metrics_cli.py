@@ -12,7 +12,6 @@ import pytest
 
 from qcs_sim import Simulation, default16_scenario_text, joules, parse_scenario
 from qcs_sim.cli import main
-from qcs_sim.engine import NOTES
 from qcs_sim.energy import EnergyLedger
 from qcs_sim.metrics import (
     energy_diff_rows,
@@ -26,6 +25,7 @@ from qcs_sim.metrics import (
     write_paths_csv,
 )
 from qcs_sim.node import NodeState
+from qcs_sim.record import NOTES
 
 from conftest import ledger_csv_reference, subprocess_env
 

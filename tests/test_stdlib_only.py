@@ -246,10 +246,39 @@ def _trace_text_sites(tree: ast.Module) -> set[tuple[str, str]]:
 
 def test_trace_text_is_written_in_one_place():
     """Every string that starts a line of trace text sits in Trace.render
-    or in a module-level line table of engine.py: the simulation records
+    or in a module-level line table of record.py: the simulation records
     typed facts and no other code formats them."""
     places = set()
     for path in sorted(SRC.glob("*.py")):
         places |= {(path.name, *site)
                    for site in _trace_text_sites(ast.parse(path.read_text(encoding="utf-8")))}
-    assert places - {("engine.py", "", "")} == {("engine.py", "Trace", "render")}
+    assert places - {("record.py", "", "")} == {("record.py", "Trace", "render")}
+
+
+#: the package modules that each module must not import: the record and
+#: the reports never reach the simulation or the command line, and the
+#: record never reaches the reports
+_NOT_IMPORTED = {"record.py": {"engine", "cli", "metrics"}, "metrics.py": {"engine", "cli"}}
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports anywhere in its code, by name,
+    whether relative (``from .engine import X``, ``from . import engine``)
+    or absolute (``qcs_sim.engine``)."""
+    names = []
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.Import):
+            names += [alias.name for alias in stmt.names]
+        elif isinstance(stmt, ast.ImportFrom):
+            base = ".".join(filter(None, ("qcs_sim" if stmt.level else "", stmt.module)))
+            names += [f"{base}.{alias.name}" for alias in stmt.names]
+    return {name.split(".")[1] for name in names if name.startswith("qcs_sim.")}
+
+
+def test_the_record_and_the_reports_do_not_import_the_simulator():
+    """The dependencies run one way: record <- engine, record <- metrics,
+    and cli -> engine, metrics."""
+    for name, banned in _NOT_IMPORTED.items():
+        imported = _package_imports(ast.parse((SRC / name).read_text(encoding="utf-8")))
+        assert "energy" in imported  # the walk found the module's imports
+        assert not imported & banned, (name, imported & banned)

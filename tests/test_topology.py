@@ -37,6 +37,10 @@ def test_link_boundary_is_inclusive():
     )
     assert topo.neighbors(1) == (2,)   # exactly at range: linked
     assert topo.neighbors(3) == ()     # one unit past range: not linked
+    # the links come from the positions alone; no caller can hand them in
+    with pytest.raises(TypeError):
+        Topology(nodes=topo.nodes, base_id=1, radio_range=110.0,
+                 field_size=(300.0, 200.0), _adj={1: (3,), 2: (), 3: (1,)})
 
 
 def test_adjacency_matches_brute_force():
