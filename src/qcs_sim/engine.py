@@ -21,9 +21,13 @@ identical scenarios replay byte-identically.
 
 One routine, ``_broadcast``, sends the four broadcasts: the regular
 query, the hop query, the flood rebroadcast and the isolation alert.
-It reads the note's causes and prices from ``record.NOTES``, bills the
-sender, then takes the candidates (``NodeState``s in ascending id order)
-under one receive rule: a flagged sensor ignores a flag-clear packet, a
+It takes a note, its senders and each sender's candidates: the act pass
+hands it a whole run of regular queries at once, and each other
+broadcast has one sender.  It reads the note's causes and prices from
+``record.NOTES`` once per call.  For each sender in turn it skips one
+that an earlier sender of the call emptied, bills the sender, then
+takes its candidates (``NodeState``s in ascending id order) under one
+receive rule: a flagged sensor ignores a flag-clear packet, a
 dead one (``energy <= 0``, which is what ``NodeState.alive`` means) is
 skipped without a coin, and a live one draws its loss coin.  Each node
 that hears is billed.  The regular query ends there, in the routine's
@@ -176,64 +180,71 @@ class Simulation:
         p = self.sc.loss_prob
         return p > 0 and self.loss_rng.random() < p
 
-    def _broadcast(self, sender: NodeState, note: str, candidates, hop: int = 0):
-        """Send the broadcast named note from a live sensor; for a flag1
-        broadcast, yield each candidate that hears it, in candidate order.
+    def _broadcast(self, note: str, senders, candidates, hop: int = 0):
+        """Send the broadcast named note from each sender in turn, to
+        ``candidates[sender id]``; for a flag1 broadcast, yield each
+        candidate that hears it, in candidate order.
 
-        The sender pays its send price first.  Each candidate then meets
-        the receive rule: a flagged sensor ignores a flag-clear packet, a
-        dead one is skipped without a coin, and a live one draws its loss
-        coin.  One that hears pays the receive price (the base is left
-        untouched) and dies if that empties it.  The regular query is
-        handled here in full: each hearer's heard_tick is stamped, and a
-        base that holds no alarm goes back to "Network is fine" in its
-        place among the receivers, so nothing is yielded.  A hearer of a
-        hop query, flood or alert is yielded before the next candidate's
-        coin, since its caller acts on it first.  The PacketEvent follows
-        the last candidate, so a caller must run the generator to its end.
+        A sender that an earlier sender's broadcast emptied is skipped at
+        its turn; every other sender is a live sensor.  The sender pays
+        its send price first.  Each candidate then meets the receive
+        rule: a flagged sensor ignores a flag-clear packet, a dead one is
+        skipped without a coin, and a live one draws its loss coin.  One
+        that hears pays the receive price (the base is left untouched)
+        and dies if that empties it.  The regular query is handled here
+        in full: each hearer's heard_tick is stamped, and a base that
+        holds no alarm goes back to "Network is fine" in its place among
+        the receivers, so nothing is yielded.  A hearer of a hop query,
+        flood or alert is yielded before the next candidate's coin, since
+        its caller acts on it first.  Each sender's PacketEvent follows
+        its last candidate, so a caller must run the generator to its end.
         """
         _, flag1, _, send, recv, _, send_price, price = NOTES[note]
         tick = self.tick
         cells = self.ledger.cells
-        nid = sender.node_id
-        # a live sender and a positive price, so the clamped debit moves
-        # energy; the rows are those EnergyLedger.debit would write
-        bal = sender.energy
-        taken = bal if bal < send_price else send_price
-        bal -= taken
-        sender.energy = bal
-        cells.extend((tick, nid, send, taken, bal))
-        if bal <= 0:
-            self._died(sender, send)
+        records = self.trace.records
         p = self.sc.loss_prob
         coin = self.loss_rng.random
-        received = []
-        for nb in candidates:
-            if nb.flag1 and not flag1 and not nb.is_base:
-                continue
-            bal = nb.energy
-            if bal <= 0 or (p > 0 and coin() < p):
-                continue
-            j = nb.node_id
-            received.append(j)
-            if not nb.is_base:
-                taken = bal if bal < price else price
-                bal -= taken
-                nb.energy = bal
-                cells.extend((tick, j, recv, taken, bal))
-                if bal <= 0:
-                    self._died(nb, recv)
-            elif not (flag1 or nb.flag1) and nb.message != NETWORK_FINE:
-                # a regular query puts a base back to listening; one that
-                # holds an alarm keeps its alarm text
-                nb.message = NETWORK_FINE
-                self.trace.records.append(BaseListening(tick))
-            if flag1:
-                yield nb
-            else:
-                nb.heard_tick = tick
-        self.trace.records.append(_new_tuple(PacketEvent, (
-            tick, note, nid, None, tuple(received), hop)))
+        for sender in senders:
+            bal = sender.energy
+            if bal <= 0:
+                continue  # emptied by an earlier sender of this call
+            nid = sender.node_id
+            # a live sender and a positive price, so the clamped debit
+            # moves energy; the rows are those EnergyLedger.debit would write
+            taken = bal if bal < send_price else send_price
+            bal -= taken
+            sender.energy = bal
+            cells.extend((tick, nid, send, taken, bal))
+            if bal <= 0:
+                self._died(sender, send)
+            received = []
+            for nb in candidates[nid]:
+                if nb.flag1 and not flag1 and not nb.is_base:
+                    continue
+                bal = nb.energy
+                if bal <= 0 or (p > 0 and coin() < p):
+                    continue
+                j = nb.node_id
+                received.append(j)
+                if not nb.is_base:
+                    taken = bal if bal < price else price
+                    bal -= taken
+                    nb.energy = bal
+                    cells.extend((tick, j, recv, taken, bal))
+                    if bal <= 0:
+                        self._died(nb, recv)
+                elif not (flag1 or nb.flag1) and nb.message != NETWORK_FINE:
+                    # a regular query puts a base back to listening; one
+                    # that holds an alarm keeps its alarm text
+                    nb.message = NETWORK_FINE
+                    records.append(BaseListening(tick))
+                if flag1:
+                    yield nb
+                else:
+                    nb.heard_tick = tick
+            records.append(_new_tuple(PacketEvent, (
+                tick, note, nid, None, tuple(received), hop)))
 
     # -------------------------------------------------------------- incidents
 
@@ -311,6 +322,16 @@ class Simulation:
         the same coins, debits and deaths, and every sensor alive at the
         tick's end ends in the same role.  One that a later alert empties
         has already swapped, but nothing reads a dead sensor's role.
+
+        The act pass sends the regular queries in runs.  It collects the
+        live Q sensors in id order and hands each run to step_regular just
+        before the next flagged sensor acts, and the last run at the end
+        of the pass.  A regular query flags no one and a flagged sensor
+        ignores it, so each flagged sensor acts on the state it met when
+        every query went out at its own turn, and every loss coin, ledger
+        row and record keeps its place.  A Q sensor that an earlier query
+        of its run empties is skipped inside _broadcast, as the pass
+        skipped it at its turn.
         """
         tick = self.tick
         for ev in self._events_at.get(tick, ()):
@@ -324,18 +345,26 @@ class Simulation:
             self.base_reset()
 
         sensors = self._sensors
+        queries = []  # the Q sensors since the last flagged one that acted
         for node in sensors:
             if node.energy <= 0:
                 continue
             if node.flag1:  # flag2 never stands without flag1
                 if node.alarm_tick == tick:
                     continue  # took the alarm this tick; acts from the next
+                if node.flag2 and resetting:
+                    continue  # a flooded node is silent once the wave is under way
+                if queries:
+                    self.step_regular(queries)
+                    queries = []
                 if not node.flag2:
                     self.run_irregular_transfer(node)
-                elif not resetting:
+                else:
                     self.run_petrol_flow(node)
             elif node.role == MODE_Q:
-                self.step_regular(node)
+                queries.append(node)
+        if queries:
+            self.step_regular(queries)
 
         for node in sensors:
             if node.energy <= 0 or node.flag1:
@@ -359,19 +388,21 @@ class Simulation:
 
     # --------------------------------------------------------- regular step
 
-    def step_regular(self, node: NodeState) -> None:
-        """One live Q sensor broadcasts one status query; neighbours just
-        listen.
+    def step_regular(self, nodes: list[NodeState]) -> None:
+        """A run of live Q sensors, in id order, each broadcast one status
+        query; neighbours just listen.
 
-        _broadcast does all of it in one run of its generator, which
-        yields nothing for this note: it bills the sender and each
-        listener, stamps each listener's heard_tick (handle_query's only
-        effect for a flag-clear query, so no packet is built on this
-        plane), sets a base that holds no alarm back to "Network is fine",
-        and records the query.  An S sensor is busy forwarding and does
-        not listen.
+        _broadcast sends the whole run in one run of its generator, which
+        yields nothing for this note.  For each sender in turn it bills
+        the sender and each listener, stamps each listener's heard_tick
+        (handle_query's only effect for a flag-clear query, so no packet
+        is built on this plane), sets a base that holds no alarm back to
+        "Network is fine", and records the query.  A sender that an
+        earlier query of the run emptied sends nothing, as if the act pass
+        had reached it dead.  An S sensor is busy forwarding and does not
+        listen.
         """
-        for _ in self._broadcast(node, "regular", self._nbrs[node.node_id]):
+        for _ in self._broadcast("regular", nodes, self._nbrs):
             pass
 
     # ----------------------------------------------------- alarm forwarding
@@ -396,7 +427,7 @@ class Simulation:
         acks = []  # the ack packets the holder heard
         # each ack's loss coin is drawn between two neighbours' query
         # coins, and before the holder's liveness check
-        for nb in self._broadcast(node, "hop_query", self._nbrs[nid]):
+        for nb in self._broadcast("hop_query", (node,), self._nbrs):
             if nb.energy <= 0:
                 continue  # hearing the query emptied it; the dead send no ack
             ack = handle_query(nb, hop_pkt, self.tick)
@@ -486,7 +517,7 @@ class Simulation:
         nid = node.node_id
         energy = node.energy  # before _broadcast bills the send
         pkt = None
-        for nb in self._broadcast(node, "flood", self._nbrs[nid], node.hop_depth):
+        for nb in self._broadcast("flood", (node,), self._nbrs, node.hop_depth):
             # a second packet changes nothing for a flooded sensor, and the
             # base takes only the first
             if epoch.base_receipt_tick is not None if nb.is_base else nb.flag2:
@@ -545,7 +576,7 @@ class Simulation:
         nid = node.node_id
         reach = ISOLATION_MULTIPLIER * self.topology.radio_range
         audience = map(self.nodes.__getitem__, self.topology.within(nid, reach))
-        for nb in self._broadcast(node, "alert", audience):
+        for nb in self._broadcast("alert", (node,), {nid: audience}):
             if nb.is_base:
                 text = f"node number '{nid}' became disconnected"
                 self.trace.records.append(BaseReceipt(self.tick, "alert", text))

@@ -31,6 +31,9 @@ MODE_Q = "Q"
 MODE_C = "C"
 MODE_S = "S"
 
+#: the kinds the receive checks compare against, read once from the enum
+_QUERY, _SOURCE = PacketKind.QUERY, PacketKind.SOURCE
+
 
 #: a heard_tick whose two-tick window is empty at every tick and never
 #: just emptied: isolation_check fires at t when heard_tick == t - 2
@@ -116,7 +119,7 @@ def handle_query(n: NodeState, q: Packet, tick: int) -> Packet | None:
     with this node's position and remaining energy.  S nodes are busy
     forwarding their own alarm and stay silent; the base always answers.
     """
-    if q.kind != PacketKind.QUERY:
+    if q.kind != _QUERY:
         raise ValueError("handle_query expects a query packet")
     n.heard_tick = tick
     if q.flags.flag1 and (n.is_base or not n.flag1):
@@ -133,7 +136,7 @@ def handle_source(n: NodeState, s: Packet) -> None:
     holder's confirmation (the reset_ack) itself.  Flood delivery (both
     flags): the node is infected at one hop deeper than the packet.
     """
-    if s.kind != PacketKind.SOURCE:
+    if s.kind != _SOURCE:
         raise ValueError("handle_source expects a source packet")
     if s.flags.flag2:
         if not n.flag1:

@@ -58,6 +58,11 @@ class PacketKind(IntEnum):
         return SOURCE_SIZE if self == PacketKind.SOURCE else QUERY_ACK_SIZE
 
 
+#: the kinds read once: a module global is cheaper than the enum class's
+#: attribute on every packet the builders make
+_QUERY, _ACK, _SOURCE = PacketKind.QUERY, PacketKind.ACK, PacketKind.SOURCE
+
+
 @dataclass(frozen=True)
 class Flags:
     """flag1 marks an irregular alarm, flag2 a devastating one.
@@ -193,15 +198,15 @@ def make_query(src: int, flag1: bool = False, flag2: bool = False,
                loc: tuple[float, float] = (0.0, 0.0), energy: float = 0) -> Packet:
     # an illegal pair is not in _FLAGS, and Flags raises for it
     flags = _FLAGS.get((flag1, flag2)) or Flags(flag1, flag2)
-    return _new_packet(Packet, (PacketKind.QUERY, flags, src, 0, loc, energy, ""))
+    return _new_packet(Packet, (_QUERY, flags, src, 0, loc, energy, ""))
 
 
 def make_ack(src: int, energy: float, loc: tuple[float, float], message: str = "") -> Packet:
-    return _new_packet(Packet, (PacketKind.ACK, _FLAGS[False, False], src, 0, loc, energy,
+    return _new_packet(Packet, (_ACK, _FLAGS[False, False], src, 0, loc, energy,
                                 message))
 
 
 def make_source(src: int, loc: tuple[float, float], energy: float, message: str,
                 hop_count: int = 0, devastating: bool = False) -> Packet:
-    return _new_packet(Packet, (PacketKind.SOURCE, _FLAGS[True, bool(devastating)], src,
+    return _new_packet(Packet, (_SOURCE, _FLAGS[True, bool(devastating)], src,
                                 hop_count, loc, energy, message))

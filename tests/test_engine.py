@@ -24,7 +24,7 @@ from qcs_sim import (
 from qcs_sim import engine
 from qcs_sim.energy import PRICES
 from qcs_sim.packet import PacketKind
-from qcs_sim.record import NOTES
+from qcs_sim.record import NOTES, Death
 from qcs_sim.scenario import SenseEvent
 
 from conftest import (
@@ -159,6 +159,27 @@ def test_base_returns_to_listening_among_a_query_s_receivers():
         "t=  0 query src=4 recv=[1,2,3]",
     ]
     assert [ln for ln in lines if ln.startswith("t=  0 ")] == want
+
+
+def test_q_sensor_emptied_earlier_in_its_run_sends_nothing():
+    # a line 1-2-3-4 with the base 5 at its end: the starting roles are
+    # Q for 1 and 4, so the adjacent sensors 2 and 3 are Q together on
+    # odd ticks.  At tick 3 both are live Q sensors of one run of
+    # queries, and node 2's query empties node 3 before its turn
+    topo = Topology(nodes={i: (100.0 * (i - 1), 0.0) for i in range(1, 6)},
+                    base_id=5, radio_range=110.0, field_size=(400.0, 100.0))
+    sim = Simulation(make_scenario(topo, seed=38, horizon=4,
+                                   costs=CostModel(threshold=0, init_min=5, init_max=8)))
+    for _ in range(3):
+        sim.step()
+    assert [sim.nodes[i].role for i in (2, 3)] == ["Q", "Q"]
+    assert sim.nodes[3].alive and sim.nodes[3] in sim._nbrs[2]
+    tr = sim.run()
+    assert [d for d in tr.records if type(d) is Death and d.node == 3] == [
+        Death(3, 3, "query_recv")]
+    assert [e.cause for e in sim.ledger.entries if e.tick == 3 and e.node_id == 3] == [
+        "query_recv"]
+    assert [e.src for e in tr.packet_events if e.tick == 3 and e.note == "regular"] == [2]
 
 
 _BROADCAST_LABEL = {"regular": "query", "flood": "flood", "alert": "isolation alert"}

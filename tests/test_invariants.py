@@ -12,9 +12,9 @@ record holds no text, on these runs or the golden runs.  The ledger's
 entries view reads the same rows mid-run as at the end, and ledger.csv
 equals a per-row formatting of them.  Pocket runs add a short chain of
 nodes the base cannot reach, with an alarm in it, and no incident may
-run more rounds than its attempt cap.  No dead sensor may act, on these
-runs or the golden runs, and no node that the hop query's price empties
-may answer it.
+run more rounds than its attempt cap.  No dead sensor may act or send a
+regular query, on these runs or the golden runs, and no node that the
+hop query's price empties may answer it.
 
 Every report of the random runs, the pocket runs, a sweep-mode corpus
 run through the CLI and one crafted run is pinned by sha256, and these
@@ -663,15 +663,30 @@ def test_no_incident_runs_more_rounds_than_attempt_cap():
 
 @pytest.fixture
 def live_actors(monkeypatch):
-    """Check that no dead node acts or is reset and that after every
+    """Check that no dead node acts or is reset, that no regular query in
+    the record comes from a sensor after its death, and that after every
     step the simulation's sensor list holds exactly its live sensors, in
-    id order.  Returns the checked calls by name."""
+    id order.  Returns the checked calls by name, and the checked queries
+    as "regular"."""
     calls = Counter()
     sim_cls = engine.Simulation
-    step = sim_cls.step
+    step, step_regular = sim_cls.step, sim_cls.step_regular
 
     def checked_step(sim):
+        dead = {nid for nid, n in sim.nodes.items() if n.energy <= 0}
+        start = len(sim.trace.records)
         step(sim)
+        # a query's own send price may empty its sender: that Death comes
+        # before the query it paid for
+        emptied_by_send = set()
+        for r in sim.trace.records[start:]:
+            if type(r) is Death:
+                (emptied_by_send if r.cause == "query_send" else dead).add(r.node)
+            elif type(r) is PacketEvent and r.note == "regular":
+                assert r.src not in dead, r
+                if r.src in emptied_by_send:
+                    dead.add(r.src)
+                calls["regular"] += 1
         live = [n for n in sim.nodes.values() if not n.is_base and n.energy > 0]
         assert len(sim._sensors) == len(live)
         assert all(a is b for a, b in zip(sim._sensors, live))
@@ -685,8 +700,16 @@ def live_actors(monkeypatch):
             return fn(*args)
         return act
 
+    def regular_run(sim, nodes):
+        # every sensor of the run is live when it is handed over; one that
+        # an earlier query of the run empties is skipped inside _broadcast
+        assert nodes and all(not n.is_base and n.energy > 0 for n in nodes), nodes
+        calls["step_regular"] += 1
+        return step_regular(sim, nodes)
+
     monkeypatch.setattr(sim_cls, "step", checked_step)
-    for name in ("step_regular", "run_petrol_flow", "run_irregular_transfer"):
+    monkeypatch.setattr(sim_cls, "step_regular", regular_run)
+    for name in ("run_petrol_flow", "run_irregular_transfer"):
         monkeypatch.setattr(sim_cls, name, acting(name, getattr(sim_cls, name),
                                                   lambda sim, n: n))
     for name in ("isolation_check", "tick_transition", "reset_node"):
@@ -711,25 +734,27 @@ def test_dead_sensors_never_act(tmp_path, live_actors):
     # the runs lose sensors, and every checked routine was called
     assert died
     assert all(live_actors[name] for name in (
-        "step", "step_regular", "run_petrol_flow", "run_irregular_transfer",
+        "step", "step_regular", "regular", "run_petrol_flow", "run_irregular_transfer",
         "isolation_check", "tick_transition", "reset_node"))
 
 
 def test_flagged_sensors_hear_only_flag1_broadcasts(monkeypatch):
     """A sensor with flag1 raised is busy forwarding: it ignores the
     flag-clear regular query but is billed for each hop query, flood and
-    alert it hears.  Each broadcast's flagged candidates are read before
-    it goes out, and their rows after it ends.  The regular query yields
-    no hearer to its caller; the flag1 broadcasts yield theirs."""
+    alert it hears.  Each call's flagged candidates, over all its
+    senders, are read before it goes out, and their rows after it ends.
+    The regular query yields no hearer to its caller; the flag1
+    broadcasts yield theirs."""
     broadcast = engine.Simulation._broadcast
     billed, flagged_listeners, sends, yields = Counter(), Counter(), Counter(), Counter()
 
-    def spy(sim, sender, note, candidates, hop=0):
-        candidates = list(candidates)
-        flagged = {n.node_id for n in candidates if n.flag1 and not n.is_base}
+    def spy(sim, note, senders, candidates, hop=0):
+        candidates = {s.node_id: list(candidates[s.node_id]) for s in senders}
+        flagged = {n.node_id for heard in candidates.values() for n in heard
+                   if n.flag1 and not n.is_base}
         start = len(sim.ledger.entries)
         sends[note] += 1
-        for nb in broadcast(sim, sender, note, candidates, hop):
+        for nb in broadcast(sim, note, senders, candidates, hop):
             yields[note] += 1
             yield nb
         flagged_listeners[note] += len(flagged)
