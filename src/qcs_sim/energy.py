@@ -8,10 +8,11 @@ Radio work is billed twice over, in two independent currencies:
 * millijoules, from transmission time at a fixed current and voltage,
   for physically meaningful reporting.
 
-Sending and receiving the same packet cost the same amount.  The base
-station has an infinite supply and is never charged: the engine's
-broadcast routine skips it, and ``EnergyLedger.debit`` leaves an
-infinite balance untouched and writes no row for it.
+Sending and receiving the same packet cost the same amount.  Units are
+whole: ``CostModel`` takes only ints and every price is one, so each
+sensor's balance and debit is an int.  Only the base station holds
+``math.inf``; it is never charged: the engine's broadcast routine skips
+it, and ``EnergyLedger.debit`` leaves it untouched and writes no row.
 
 The ledger stores its rows as flat cells, five values per row in column
 order, so a run keeps no row object per send or receive; ``entries``
@@ -105,13 +106,16 @@ PRICES: dict[str, int] = {
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-scenario energy settings: the handover floor and battery range."""
+    """Per-scenario energy settings in whole units: handover floor, battery range."""
 
     threshold: int = 500
     init_min: int = 3000
     init_max: int = 5000
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # a float would fail only in a run's randint
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.threshold < 0:
             raise ValueError("threshold cannot be negative")
         if not 0 < self.init_min <= self.init_max:
@@ -130,7 +134,7 @@ class LedgerEntry(NamedTuple):
     node_id: int
     cause: str
     debit: int
-    balance: float
+    balance: int
 
 
 #: values per row in EnergyLedger.cells, one per LedgerEntry field
@@ -146,15 +150,15 @@ class EnergyLedger:
 
     A node's balance is its ``NodeState.energy``; the ledger writes it
     when a debit moves energy and reads it back through ``balance``.
-    ``cells`` holds the rows flat, five values per row in column order:
-    tick, node_id, cause, debit, balance.  ``debit`` bills the hop
-    plane's point-to-point packets; ``Simulation._broadcast`` bills every
-    broadcast without calling it and extends ``cells`` with the rows
-    ``debit`` would write.
+    ``cells`` holds the rows flat, five values per row in column order,
+    all ints but the cause: tick, node_id, cause, debit, balance.
+    ``debit`` bills the hop plane's point-to-point packets;
+    ``Simulation._broadcast`` bills every broadcast without calling it
+    and extends ``cells`` with the rows ``debit`` would write.
     """
 
     nodes: dict[int, NodeState]
-    cells: list[int | str | float] = field(default_factory=list)
+    cells: list[int | str] = field(default_factory=list)
     _rows: list[LedgerEntry] = field(default_factory=list, init=False, repr=False,
                                      compare=False)
 
@@ -173,7 +177,7 @@ class EnergyLedger:
             rows.extend(map(_new_row, repeat(LedgerEntry), zip(*[it] * ROW_CELLS)))
         return rows
 
-    def balance(self, node_id: int) -> float:
+    def balance(self, node_id: int) -> int | float:
         return self.nodes[node_id].energy
 
     def debit(self, tick: int, node: NodeState, cause: str) -> int:

@@ -125,7 +125,7 @@ class Simulation:
         for nid in sorted(topo.nodes):
             is_base = nid == self.base_id
             if is_base:
-                energy: float = math.inf
+                energy: int | float = math.inf
             else:
                 energy = draw_initial_energy(
                     seed, nid, self.costs.init_min, self.costs.init_max

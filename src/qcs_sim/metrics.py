@@ -6,7 +6,8 @@ line endings, and number formatting that never depends on locale.
 The CSVs are written as plain comma-joined rows, streamed one row at a
 time, or for ``ledger.csv`` one chunk of rows per format call: no field
 can need quoting, since causes, labels and numbers never hold a comma,
-a quote or a newline.
+a quote or a newline.  CSV energy is whole units; only the summary
+prints the base's infinite supply, as ``Inf``.
 """
 
 from __future__ import annotations
@@ -40,33 +41,20 @@ _LEDGER_CHUNK = 2048
 _LEDGER_ROW = "%s,%s,%s,%s,%s\n"
 
 
-def _ledger_chunks(cells: list):
-    """The ledger's rows as text, one string per chunk of rows.
-
-    A debit or balance column that holds anything but ints (only the
-    public EnergyLedger API can put a float there) is formatted through
-    fmt_num first, so every chunk takes the same % path.  Ints sum to an
-    int and a float does not, so one sum per column tells.
-    """
-    step = ROW_CELLS * _LEDGER_CHUNK
-    for start in range(0, len(cells), step):
-        chunk = cells[start:start + step]
-        for col in (3, 4):  # debit, balance
-            if type(sum(chunk[col::ROW_CELLS])) is not int:
-                chunk[col::ROW_CELLS] = [fmt_num(v, "Inf") for v in chunk[col::ROW_CELLS]]
-        yield _LEDGER_ROW * (len(chunk) // ROW_CELLS) % tuple(chunk)
-
-
 def write_ledger_csv(path: str | Path, ledger: EnergyLedger) -> None:
-    """One row per debit: tick, node_id, cause, debit, balance."""
-    _write_csv(path, "tick,node_id,cause,debit,balance", _ledger_chunks(ledger.cells))
+    """One row per debit: tick, node_id, cause, debit, balance.  Every cell
+    but the cause is an int, so one % formats each chunk of rows."""
+    cells, step = ledger.cells, ROW_CELLS * _LEDGER_CHUNK
+    chunks = (tuple(cells[i:i + step]) for i in range(0, len(cells), step))
+    _write_csv(path, "tick,node_id,cause,debit,balance",
+               (_LEDGER_ROW * (len(c) // ROW_CELLS) % c for c in chunks))
 
 
 def energy_diff_rows(label: str, trace: Trace) -> list[tuple[str, int, int]]:
     """Per-sensor consumption over a full pass, initial minus final, in
     ascending id order."""
     return [
-        (label, nid, int(trace.initial_energy[nid] - n.energy))
+        (label, nid, trace.initial_energy[nid] - n.energy)
         for nid, n in trace.nodes.items() if not n.is_base
     ]
 
@@ -113,7 +101,7 @@ def render_base_record(base: NodeState) -> list[str]:
     return [
         "    id: 'BASE STATION'",
         f"    energy: {fmt_num(base.energy, 'Inf')}",
-        f"    loc: [{fmt_num(x, 'Inf')} {fmt_num(y, 'Inf')}]",
+        f"    loc: [{fmt_num(x)} {fmt_num(y)}]",
         f"    flag1: {int(base.flag1)}",
         f"    flag2: {int(base.flag2)}",
         f"    mode: '{base.mode}'",

@@ -53,7 +53,7 @@ class NodeState:
     role: str = MODE_C  # Q or C; promotion to S leaves it alone
     flag1: bool = False
     flag2: bool = False
-    energy: float = 0  # a whole number, or inf for the base
+    energy: int | float = 0  # whole units; only the base holds math.inf
     message: str = ""
     # a flood's depth, nonzero only while flag2 is set: handle_source
     # sets the two together and reset_node clears them together

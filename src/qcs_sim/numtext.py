@@ -37,6 +37,10 @@ def fmt_num(value: float, inf: str = "inf") -> str:
     return str(int(f)) if f.is_integer() else str(f)
 
 
+#: each node id's text, for ids 1..255, the range the 8-bit src field allows
+_ID_TEXT = {i: str(i) for i in range(1, 256)}
+
+
 def fmt_ids(seq) -> str:
-    """Node ids as a bracketed, comma-separated list: ``[1,2,3]``."""
-    return "[" + ",".join(map(str, seq)) + "]"
+    """Node ids as ``[1,2,3]``; an id outside 1..255 raises KeyError."""
+    return "[" + ",".join(map(_ID_TEXT.__getitem__, seq)) + "]"

@@ -207,7 +207,7 @@ class Trace:
 
     scenario: Scenario
     modes: dict[int, str]  # each sensor's initial Q/C role
-    initial_energy: dict[int, float]
+    initial_energy: dict[int, int | float]  # whole units; math.inf for the base
     records: list[PacketEvent | Death | BaseReceipt | HopAttempt | Sense | ResetStep
                   | BaseListening] = field(default_factory=list)
     incidents: list[IncidentRecord] = field(default_factory=list)

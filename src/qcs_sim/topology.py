@@ -1,8 +1,10 @@
 """Static network geometry: node positions, radio range, adjacency.
 
-Coordinates are plain floats in field units.  Range checks compare
-squared distances so that a pair sitting exactly at the radio range is
-classified the same way on every platform (no sqrt rounding).
+Coordinates are plain floats in field units.  Radio links compare
+squared distances, so a pair sitting exactly at the radio range is
+linked the same way on every platform (no sqrt rounding).  The alert
+reach (``within``) compares ``dist``, a ``math.hypot``, and its
+docstring argues why that is exact too.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from qcs_sim import CostModel, Scenario, Topology
-from qcs_sim.numtext import fmt_num
 from qcs_sim.record import NOTES
 from qcs_sim.scenario import SenseEvent
 
@@ -147,11 +146,11 @@ class Samples:
 
 def ledger_csv_reference(ledger) -> bytes:
     """ledger.csv as one formatted line per LedgerEntry of the ledger's
-    entries view, each number through fmt_num."""
+    entries view; every debit and balance must be a whole int."""
     lines = ["tick,node_id,cause,debit,balance"]
     for e in ledger.entries:
-        lines.append(",".join((str(e.tick), str(e.node_id), e.cause,
-                               fmt_num(e.debit, "Inf"), fmt_num(e.balance, "Inf"))))
+        assert type(e.debit) is int and type(e.balance) is int, e
+        lines.append(",".join(map(str, e)))
     return ("\n".join(lines) + "\n").encode()
 
 

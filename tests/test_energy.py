@@ -106,6 +106,17 @@ def test_cost_model_validation():
         CostModel(init_min=400, init_max=300)
 
 
+@pytest.mark.parametrize("kw, name", [({"init_min": 3000.0, "init_max": 5000.0}, "init_min"),
+                                      ({"threshold": 499.5}, "threshold"),
+                                      ({"init_min": 1, "init_max": True}, "init_max")],
+                         ids=["whole_float", "fractional", "bool"])
+def test_cost_model_takes_only_whole_int_units(kw, name):
+    """A float or a bool fails at construction, naming its field, not
+    later inside a run's energy draws."""
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        CostModel(**kw)
+
+
 # ledger behavior: balances live on the nodes, the ledger records debits
 
 def _ledger(balances: dict[int, float]) -> EnergyLedger:

@@ -53,45 +53,43 @@ def test_ledger_csv_shape(tmp_path):
     assert int(debit) == 1
 
 
-def test_ledger_csv_bytes_with_float_balances(tmp_path):
-    # a run's debits and balances are ints; a float column goes through
-    # fmt_num, so a whole float prints as an int
-    nodes = {1: NodeState(1, (0.0, 0.0), energy=10.5),
-             2: NodeState(2, (1.0, 0.0), energy=3.0),
-             3: NodeState(3, (2.0, 0.0), energy=0.5),
-             4: NodeState(4, (3.0, 0.0), energy=1.0),
+def test_ledger_csv_bytes_with_a_base_and_clamped_balances(tmp_path):
+    nodes = {1: NodeState(1, (0.0, 0.0), energy=10),
+             2: NodeState(2, (1.0, 0.0), energy=3),
+             3: NodeState(3, (2.0, 0.0), energy=1),
              9: NodeState(9, (4.0, 0.0), is_base=True, energy=math.inf)}
     ledger = EnergyLedger(nodes)
     ledger.debit(0, nodes[1], "query_send")
     ledger.debit(0, nodes[9], "query_recv")       # the base: no row
     ledger.debit(1, nodes[2], "flood_recv")
     ledger.debit(2, nodes[3], "flood_send")       # clamped at zero
-    ledger.debit(3, nodes[4], "flood_send")       # a whole float, clamped at zero
     out = tmp_path / "ledger.csv"
     write_ledger_csv(out, ledger)
     assert out.read_bytes() == (b"tick,node_id,cause,debit,balance\n"
-                                b"0,1,query_send,1,9.5\n"
+                                b"0,1,query_send,1,9\n"
                                 b"1,2,flood_recv,2,1\n"
-                                b"2,3,flood_send,0.5,0\n"
-                                b"3,4,flood_send,1,0\n")
+                                b"2,3,flood_send,1,0\n")
+    assert nodes[9].energy == math.inf
 
 
-@pytest.mark.parametrize("float_row", [None, 0, -1])
+@pytest.mark.parametrize("base_row", [None, 0, -1])
 @pytest.mark.parametrize("rows", [0, 1, _LEDGER_CHUNK, _LEDGER_CHUNK + 1])
-def test_ledger_csv_chunks_match_a_per_row_formatting(tmp_path, rows, float_row):
-    """No rows, one row, exactly one chunk and one chunk plus a row, all
-    ints or with one float balance in the first or the last row."""
+def test_ledger_csv_chunks_match_a_per_row_formatting(tmp_path, rows, base_row):
+    """No rows, one row, exactly one chunk and one chunk plus a row, with
+    no base debit or one after the first or the last row: it writes no
+    row, so the chunks keep their rows whole."""
     nodes = {1: NodeState(1, (0.0, 0.0), energy=rows + 1),
-             2: NodeState(2, (1.0, 0.0), energy=7.5)}
+             9: NodeState(9, (1.0, 0.0), is_base=True, energy=math.inf)}
     ledger = EnergyLedger(nodes)
-    float_at = None if float_row is None or rows == 0 else float_row % rows
+    base_at = None if base_row is None or rows == 0 else base_row % rows
     for i in range(rows):
-        ledger.debit(i, nodes[2 if i == float_at else 1], "query_send")
+        ledger.debit(i, nodes[1], "query_send")
+        if i == base_at:
+            ledger.debit(i, nodes[9], "query_recv")
     out = tmp_path / "ledger.csv"
     write_ledger_csv(out, ledger)
     assert len(ledger.entries) == rows
     assert out.read_bytes() == ledger_csv_reference(ledger)
-    assert (b",6.5\n" in out.read_bytes()) == (float_at is not None)
 
 
 def test_energy_diff_rows_match_ledger(tmp_path):

@@ -1,10 +1,12 @@
-"""The number formatter shared by traces and reports."""
+"""The number and id-list formatters shared by traces and reports."""
 
 from __future__ import annotations
 
 import math
 
-from qcs_sim.numtext import fmt_num
+import pytest
+
+from qcs_sim.numtext import fmt_ids, fmt_num
 
 
 def test_fmt_num_prints_large_ints_exactly():
@@ -20,3 +22,12 @@ def test_fmt_num_prints_large_ints_exactly():
 def test_fmt_num_bool_prints_as_a_number():
     assert fmt_num(True) == "1"
     assert fmt_num(False) == "0"
+
+
+def test_fmt_ids_prints_ids_of_the_8_bit_src_field():
+    assert fmt_ids(()) == "[]"
+    assert fmt_ids((1,)) == "[1]"
+    assert fmt_ids((1, 2, 255)) == "[1,2,255]"
+    for bad in (0, 256):
+        with pytest.raises(KeyError):
+            fmt_ids((1, bad))
