@@ -136,11 +136,8 @@ def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
         path_rows.extend(metrics.paths_rows([rec], labels=[label]))
         metrics.write_ledger_csv(out / f"ledger_{label}.csv", sim.ledger)
         trace_parts.append(f"== {label} (source node {nid}) ==")
-        trace_parts.append(trace.render())
-        summary_parts.append(f"{label}: source node {nid}")
-        summary_parts.append(metrics.render_incident(rec))
-        summary_parts.extend(metrics.render_base_record(trace.base))
-        summary_parts.append("")
+        trace_parts.append(metrics.render_trace(trace))
+        summary_parts.append(metrics.render_sweep_entry(label, nid, trace))
         status = (
             f"delivered in {len(rec.path)} nodes" if rec.delivery_tick is not None
             else f"undelivered ({rec.close_reason or 'open'})"

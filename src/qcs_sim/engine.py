@@ -10,14 +10,14 @@ of the three routines its flags select:
     flags (1,0)  alarm forwarding: one greedy hop attempt toward the base
     flags (1,1)  flood: rebroadcast the alarm to everyone in range
 
-A closing pass then lets each live, unflagged sensor alert if it just
-lost its neighbours and swap its Q/C role.  One rule holds a node back
-in both passes: a sensor that took or handed on an alarm this tick
-(``alarm_tick == tick``) neither acts on an alarm nor swaps its role
-until the next tick.  Once a reset wave is under way no flooded node
-rebroadcasts.  Packet loss, when enabled, is an independent coin flip
-per (packet, receiver) pair drawn from a dedicated seeded generator, so
-identical scenarios replay byte-identically.
+A closing pass then makes two calls over the live sensors:
+``isolation_check`` picks those that just lost their neighbours, each to
+alert, and ``tick_transition`` swaps the roles of the unflagged ones.  A
+sensor that took or handed on an alarm this tick (``alarm_tick == tick``)
+neither acts on an alarm nor swaps its role until the next tick.  Once a
+reset wave is under way no flooded node rebroadcasts.  Packet loss is an
+independent coin flip per (packet, receiver) pair drawn from a dedicated
+seeded generator, so identical scenarios replay byte-identically.
 
 One routine, ``_broadcast``, sends the four broadcasts: the regular
 query, the hop query, the flood rebroadcast and the isolation alert.
@@ -311,17 +311,13 @@ class Simulation:
 
     def step(self) -> None:
         """Advance one tick: sense events, the reset wave's next hop, the
-        act pass, then the closing pass, in which each live, unflagged
-        sensor alerts if its isolation check fires and then swaps its Q/C
-        role, unless its own alert emptied it or it handed its alarm on.
-
-        One closing visit per sensor equals an isolation pass followed by
-        a transition pass.  The verdict reads only heard_tick, which no
-        alert or swap writes; an alert picks receivers by energy, never
-        by role; a swap writes only role.  So the same alerts fire with
-        the same coins, debits and deaths, and every sensor alive at the
-        tick's end ends in the same role.  One that a later alert empties
-        has already swapped, but nothing reads a dead sensor's role.
+        act pass, then the closing pass: each sensor isolation_check picks
+        alerts unless an earlier alert emptied it, then tick_transition
+        swaps the Q/C roles.  These two list passes equal one visit per
+        sensor, alert then swap.  An alert writes no heard_tick, flag or
+        alarm_tick, so the verdicts and swap conditions are unchanged and
+        the coins, rows and records keep their order; and nothing reads a
+        dead sensor's role.
 
         The act pass sends the regular queries in runs.  It collects the
         live Q sensors in id order and hands each run to step_regular just
@@ -366,15 +362,10 @@ class Simulation:
         if queries:
             self.step_regular(queries)
 
-        for node in sensors:
-            if node.energy <= 0 or node.flag1:
-                continue
-            if isolation_check(node, tick):
+        for node in isolation_check(sensors, tick):
+            if node.energy > 0:  # else an earlier alert emptied it
                 self._broadcast_alert(node)
-                if node.energy <= 0:
-                    continue  # its own alert emptied it
-            if node.alarm_tick != tick:  # else it handed its alarm on
-                tick_transition(node)
+        tick_transition(sensors, tick)
 
         # an alarm whose holder died where its own round did not close it
         for nid, rec in self._active_irregular.items():

@@ -32,7 +32,12 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def write_trace(path: str | Path, trace: Trace) -> None:
-    write_text(path, trace.render())
+    write_text(path, render_trace(trace))
+
+
+def render_trace(trace: Trace) -> str:
+    """One run's trace.txt text; every CLI path renders a trace here."""
+    return trace.render()
 
 
 #: ledger rows formatted by one % call; a bound on the writer's transient
@@ -119,6 +124,12 @@ def render_incident(rec: IncidentRecord) -> str:
         f" path={fmt_ids(rec.path)} nodes={len(rec.path)}"
         f" comparisons={rec.comparisons} {status}"
     )
+
+
+def render_sweep_entry(label: str, nid: int, trace: Trace) -> str:
+    """One sweep run's part of summary.txt: its incident and the base."""
+    return "\n".join([f"{label}: source node {nid}", render_incident(trace.incidents[0]),
+                      *render_base_record(trace.base), ""])
 
 
 def render_summary(title: str, trace: Trace) -> str:

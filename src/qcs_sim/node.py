@@ -45,7 +45,7 @@ IRREGULAR_LEVEL = 50.0
 DEVASTATING_LEVEL = 90.0
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     node_id: int
     pos: tuple[float, float]
@@ -101,13 +101,6 @@ def sense_and_classify(n: NodeState, reading: float) -> None:
     if reading > IRREGULAR_LEVEL:
         _promote(n, affected_message(n.node_id, n.pos),
                  devastating=reading > DEVASTATING_LEVEL)
-
-
-def tick_transition(n: NodeState) -> None:
-    """Swap Q and C at a tick boundary; S nodes must not be passed in."""
-    if n.flag1 or n.flag2:
-        raise ValueError(f"node {n.node_id} cannot alternate while flagged")
-    n.role = MODE_C if n.role == MODE_Q else MODE_Q
 
 
 def handle_query(n: NodeState, q: Packet, tick: int) -> Packet | None:
@@ -169,17 +162,25 @@ def reset_node(n: NodeState) -> None:
     n.heard_tick = NEVER_HEARD
 
 
-def isolation_check(n: NodeState, tick: int) -> bool:
-    """Whether n must send a disconnect alert at tick: true when its
-    learned-neighbour window has just emptied, that is when the last
-    query it heard came at tick - 2.
+def isolation_check(nodes: list[NodeState], tick: int) -> list[NodeState]:
+    """The sensors of nodes, in order, that must send a disconnect alert
+    at tick: the live, unflagged ones whose learned-neighbour window has
+    just emptied, that is whose last query heard came at tick - 2.
 
-    It is true once per disconnection, not every tick the node stays
+    A sensor is picked once per disconnection, not every tick it stays
     alone.  Reading the verdict off heard_tick alone is exact on two
-    conditions the engine keeps: it asks about every live, unflagged
-    sensor at every tick, so no tick's emptying goes unasked; and a
-    node's flags clear only in reset_node, which sets heard_tick to
-    NEVER_HEARD, so a window that emptied while the node was S is not
-    reported after it.
+    conditions the engine keeps: it passes every live sensor at every
+    tick, so no tick's emptying goes unasked; and a node's flags clear
+    only in reset_node, which sets heard_tick to NEVER_HEARD, so a window
+    that emptied while the node was S is not reported after it.
     """
-    return n.heard_tick == tick - 2
+    t = tick - 2
+    return [n for n in nodes if n.heard_tick == t and n.energy > 0 and not n.flag1]
+
+
+def tick_transition(nodes: list[NodeState], tick: int) -> None:
+    """Swap Q and C at the end of tick for every live, unflagged sensor
+    of nodes, except one that took or handed on an alarm at tick."""
+    for n in nodes:
+        if n.energy > 0 and not n.flag1 and n.alarm_tick != tick:
+            n.role = MODE_C if n.role == MODE_Q else MODE_Q

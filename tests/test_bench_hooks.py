@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from qcs_sim import cli, default16_scenario_text, energy, engine, metrics, scenario
+from qcs_sim import cli, default16_scenario_text, energy, engine, metrics, record, scenario
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -25,26 +25,53 @@ def _load_tracer():
     return module
 
 
+#: the paper's sweep on default16, as the golden sweep runs it
+_SWEEP16 = ["--scenario", str(REPO / "scenarios" / "default16.scn"),
+            "--sweep", "13,12,15,2,14,8,9"]
+
+
 def _reports(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+def _traced_matches_plain(tmp_path, spans, targets, name, args) -> None:
+    """Run the CLI on args untraced and then traced; both write the same reports."""
+    def argv(side):
+        return [*args, "--out", str(tmp_path / name / side)]
+
+    assert cli.main(argv("plain")) == 0
+    with spans.active(targets):
+        assert cli.main(argv("traced")) == 0
+    assert _reports(tmp_path / name / "traced") == _reports(tmp_path / name / "plain")
+
+
 def test_traced_run_matches_untraced_and_reaches_every_layer(tmp_path):
+    """Every wrapped layer is reached by one run or one sweep, the two
+    CLI paths the benchmark's workloads take."""
     tracer = _load_tracer()
     scn = tmp_path / "run.scn"
     # an alarm, then a flood whose reset wave sweeps the network; 5 % loss
     scn.write_text(default16_scenario_text(
         seed=3, horizon=40, loss_prob=0.05, events=((2, 10, 70.0), (5, 4, 95.0))))
-
-    def argv(name):
-        return ["--scenario", str(scn), "--out", str(tmp_path / name)]
-
-    assert cli.main(argv("plain")) == 0
     spans = tracer.Tracer()
     targets = tracer.layer_targets(cli, scenario, engine, energy, metrics)
-    with spans.active(targets):
-        assert cli.main(argv("traced")) == 0
+    _traced_matches_plain(tmp_path, spans, targets, "run", ["--scenario", str(scn)])
+    _traced_matches_plain(tmp_path, spans, targets, "sweep", _SWEEP16)
 
-    assert _reports(tmp_path / "traced") == _reports(tmp_path / "plain")
     calls = spans.rollup()[0].calls
     assert [layer for layer, _, _ in targets if calls[layer] == 0] == []
+
+
+def test_traced_sweep_renders_every_trace_inside_a_metrics_span(tmp_path):
+    """The sweep renders each run's trace through a metrics function, so
+    the tracer counts that time as a report writer's."""
+    tracer = _load_tracer()
+    spans = tracer.Tracer()
+    targets = tracer.layer_targets(cli, scenario, engine, energy, metrics)
+    targets.append(("record.Trace.render", record.Trace, "render"))
+    _traced_matches_plain(tmp_path, spans, targets, "sweep", _SWEEP16)
+
+    roll = spans.rollup()[0]
+    assert roll.calls["record.Trace.render"] == 7
+    callers = {parent for parent, layer in roll.pair_calls if layer == "record.Trace.render"}
+    assert callers and all(parent.startswith("metrics.") for parent in callers), callers

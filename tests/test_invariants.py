@@ -128,22 +128,28 @@ def isolation_oracle(monkeypatch):
     """Check every isolation verdict the engine reads against the
     stateful rule the engine once kept: a node fires when its two-tick
     window is empty and was not at its previous check, with the window
-    state noted at every check and forgotten by reset_node.  Counts the
-    verdicts by value."""
+    state noted at every check and forgotten by reset_node.  Each live,
+    unflagged sensor of a call is one verdict: whether the call returned
+    it.  Counts the verdicts by value."""
     # id(node) -> (node, whether its window was non-empty at its last
     # check); holding the node keeps its id from being reused
     had_neighbors = {}
     verdicts = Counter()
     derived_check, derived_reset = engine.isolation_check, engine.reset_node
 
-    def check(n, tick):
-        empty = n.heard_tick < tick - 1
-        want = empty and had_neighbors.get(id(n), (n, False))[1]
-        had_neighbors[id(n)] = (n, not empty)
-        fire = derived_check(n, tick)
-        assert fire == want, (n.node_id, tick, n.heard_tick)
-        verdicts[fire] += 1
-        return fire
+    def check(nodes, tick):
+        picked = derived_check(nodes, tick)
+        chosen = set(map(id, picked))
+        for n in nodes:
+            if n.energy <= 0 or n.flag1:
+                continue
+            empty = n.heard_tick < tick - 1
+            want = empty and had_neighbors.get(id(n), (n, False))[1]
+            had_neighbors[id(n)] = (n, not empty)
+            fire = id(n) in chosen
+            assert fire == want, (n.node_id, tick, n.heard_tick)
+            verdicts[fire] += 1
+        return picked
 
     def reset(n):
         derived_reset(n)
@@ -663,11 +669,11 @@ def test_no_incident_runs_more_rounds_than_attempt_cap():
 
 @pytest.fixture
 def live_actors(monkeypatch):
-    """Check that no dead node acts or is reset, that no regular query in
-    the record comes from a sensor after its death, and that after every
-    step the simulation's sensor list holds exactly its live sensors, in
-    id order.  Returns the checked calls by name, and the checked queries
-    as "regular"."""
+    """Check that no dead node acts, is reset, is reported isolated or
+    swaps its role, that no regular query in the record comes from a
+    sensor after its death, and that after every step the simulation's
+    sensor list holds exactly its live sensors, in id order.  Returns the
+    checked calls by name, and the checked queries as "regular"."""
     calls = Counter()
     sim_cls = engine.Simulation
     step, step_regular = sim_cls.step, sim_cls.step_regular
@@ -712,9 +718,24 @@ def live_actors(monkeypatch):
     for name in ("run_petrol_flow", "run_irregular_transfer"):
         monkeypatch.setattr(sim_cls, name, acting(name, getattr(sim_cls, name),
                                                   lambda sim, n: n))
-    for name in ("isolation_check", "tick_transition", "reset_node"):
-        monkeypatch.setattr(engine, name, acting(name, getattr(engine, name),
-                                                 lambda n, *_: n))
+    monkeypatch.setattr(engine, "reset_node", acting(
+        "reset_node", engine.reset_node, lambda n: n))
+    isolation_check, tick_transition = engine.isolation_check, engine.tick_transition
+
+    def isolated(nodes, tick):
+        picked = isolation_check(nodes, tick)
+        assert all(n.energy > 0 for n in picked), picked
+        calls["isolation_check"] += 1
+        return picked
+
+    def swapped(nodes, tick):
+        roles = [n.role for n in nodes]
+        tick_transition(nodes, tick)
+        assert all(n.energy > 0 for n, r in zip(nodes, roles) if n.role != r)
+        calls["tick_transition"] += 1
+
+    monkeypatch.setattr(engine, "isolation_check", isolated)
+    monkeypatch.setattr(engine, "tick_transition", swapped)
     return calls
 
 

@@ -103,21 +103,39 @@ def test_escalation_keeps_first_stored_mode():
     assert n.role == MODE_Q
 
 
+def test_node_state_refuses_unknown_attributes():
+    """NodeState is slotted, so a mistyped field is an error, not a new one."""
+    n = _node()
+    with pytest.raises(AttributeError):
+        n.flag_1 = True
+    assert not hasattr(n, "flag_1") and n.flag1 is False
+
+
 # ------------------------------------------------------------- transitions
 
 def test_tick_transition_alternates():
-    n = _node(mode=MODE_Q)
-    tick_transition(n)
-    assert n.mode == MODE_C
-    tick_transition(n)
-    assert n.mode == MODE_Q
+    nodes = [_node(nid=1, mode=MODE_Q), _node(nid=2, mode=MODE_C)]
+    tick_transition(nodes, 3)
+    assert [n.mode for n in nodes] == [MODE_C, MODE_Q]
+    tick_transition(nodes, 4)
+    assert [n.mode for n in nodes] == [MODE_Q, MODE_C]
 
 
 def test_tick_transition_refuses_busy_nodes():
-    n = _node(mode=MODE_S)
-    n.flag1 = True
-    with pytest.raises(ValueError):
-        tick_transition(n)
+    """Flagged, dead and handed-on sensors keep their role; the rest swap."""
+    flagged = _node(nid=1, mode=MODE_S)
+    flooded = _node(nid=2, mode=MODE_S)
+    flooded.flag2 = True
+    dead = _node(nid=3, mode=MODE_Q, energy=0)
+    handed_on = _node(nid=4, mode=MODE_Q)
+    handed_on.alarm_tick = 5
+    earlier = _node(nid=5, mode=MODE_Q)
+    earlier.alarm_tick = 4
+    idle = _node(nid=6, mode=MODE_C)
+    nodes = [flagged, flooded, dead, handed_on, earlier, idle]
+    tick_transition(nodes, 5)
+    assert [n.role for n in nodes] == [MODE_C, MODE_C, MODE_Q, MODE_Q, MODE_C, MODE_Q]
+    assert [n.mode for n in nodes[:2]] == [MODE_S, MODE_S]
 
 
 # ----------------------------------------------------------------- queries
@@ -232,13 +250,23 @@ def test_reset_requires_a_held_alarm():
 def test_isolation_fires_once_on_empty_window():
     n = _node(nid=8, mode=MODE_C, pos=(0.0, 300.0))
     handle_query(n, make_query(9), 4)
-    assert isolation_check(n, 4) is False   # neighbors present
-    assert isolation_check(n, 5) is False   # heard last tick: still in window
-    assert isolation_check(n, 6) is True    # two silent ticks: window empty
-    assert isolation_check(n, 7) is False   # already known disconnected
+    assert isolation_check([n], 4) == []   # neighbors present
+    assert isolation_check([n], 5) == []   # heard last tick: still in window
+    assert isolation_check([n], 6) == [n]  # two silent ticks: window empty
+    assert isolation_check([n], 7) == []   # already known disconnected
 
 
 def test_isolation_silent_when_never_heard_anyone():
     n = _node(mode=MODE_C)
-    assert isolation_check(n, 0) is False
-    assert isolation_check(n, 1) is False
+    assert isolation_check([n], 0) == []
+    assert isolation_check([n], 1) == []
+
+
+def test_isolation_picks_live_unflagged_sensors_in_order():
+    nodes = [_node(nid=i, mode=MODE_C) for i in range(1, 6)]
+    for n in nodes:
+        n.heard_tick = 4
+    nodes[1].energy = 0
+    nodes[2].flag1 = True
+    nodes[3].heard_tick = 5
+    assert isolation_check(nodes, 6) == [nodes[0], nodes[4]]
