@@ -50,12 +50,15 @@ point-to-point packets (ack, source, confirmation) go through
 ``EnergyLedger.debit``, which leaves that balance untouched too, so no
 caller tests for the base before a debit.
 
-The passes and the reset wave visit live sensors only.  ``_sensors``
-holds them in id order; a death only notes that the list is stale, and
-the end of ``step`` drops the dead once, after the last pass that reads
-it.  A node that dies mid-tick stays in the list until then, so each
-pass still skips a node with ``energy <= 0``.  Energy only falls and a
-dead node draws no loss coin anywhere, so leaving it out changes nothing.
+The passes, the reset wave and an isolation alert's audience visit live
+sensors only.  ``_sensors`` holds them in id order; a death only notes
+that the list is stale, and the end of ``step`` drops the dead once,
+after the last pass that reads it.  A node that dies mid-tick stays in
+the list until then, so each pass still skips a node with
+``energy <= 0``.  Energy only falls and a dead node draws no loss coin
+anywhere, so leaving it out changes nothing.  An alert's audience is
+the other sensors of ``_sensors`` in its reach, plus the base at its
+place in id order when in reach.
 
 Flood epochs end through a reset wave: once the base hears the alarm,
 rebroadcasting stops and a zero-cost control wave walks outward one hop
@@ -71,6 +74,8 @@ from __future__ import annotations
 import logging
 import math
 import random
+from bisect import insort
+from operator import attrgetter
 
 from .energy import ISOLATION_MULTIPLIER, EnergyLedger, draw_initial_energy
 from .node import (
@@ -97,6 +102,7 @@ log = logging.getLogger(__name__)
 
 #: builds a NamedTuple row without its Python-level __new__ frame
 _new_tuple = tuple.__new__
+_node_id = attrgetter("node_id")
 
 
 class Simulation:
@@ -563,10 +569,31 @@ class Simulation:
     # ------------------------------------------------------------ isolation
 
     def _broadcast_alert(self, node: NodeState) -> None:
-        """Long-range disconnect alert: heard directly, never relayed."""
+        """Long-range disconnect alert: heard directly, never relayed.
+
+        The audience is every other node within ISOLATION_MULTIPLIER
+        radio ranges by ``dist``, found among the live sensors: those of
+        ``_sensors`` but the sender, in id order, and the base at its
+        place in that order when in reach.  The range test is
+        ``dist(p, q)`` inline: the same operands, so the same float.
+        Leaving out the sensors that died on earlier ticks changes
+        nothing, since energy never rises and _broadcast skips a dead
+        candidate before its coin, with no row and no receiver; the rest
+        keep ascending id order, so every coin, row and record keeps its
+        place.
+        """
         nid = node.node_id
+        px, py = node.pos
         reach = ISOLATION_MULTIPLIER * self.topology.radio_range
-        audience = map(self.nodes.__getitem__, self.topology.within(nid, reach))
+        hypot = math.hypot
+        audience = []
+        for nb in self._sensors:
+            qx, qy = nb.pos
+            if hypot(px - qx, py - qy) <= reach and nb is not node:
+                audience.append(nb)
+        qx, qy = self.base_pos
+        if hypot(px - qx, py - qy) <= reach:
+            insort(audience, self.nodes[self.base_id], key=_node_id)
         for nb in self._broadcast("alert", (node,), {nid: audience}):
             if nb.is_base:
                 text = f"node number '{nid}' became disconnected"

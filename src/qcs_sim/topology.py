@@ -2,9 +2,7 @@
 
 Coordinates are plain floats in field units.  Radio links compare
 squared distances, so a pair sitting exactly at the radio range is
-linked the same way on every platform (no sqrt rounding).  The alert
-reach (``within``) compares ``dist``, a ``math.hypot``, and its
-docstring argues why that is exact too.
+linked the same way on every platform (no sqrt rounding).
 """
 
 from __future__ import annotations
@@ -95,39 +93,6 @@ class Topology:
     def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Ids within radio range of node_id (boundary inclusive), ascending."""
         return self._adj[node_id]
-
-    @cached_property
-    def _by_x(self) -> tuple[list[NodeId], dict[NodeId, int]]:
-        """Node ids in position order, so x never falls along the list,
-        and each id's place in it; found once and shared, like base_hops."""
-        order = sorted(self.nodes, key=self.nodes.__getitem__)
-        return order, {i: k for k, i in enumerate(order)}
-
-    def within(self, node_id: NodeId, reach: float) -> tuple[NodeId, ...]:
-        """Ids of the other nodes with ``dist(p, q) <= reach``, ascending.
-
-        The scan walks outward from node_id in x order and stops on each
-        side at the first node with ``|dx| > reach``.  The stop is exact:
-        ``dist`` is ``math.hypot(dx, dy)`` with the same dx, whose true
-        value is at least ``|dx|``; CPython 3.10 and later compute hypot
-        to under 1 ulp, and ``|dx|`` is itself a float, so the computed
-        distance is never below ``|dx|`` either.  Along each side ``|dx|``
-        never shrinks, since rounding is monotone, so every node beyond
-        the stop is out of reach too.
-        """
-        order, place = self._by_x
-        k = place[node_id]
-        nodes = self.nodes
-        p = nodes[node_id]
-        found = []
-        for side in (order[k + 1:], reversed(order[:k])):
-            for j in side:
-                q = nodes[j]
-                if abs(p[0] - q[0]) > reach:
-                    break
-                if dist(p, q) <= reach:
-                    found.append(j)
-        return tuple(sorted(found))
 
     def sensor_ids(self) -> list[NodeId]:
         """All node ids except the base, ascending."""

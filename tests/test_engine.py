@@ -22,10 +22,11 @@ from qcs_sim import (
     parse_scenario,
 )
 from qcs_sim import engine
-from qcs_sim.energy import PRICES
+from qcs_sim.energy import ISOLATION_MULTIPLIER, PRICES
 from qcs_sim.packet import PacketKind
-from qcs_sim.record import NOTES, Death
+from qcs_sim.record import NOTES, BaseReceipt, Death, PacketEvent
 from qcs_sim.scenario import SenseEvent
+from qcs_sim.topology import dist
 
 from conftest import (
     audit_regular_window,
@@ -36,6 +37,7 @@ from conftest import (
     random_connected_topology,
     run_sampled,
 )
+from test_golden import _grid225_text
 
 
 def sim16(*, seed=7, horizon=20, loss_prob=0.0, events=()):
@@ -697,6 +699,92 @@ def test_alert_noted_but_never_relayed():
     assert tr.floods == []
 
 
+def audit_alert_audiences(sim) -> tuple[int, int, int]:
+    """Check from the record alone that, in a lossless run, each alert's
+    receivers are every other node within the alert's reach by dist that
+    had no Death before the alert began, in ascending id order.  Returns
+    how many alerts there were, how many left out a dead node in reach,
+    and how many had the base between two other receivers."""
+    topo = sim.topology
+    pos = topo.nodes
+    reach = ISOLATION_MULTIPLIER * topo.radio_range
+    dead = set()
+    # an alert's own deaths (its sender's, its receivers') and its base
+    # receipt come just before its PacketEvent; every other Death is
+    # followed by a record of some other kind before the next alert
+    pending = []
+    alerts = left_out = base_between = 0
+    for r in sim.trace.records:
+        if type(r) is Death:
+            pending.append(r.node)
+            continue
+        if type(r) is BaseReceipt and r.via == "alert":
+            continue
+        if type(r) is PacketEvent and r.note == "alert":
+            p = pos[r.src]
+            in_reach = [j for j in sorted(pos) if j != r.src and dist(p, pos[j]) <= reach]
+            assert r.receivers == tuple(j for j in in_reach if j not in dead), (r, dead)
+            alerts += 1
+            left_out += any(j in dead for j in in_reach)
+            base_between += topo.base_id in r.receivers[1:-1]
+        dead.update(pending)
+        pending.clear()
+    return alerts, left_out, base_between
+
+
+def test_alert_audience_is_every_node_in_reach_not_yet_dead():
+    rng = random.Random(31)
+    seen = [0, 0, 0]
+    for _ in range(20):
+        topo = random_connected_topology(rng, n_max=24)
+        lo = rng.randint(20, 60)
+        costs = CostModel(threshold=rng.randrange(lo), init_min=lo,
+                          init_max=rng.randint(lo, 60))
+        sensors = topo.sensor_ids()
+        events = tuple(
+            SenseEvent(rng.randrange(12), rng.choice(sensors), rng.choice((70.0, 95.0)))
+            for _ in range(rng.randint(0, 2)))
+        sim = Simulation(make_scenario(topo, seed=rng.randrange(10_000), horizon=60,
+                                       events=events, costs=costs))
+        sim.run()
+        for k, n in enumerate(audit_alert_audiences(sim)):
+            seen[k] += n
+    alerts, left_out, base_between = seen
+    # most alerts come late in life, with dead nodes in reach, and the
+    # base's random id puts it between other receivers now and then
+    assert alerts >= 40 and left_out >= 40 and base_between >= 5, seen
+
+    grid = Simulation(replace(parse_scenario(_grid225_text()), loss_prob=0.0))
+    grid.run()
+    alerts, left_out, _ = audit_alert_audiences(grid)
+    assert alerts >= 20 and left_out == alerts
+
+
+def test_alert_reach_at_the_boundary_and_on_shared_positions():
+    # radio range 2.5, so the alert reaches 5.0 = hypot(3, 4) exactly;
+    # each 1/16 further is out of reach
+    nodes = {
+        1: (1.0, 6.0),        # 5 left of node 5
+        2: (11.0625, 6.0),    # 5 + 1/16 right
+        3: (9.0, 10.0),       # (3, 4) away
+        4: (9.0, 2.0),        # the base, (3, -4) away
+        5: (6.0, 6.0),
+        6: (9.0, 10.0),       # with node 3
+        7: (2.9375, 2.0),     # (-3 - 1/16, -4) away
+        8: (6.0, 6.0),        # with node 5
+        9: (6.0, 0.9375),     # 5 + 1/16 below
+        10: (6.0, 11.0),      # 5 above
+    }
+    topo = Topology(nodes=nodes, base_id=4, radio_range=2.5, field_size=(16.0, 16.0))
+    sim = Simulation(make_scenario(topo))
+    assert ISOLATION_MULTIPLIER * topo.radio_range == 5.0
+    for sender, want in ((5, (1, 3, 4, 6, 8, 10)), (1, (5, 7, 8))):
+        sim._broadcast_alert(sim.nodes[sender])
+        ev = sim.trace.records[-1]
+        assert (ev.note, ev.src, ev.receivers) == ("alert", sender, want)
+    assert [m for _, m in sim.trace.base_inbox] == ["node number '5' became disconnected"]
+
+
 # ------------------------------------------------------------------- loss
 
 def test_total_loss_strands_every_packet():
@@ -720,10 +808,12 @@ def test_lossy_runs_are_seed_deterministic():
 
 
 def test_zero_loss_never_consults_the_rng():
-    sim, tr = run16(events=EV10, loss_prob=0.0)
-    state_before = sim.loss_rng.getstate()
-    sim2, tr2 = run16(events=EV10, loss_prob=0.0)
-    assert sim2.loss_rng.getstate() == state_before
+    # an alarm, a flood and an isolation alert: every place a coin is drawn
+    for sim in (sim16(events=((2, 10, 70.0), (5, 4, 95.0)), loss_prob=0.0),
+                Simulation(parse_scenario(LINE))):
+        sim.run()
+        untouched = random.Random(f"loss:{sim.sc.seed}").getstate()
+        assert sim.loss_rng.getstate() == untouched
 
 
 # ------------------------------------------------------- energy lifetimes

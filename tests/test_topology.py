@@ -112,41 +112,6 @@ def test_adjacency_at_the_boundary_and_on_shared_positions():
     assert_exact_adjacency({1: (5.0, 5.0), 2: (5.0, 5.0), 3: (5.0625, 5.0)}, 0.05)
 
 
-def assert_exact_reach(nodes, reach, field_size=(64.0, 64.0)):
-    """within() returns what a scan over every node returns."""
-    topo = Topology(nodes=nodes, base_id=min(nodes), radio_range=1.0,
-                    field_size=field_size)
-    for nid, p in nodes.items():
-        want = tuple(j for j in sorted(nodes) if j != nid and dist(p, nodes[j]) <= reach)
-        assert topo.within(nid, reach) == want, (nid, reach)
-
-
-@pytest.mark.parametrize("reach, side", [(6.0, 24), (4.6, 24), (1.0, 8), (0.1, 3)])
-def test_within_matches_the_all_nodes_scan(reach, side):
-    rng = random.Random(f"within:{reach}")
-    for n in (2, 17, 90, 170, 255):
-        assert_exact_reach(random_fine_layout(rng, n, side), reach,
-                           field_size=(float(side), float(side)))
-
-
-def test_within_at_the_boundary_and_on_shared_positions():
-    # exactly reach away along x: in reach, on both sides
-    assert_exact_reach({1: (0.0, 0.0), 2: (3.0, 0.0), 3: (6.0, 0.0)}, 3.0)
-    # seen from node 1, nodes 2 and 4 lie reach away in x and 1/16 off in
-    # y, out of reach; the scan meets each first on its side and must go
-    # on to nodes 3 and 5, at the same x and in reach
-    assert_exact_reach({1: (3.0, 1.0), 2: (6.0, 0.9375), 3: (6.0, 1.0),
-                        4: (0.0, 1.0625), 5: (0.0, 1.0)}, 3.0)
-    # nodes sharing an x, and two nodes at one position
-    column = {i: (5.0, float(i)) for i in range(1, 8)}
-    assert_exact_reach({**column, 8: (5.0, 3.0), 9: (7.5, 3.0)}, 2.5)
-    assert_exact_reach({1: (5.0, 5.0), 2: (5.0, 5.0), 3: (5.0625, 5.0)}, 0.05)
-    topo = Topology(nodes={1: (5.0, 5.0), 2: (5.0, 5.0), 3: (8.0, 5.0)}, base_id=1,
-                    radio_range=1.0, field_size=(9.0, 9.0))
-    assert topo.within(1, 3.0) == (2, 3)
-    assert topo.within(3, 2.9375) == ()
-
-
 def test_sensor_ids_exclude_base():
     topo = default16_topology()
     assert topo.base_id == 16
