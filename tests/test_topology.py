@@ -7,11 +7,13 @@ import random
 
 import pytest
 
-from qcs_sim import Topology, default16_topology, parse_scenario
+from qcs_sim import CostModel, Simulation, Topology, default16_topology, parse_scenario
+from qcs_sim.energy import ISOLATION_MULTIPLIER
 from qcs_sim.packet import PacketKind, affected_message, message_cap
+from qcs_sim.record import PacketEvent
 from qcs_sim.topology import dist
 
-from conftest import brute_adjacency, random_connected_topology
+from conftest import brute_adjacency, make_scenario, random_connected_topology
 
 
 def test_dist_is_euclidean():
@@ -110,6 +112,27 @@ def test_adjacency_at_the_boundary_and_on_shared_positions():
     column = {i: (5.0, float(i)) for i in range(1, 8)}
     assert_exact_adjacency({**column, 8: (5.0, 3.0), 9: (7.5, 3.0)}, 2.5)
     assert_exact_adjacency({1: (5.0, 5.0), 2: (5.0, 5.0), 3: (5.0625, 5.0)}, 0.05)
+
+
+@pytest.mark.parametrize("reach, side", [(6.0, 24), (4.6, 24), (1.0, 8), (0.1, 3)])
+def test_within_matches_the_all_nodes_scan(reach, side):
+    # the nodes within a reach of a node are the receivers of its
+    # lossless alert; batteries big enough that no alert empties one
+    rng = random.Random(f"within:{reach}")
+    costs = CostModel(threshold=0, init_min=10_000_000, init_max=10_000_000)
+    for n in (2, 17, 90, 170, 255):
+        nodes = random_fine_layout(rng, n, side)
+        topo = Topology(nodes=nodes, base_id=min(nodes),
+                        radio_range=reach / ISOLATION_MULTIPLIER,
+                        field_size=(float(side), float(side)))
+        sim = Simulation(make_scenario(topo, costs=costs))
+        r = ISOLATION_MULTIPLIER * topo.radio_range
+        for nid in topo.sensor_ids():
+            p = nodes[nid]
+            want = tuple(j for j in sorted(nodes) if j != nid and dist(p, nodes[j]) <= r)
+            sim._broadcast_alert(sim.nodes[nid])
+            ev = [e for e in sim.trace.records if isinstance(e, PacketEvent)][-1]
+            assert (ev.note, ev.src, ev.receivers) == ("alert", nid, want), (nid, reach)
 
 
 def test_sensor_ids_exclude_base():
