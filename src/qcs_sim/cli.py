@@ -17,6 +17,11 @@ A quick analytic check without any scenario:
 
     qcs-sim --lifetime 3000 1 0
 
+A scenario call pauses the cyclic garbage collector from the scenario
+load to the last report written, and restores the caller's setting
+after: nothing a run builds is cyclic, so reference counting frees it
+all, and the collector's passes over the kept records are pure cost.
+
 Set QCS_SIM_LOG=DEBUG (or INFO, WARNING, ...) for engine logging: at
 DEBUG the engine logs incidents opening and closing, floods starting and
 reaching the base, reset waves completing, and node deaths.  Any other
@@ -26,6 +31,7 @@ value is an error.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -153,23 +159,7 @@ def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    try:
-        _setup_logging()
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.lifetime is not None:
-        return _cmd_lifetime(args.lifetime)
-
-    if not args.scenario:
-        parser.print_usage(sys.stderr)
-        print("error: --scenario is required (or use --lifetime)", file=sys.stderr)
-        return 2
-
+def _cmd_scenario(args: argparse.Namespace) -> int:
     try:
         sc = load_scenario(args.scenario)
         ids = _sweep_ids(args.sweep, sc) if args.sweep else None
@@ -192,6 +182,32 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write {err.filename or out}: "
               f"{err.strerror or err}", file=sys.stderr)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        _setup_logging()
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    parser = build_parser()
+    args = parser.parse_args(argv)
+
+    if args.lifetime is not None:
+        return _cmd_lifetime(args.lifetime)
+
+    if not args.scenario:
+        parser.print_usage(sys.stderr)
+        print("error: --scenario is required (or use --lifetime)", file=sys.stderr)
+        return 2
+
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _cmd_scenario(args)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

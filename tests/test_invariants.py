@@ -21,13 +21,19 @@ run through the CLI and one crafted run is pinned by sha256, and these
 corpora together reach every note, close reason, hop outcome and death
 cause, and a flood that closes an open alarm.
 
+No run and none of its reports builds a reference cycle, so reference
+counting frees them all, as the CLI's pause of the cyclic garbage
+collector assumes.
+
 Every packet the engine builds in this module, the golden runs' too,
 must come back from the wire codec unchanged.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import gc
 import hashlib
 import math
 import random
@@ -918,3 +924,35 @@ def test_pinned_corpora_reach_every_note_reason_outcome_and_death(tmp_path, monk
                         "confirmation lost", "confirmed"}
     assert deaths == set(PRICES)
     assert swept
+
+
+def test_runs_and_reports_build_no_reference_cycles(tmp_path, capsys):
+    """The three golden CLI calls past their argument parsing, and the
+    random and pocket runs with all five of their reports written, leave
+    nothing for the cyclic garbage collector to find."""
+    (tmp_path / "grid").mkdir()
+    goldens = {
+        "run16": (_write(tmp_path, default16_scenario_text(
+            seed=7, horizon=20, events=((2, 10, 70), (5, 4, 95)))), None, GOLDEN_RUN16),
+        "sweep16": (REPO / "scenarios" / "default16.scn", "13,12,15,2,14,8,9", GOLDEN_SWEEP16),
+        "grid225": (_write(tmp_path / "grid", _grid225_text()), None, GOLDEN_GRID225),
+    }
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for name, (scenario, sweep, _) in goldens.items():
+            args = argparse.Namespace(scenario=str(scenario), sweep=sweep,
+                                      out=str(tmp_path / name))
+            assert cli._cmd_scenario(args) == 0
+        for _ in _written(tmp_path, _random_runs()):
+            pass
+        for _ in _written(tmp_path, (sim for sim, _ in _pocket_runs())):
+            pass
+        unreachable = gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
+    assert unreachable == 0
+    for name, (_, _, golden) in goldens.items():
+        assert _digests([tmp_path / name]) == golden, name

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import logging
 import math
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qcs_sim import Simulation, default16_scenario_text, joules, parse_scenario
+from qcs_sim import Simulation, cli, default16_scenario_text, joules, parse_scenario
 from qcs_sim.cli import main
 from qcs_sim.energy import EnergyLedger
 from qcs_sim.metrics import (
@@ -344,6 +345,41 @@ def test_cli_report_that_cannot_be_written(tmp_path, capsys, args, report):
     assert got.out == ""
     assert got.err == f"error: cannot write {out / report}: Is a directory\n"
     assert (out / report).is_dir()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector_on", "collector_off"])
+def test_cli_pauses_the_garbage_collector_for_a_run(tmp_path, capsys, monkeypatch, collecting):
+    """Each simulation runs with the cyclic collector paused, and every
+    call, an error too, leaves it as it found it."""
+    seen = []
+    run = cli.Simulation.run
+
+    def spied(sim):
+        seen.append(gc.isenabled())
+        return run(sim)
+
+    monkeypatch.setattr(cli.Simulation, "run", spied)
+    (tmp_path / "o" / "trace.txt").mkdir(parents=True)
+    bad = tmp_path / "bad.scn"
+    bad.write_text("[nodes]\n1 0 0\n")
+    calls = [  # arguments, exit code, simulations run
+        (["--scenario", str(SCN), "--out", str(tmp_path / "run")], 0, 1),
+        (["--scenario", str(SCN), "--sweep", "13,2", "--out", str(tmp_path / "sweep")], 0, 2),
+        (["--lifetime", "10", "1", "0"], 0, 0),
+        (["--scenario", str(SCN), "--out", str(tmp_path / "o")], 1, 1),  # cannot write
+        (["--scenario", str(bad), "--out", str(tmp_path / "bad")], 1, 0),
+    ]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for args, code, runs in calls:
+            seen.clear()
+            assert main(args) == code, args
+            assert gc.isenabled() is collecting, args
+            assert seen == [False] * runs, args
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert "error: cannot write" in capsys.readouterr().err
 
 
 def test_cli_loss_override(tmp_path):
