@@ -162,7 +162,7 @@ def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     try:
         sc = load_scenario(args.scenario)
-        ids = _sweep_ids(args.sweep, sc) if args.sweep else None
+        ids = _sweep_ids(args.sweep, sc) if args.sweep is not None else None
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

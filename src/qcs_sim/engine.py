@@ -27,18 +27,17 @@ broadcast has one sender.  It reads the note's causes and prices from
 ``record.NOTES`` once per call.  For each sender in turn it skips one
 that an earlier sender of the call emptied, bills the sender, then
 takes its candidates (``NodeState``s in ascending id order) under one
-receive rule: a flagged sensor ignores a flag-clear packet, a
-dead one (``energy <= 0``, which is what ``NodeState.alive`` means) is
-skipped without a coin, and a live one draws its loss coin.  Each node
-that hears is billed.  The regular query ends there, in the routine's
-own loop: the hearer's ``heard_tick`` is stamped, and a base that holds
-no alarm goes back to "Network is fine" in its place among the
-receivers.  A hearer of a flag1 broadcast (hop query, flood, alert) is
-handed to the caller before the next coin, so an ack's coin falls
-between two neighbours' query coins.  The handover and its confirmation
-draw their coins inline; the holder's ack and confirmation coins are
-drawn before its own liveness is checked.  A flood rebroadcast builds
-its packet only for a hearer that reads it.
+receive rule: a flagged sensor ignores a flag-clear packet, a dead one
+(``energy <= 0``) is skipped without a coin, and a live one draws its
+loss coin.  Each node that hears is billed.  The regular query ends
+there, in the routine's own loop: the hearer's ``heard_tick`` is
+stamped, and a base that holds no alarm goes back to "Network is fine"
+in its place among the receivers.  A hearer of a flag1 broadcast (hop
+query, flood, alert) is handed to the caller before the next coin, so
+an ack's coin falls between two neighbours' query coins.  The handover
+and its confirmation draw their coins inline; the holder's ack and
+confirmation coins are drawn before its own liveness is checked.  A
+flood rebroadcast builds its packet only for a hearer that reads it.
 
 Every debit names a ledger cause and costs that cause's entry in
 ``energy.PRICES``, which also spells out how one forwarding hop
@@ -66,7 +65,8 @@ per tick, clearing flags, which returns every node to the Q/C role it
 held before the alarm.  Overlapping devastating events join the epoch
 in progress; a fresh epoch can begin once the wave completes.
 
-The simulation writes no text, only the typed records of ``record``.
+The simulation writes no report text, only the typed records of
+``record``; its only text is the DEBUG log that README "Logging" lists.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class Simulation:
         its caller acts on it first.  Each sender's PacketEvent follows
         its last candidate, so a caller must run the generator to its end.
         """
-        _, flag1, _, send, recv, _, send_price, price = NOTES[note]
+        _, flag1, _, send, recv, send_price, price = NOTES[note]
         tick = self.tick
         cells = self.ledger.cells
         records = self.trace.records
@@ -290,7 +290,7 @@ class Simulation:
 
     def _apply_sense(self, ev: SenseEvent) -> None:
         node = self.nodes[ev.node]
-        if not node.alive:
+        if node.energy <= 0:
             self.trace.records.append(Sense(self.tick, ev.node, ev.reading, None))
             return
         before = (node.flag1, node.flag2)
@@ -432,7 +432,7 @@ class Simulation:
                 continue
             self._debit(nb, "ack_send")
             # a lost ack, or a holder drained mid-round: the ack is unheard
-            if self._dropped() or not node.alive:
+            if self._dropped() or node.energy <= 0:
                 continue
             self._debit(node, "ack_recv")
             acks.append(ack)
@@ -454,7 +454,7 @@ class Simulation:
         """Hand the alarm to the eligible replier nearest the base; return
         the node chosen, if any, and how the round ended.  A handover the
         base takes closes the incident as delivered."""
-        if not node.alive:
+        if node.energy <= 0:
             return None, "holder died"
         eligible = [a for a in acks if a.energy > self.costs.threshold]
         if not eligible:
@@ -483,7 +483,7 @@ class Simulation:
             del self._active_irregular[nid]
             self._active_irregular[chosen] = rec
         self._debit(target, "reset_send")
-        if self._dropped() or not node.alive:
+        if self._dropped() or node.energy <= 0:
             self._event("reset_ack", chosen, nid, ())
             return chosen, "confirmation lost"
         reset_node(node)  # before the confirmation's price can empty it

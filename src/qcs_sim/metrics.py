@@ -1,4 +1,5 @@
-"""Report writers: trace text, ledger/energy/path CSVs, run summary.
+"""Report writers: trace text, ledger/energy/path CSVs, run summary,
+each rendered from a run's ``record.Trace``; no other module formats them.
 
 All outputs are deterministic byte for byte: fixed column order, LF
 line endings, and number formatting that never depends on locale.
@@ -15,9 +16,12 @@ from __future__ import annotations
 from pathlib import Path
 
 from .energy import ROW_CELLS, EnergyLedger, joules
-from .node import NodeState
+from .node import MODE_C, MODE_Q, NodeState
 from .numtext import fmt_ids, fmt_num
-from .record import NOTES, IncidentRecord, PacketEvent, Trace
+from .record import (
+    HANDED_ON, NETWORK_FINE, NOTES, BaseReceipt, Death, HopAttempt, IncidentRecord,
+    PacketEvent, ResetStep, Sense, Trace,
+)
 
 
 def _write_csv(path: str | Path, header: str, rows) -> None:
@@ -35,9 +39,97 @@ def write_trace(path: str | Path, trace: Trace) -> None:
     write_text(path, render_trace(trace))
 
 
+#: the trace label of a broadcast line, by its note; the hop plane's
+#: transmissions print none, since their HopAttempt line tells the round
+_BROADCAST_LABEL = {"regular": "query", "flood": "flood", "alert": "isolation alert"}
+#: the trace line of a base receipt, by the way the base heard it
+_RECEIPT_LINE = {"alarm": "base received alarm: {!r}",
+                 "flood": "base received flood alarm: {!r}", "alert": "base: {}"}
+#: the trace line of a hop round, by its outcome, given the round and the
+#: incident's path so far
+_HOP_LINE = {
+    "holder died": "hop src={0.holder} replies={0.replies} -> stalled ({0.outcome})",
+    "no eligible replier": "hop src={0.holder} replies={0.replies} -> stalled ({0.outcome})",
+    "lost": "hop src={0.holder} -> {0.chosen} lost, retrying",
+    "confirmation lost": "hop src={0.holder} -> {0.chosen} (confirmation lost)",
+    "confirmed": "hop src={0.holder} -> {0.chosen} replies={0.replies} path={1}",
+}
+
+
 def render_trace(trace: Trace) -> str:
-    """One run's trace.txt text; every CLI path renders a trace here."""
-    return trace.render()
+    """The text of ``trace.txt``: three ``init:`` lines, then the
+    ``t=NNN`` lines of the records in order (query, flood and
+    isolation-alert broadcasts, deaths, base receipts, hop rounds,
+    senses, reset-wave steps, the base's return to listening; the
+    hop plane's transmissions print none), then ``end: balances``
+    from the final node states.
+
+    The ``t=NNN`` head is formatted once per tick.  A broadcast
+    line's text after it is formatted once per (note, src, hop,
+    receivers) and reused within this call, since a sender with the
+    same audience repeats it tick after tick.
+    """
+    sc = trace.scenario
+    topo = sc.topology
+    w, h = topo.field_size
+    q = sorted(n for n, m in trace.modes.items() if m == MODE_Q)
+    c = sorted(n for n, m in trace.modes.items() if m == MODE_C)
+    lines = [
+        f"init: field={fmt_num(w)}x{fmt_num(h)} range={fmt_num(topo.radio_range)}"
+        f" nodes={len(topo.nodes)} base={topo.base_id} seed={sc.seed}"
+        f" loss={fmt_num(sc.loss_prob)}",
+        f"init: modes Q={fmt_ids(q)} C={fmt_ids(c)}",
+        "init: energy "
+        + " ".join(f"{n}={fmt_num(e)}" for n, e in trace.initial_energy.items()),
+    ]
+    paths = [[rec.origin] for rec in trace.incidents]  # each incident's path so far
+    tails: dict[tuple[str, int, int, tuple[int, ...]], str] = {}
+    tick = None
+    for r in trace.records:
+        if r.tick != tick:  # records come in tick order: once per tick
+            tick = r.tick
+            head = f"t={tick:>3} "
+        # most records are transmissions, and most of those print nothing
+        if type(r) is PacketEvent:
+            label = _BROADCAST_LABEL.get(r.note)
+            if label is not None:
+                key = (r.note, r.src, r.hop, r.receivers)
+                tail = tails.get(key)
+                if tail is None:
+                    hop = f" hop={r.hop}" if r.note == "flood" else ""
+                    tail = tails[key] = f"{label} src={r.src}{hop} recv={fmt_ids(r.receivers)}"
+                lines.append(head + tail)
+            continue
+        if type(r) is Death:
+            lines.append(f"{head}node {r.node} died ({r.cause})")
+        elif type(r) is BaseReceipt:
+            lines.append(head + _RECEIPT_LINE[r.via].format(r.text))
+        elif type(r) is HopAttempt:  # incidents are numbered from 1
+            rec = trace.incidents[r.incident - 1]
+            path = paths[r.incident - 1]
+            if r.outcome in HANDED_ON:
+                path.append(r.chosen)
+            lines.append(head + _HOP_LINE[r.outcome].format(r, fmt_ids(path)))
+            if rec.close_reason == "hop_cap" and r is rec.hops[-1]:
+                lines.append(f"{head}incident {r.incident} undelivered (hop cap)")
+        elif type(r) is Sense:
+            sensed = f"{head}sense node={r.node} reading={fmt_num(r.reading)}"
+            if r.flag2 is None:
+                lines.append(f"{sensed} ignored (dead)")
+            else:
+                lines.append(f"{sensed} -> flags=(1,{int(r.flag2)}) mode=S")
+        elif type(r) is ResetStep:
+            lines.append(f"{head}reset-wave depth={r.depth} reset={fmt_ids(r.reset)}")
+            if r.leftovers:
+                lines.append(f"{head}reset-wave cleanup reset={fmt_ids(r.leftovers)}")
+            if r.leftovers is not None:
+                lines.append(f"{head}reset-wave complete")
+        else:  # BaseListening
+            lines.append(f"{head}base: {NETWORK_FINE!r}")
+    if trace.nodes:
+        lines.append("end: balances " + " ".join(
+            f"{n}={fmt_num(s.energy)}" for n, s in trace.nodes.items()))
+    return "\n".join(lines) + "\n"
 
 
 #: ledger rows formatted by one % call; a bound on the writer's transient

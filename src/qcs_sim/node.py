@@ -62,10 +62,6 @@ class NodeState:
     heard_tick: int = NEVER_HEARD  # the last tick this node heard a query
 
     @property
-    def alive(self) -> bool:
-        return self.energy > 0
-
-    @property
     def mode(self) -> str:
         """S while flag1 is set, else the node's Q/C role."""
         return MODE_S if self.flag1 else self.role

@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from qcs_sim import cli, default16_scenario_text, energy, engine, metrics, record, scenario
+from qcs_sim import cli, default16_scenario_text, energy, engine, metrics, scenario
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -63,15 +63,11 @@ def test_traced_run_matches_untraced_and_reaches_every_layer(tmp_path):
 
 
 def test_traced_sweep_renders_every_trace_inside_a_metrics_span(tmp_path):
-    """The sweep renders each run's trace through a metrics function, so
+    """The sweep renders each run's trace with metrics.render_trace, so
     the tracer counts that time as a report writer's."""
     tracer = _load_tracer()
     spans = tracer.Tracer()
     targets = tracer.layer_targets(cli, scenario, engine, energy, metrics)
-    targets.append(("record.Trace.render", record.Trace, "render"))
     _traced_matches_plain(tmp_path, spans, targets, "sweep", _SWEEP16)
 
-    roll = spans.rollup()[0]
-    assert roll.calls["record.Trace.render"] == 7
-    callers = {parent for parent, layer in roll.pair_calls if layer == "record.Trace.render"}
-    assert callers and all(parent.startswith("metrics.") for parent in callers), callers
+    assert spans.rollup()[0].calls["metrics.render_trace"] == 7

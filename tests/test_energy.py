@@ -139,7 +139,7 @@ def test_ledger_clamps_at_zero():
     taken = led.debit(0, led.nodes[1], "source_send")
     assert taken == 2
     assert led.balance(1) == 0
-    assert not led.nodes[1].alive
+    assert led.nodes[1].energy <= 0
     # further debits take nothing and add no rows
     n_rows = len(led.entries)
     assert led.debit(1, led.nodes[1], "query_recv") == 0

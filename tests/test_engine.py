@@ -23,6 +23,7 @@ from qcs_sim import (
 )
 from qcs_sim import engine
 from qcs_sim.energy import ISOLATION_MULTIPLIER, PRICES
+from qcs_sim.metrics import render_trace
 from qcs_sim.packet import PacketKind
 from qcs_sim.record import NOTES, BaseReceipt, Death, PacketEvent
 from qcs_sim.scenario import SenseEvent
@@ -96,7 +97,7 @@ def test_query_lines_keep_listener_order():
     # so each listener's death line lands among the query's other lines
     text = default16_scenario_text(seed=0, horizon=6).replace(
         "[sim]", "[costs]\ninit_min = 1\ninit_max = 1\nthreshold = 0\n\n[sim]")
-    lines = Simulation(parse_scenario(text)).run().render().splitlines()
+    lines = render_trace(Simulation(parse_scenario(text)).run()).splitlines()
     want = [
         "t=  0 node 14 died (query_send)",
         "t=  0 node 12 died (query_recv)",
@@ -138,7 +139,7 @@ def test_flood_and_alert_lines_keep_receiver_order():
         ]),
     ]
     for sc, want in runs:
-        lines = Simulation(sc).run().render().splitlines()
+        lines = render_trace(Simulation(sc).run()).splitlines()
         i = lines.index(want[0])
         assert lines[i:i + len(want)] == want
 
@@ -152,7 +153,7 @@ def test_base_returns_to_listening_among_a_query_s_receivers():
                     base_id=2, radio_range=110.0, field_size=(400.0, 400.0))
     sc = make_scenario(topo, seed=0, horizon=3,
                        costs=CostModel(threshold=0, init_min=1, init_max=1))
-    lines = Simulation(sc).run().render().splitlines()
+    lines = render_trace(Simulation(sc).run()).splitlines()
     want = [
         "t=  0 node 4 died (query_send)",
         "t=  0 node 1 died (query_recv)",
@@ -175,7 +176,7 @@ def test_q_sensor_emptied_earlier_in_its_run_sends_nothing():
     for _ in range(3):
         sim.step()
     assert [sim.nodes[i].role for i in (2, 3)] == ["Q", "Q"]
-    assert sim.nodes[3].alive and sim.nodes[3] in sim._nbrs[2]
+    assert sim.nodes[3].energy > 0 and sim.nodes[3] in sim._nbrs[2]
     tr = sim.run()
     assert [d for d in tr.records if type(d) is Death and d.node == 3] == [
         Death(3, 3, "query_recv")]
@@ -207,7 +208,7 @@ def test_broadcast_lines_that_share_receivers_keep_their_label_and_hop(events, w
     # so a line that reuses another's text with a different label, hop,
     # sender or tick shows up here
     tr = sim16(events=events).run()
-    lines = [ln for ln in tr.render().splitlines()
+    lines = [ln for ln in render_trace(tr).splitlines()
              if ln.split(" src=")[0][6:] in _BROADCAST_LABEL.values()]
     assert lines == [
         f"t={e.tick:>3} {_BROADCAST_LABEL[e.note]} src={e.src}"
@@ -800,9 +801,9 @@ def test_total_loss_strands_every_packet():
 
 
 def test_lossy_runs_are_seed_deterministic():
-    a = run16(events=EV10, loss_prob=0.5, seed=3)[1].render()
-    b = run16(events=EV10, loss_prob=0.5, seed=3)[1].render()
-    c = run16(events=EV10, loss_prob=0.5, seed=4)[1].render()
+    a = render_trace(run16(events=EV10, loss_prob=0.5, seed=3)[1])
+    b = render_trace(run16(events=EV10, loss_prob=0.5, seed=3)[1])
+    c = render_trace(run16(events=EV10, loss_prob=0.5, seed=4)[1])
     assert a == b
     assert a != c
 
@@ -869,14 +870,14 @@ def test_note_table_bills_each_priced_cause_under_one_note():
 def test_determinism_is_byte_exact():
     text = default16_scenario_text(seed=7, horizon=20,
                                    events=((2, 10, 70.0), (5, 4, 95.0)))
-    a = Simulation(parse_scenario(text)).run().render()
-    b = Simulation(parse_scenario(text)).run().render()
+    a = render_trace(Simulation(parse_scenario(text)).run())
+    b = render_trace(Simulation(parse_scenario(text)).run())
     assert a.encode() == b.encode()
 
 
 def test_different_seeds_change_the_run():
-    a = run16(seed=1)[1].render()
-    b = run16(seed=2)[1].render()
+    a = render_trace(run16(seed=1)[1])
+    b = render_trace(run16(seed=2)[1])
     assert a != b
 
 

@@ -287,9 +287,11 @@ def test_cli_rejects_bad_sweep_ids(tmp_path, capsys):
     assert main(["--scenario", str(SCN), "--out", str(out),
                  "--sweep", "abc"]) == 1
     capsys.readouterr()
-    assert main(["--scenario", str(SCN), "--out", str(out),
-                 "--sweep", ","]) == 1
-    assert "lists no node ids" in capsys.readouterr().err
+    for empty in (",", ""):
+        assert main(["--scenario", str(SCN), "--out", str(out),
+                     "--sweep", empty]) == 1
+        assert capsys.readouterr().err == "error: --sweep lists no node ids\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_scenario_file(tmp_path, capsys):

@@ -245,20 +245,21 @@ def _trace_text_sites(tree: ast.Module) -> set[tuple[str, str]]:
 
 
 def test_trace_text_is_written_in_one_place():
-    """Every string that starts a line of trace text sits in Trace.render
-    or in a module-level line table of record.py: the simulation records
-    typed facts and no other code formats them."""
+    """Every string that starts a line of trace text sits in
+    metrics.render_trace or in a module-level line table of metrics.py:
+    the simulation records typed facts and no other code formats them."""
     places = set()
     for path in sorted(SRC.glob("*.py")):
         places |= {(path.name, *site)
                    for site in _trace_text_sites(ast.parse(path.read_text(encoding="utf-8")))}
-    assert places - {("record.py", "", "")} == {("record.py", "Trace", "render")}
+    assert places - {("metrics.py", "", "")} == {("metrics.py", "", "render_trace")}
 
 
 #: the package modules that each module must not import: the record and
 #: the reports never reach the simulation or the command line, and the
-#: record never reaches the reports
-_NOT_IMPORTED = {"record.py": {"engine", "cli", "metrics"}, "metrics.py": {"engine", "cli"}}
+#: record never reaches the reports or the number formatter
+_NOT_IMPORTED = {"record.py": {"engine", "cli", "metrics", "numtext"},
+                 "metrics.py": {"engine", "cli"}}
 
 
 def _package_imports(tree: ast.Module) -> set[str]:
