@@ -23,9 +23,10 @@ after: nothing a run builds is cyclic, so reference counting frees it
 all, and the collector's passes over the kept records are pure cost.
 
 Set QCS_SIM_LOG=DEBUG (or INFO, WARNING, ...) for engine logging: at
-DEBUG the engine logs incidents opening and closing, floods starting and
-reaching the base, reset waves completing, and node deaths.  Any other
-value is an error.
+DEBUG, after each run, the log names incidents opening and closing,
+floods starting and reaching the base, reset waves completing, and node
+deaths, in tick order.  The simulation writes no text: these lines are
+rendered from its record.  Any other value is an error.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .energy import joules, lifetime
 from .engine import Simulation
 from .numtext import fmt_num
 from .packet import QUERY_ACK_SIZE, SOURCE_SIZE
+from .record import Death, PacketEvent, ResetStep, Trace
 from .scenario import Scenario, load_scenario, sweep_scenario
 
 
@@ -78,6 +80,42 @@ def _setup_logging() -> None:
         )
 
 
+def _log_run(trace: Trace) -> None:
+    """At DEBUG, log the events README "Logging" lists, rendered from a
+    finished run's record in tick order.  Within a tick come incidents
+    opening and floods starting, then deaths, reset waves completing and
+    floods reaching the base in the order the record holds them, then
+    incidents closing."""
+    # the engine's logger, whatever name this module runs under
+    log = logging.getLogger("qcs_sim.engine")
+    if not log.isEnabledFor(logging.DEBUG):
+        return
+    lines = [(rec.start_tick, f"incident {rec.incident_id} opened at node {rec.origin}")
+             for rec in trace.incidents]
+    receipts = set()
+    for flood in trace.floods:
+        tick, origin = flood.origins[0]
+        lines.append((tick, f"flood started at node {origin}"))
+        receipts.add(flood.base_receipt_tick)
+    base_id = trace.scenario.topology.base_id
+    for r in trace.records:
+        kind = type(r)
+        if kind is Death:
+            lines.append((r.tick, f"node {r.node} died ({r.cause})"))
+        elif kind is ResetStep and r.leftovers is not None:
+            lines.append((r.tick, "reset wave complete"))
+        elif (kind is PacketEvent and r.note == "flood" and r.tick in receipts
+              and base_id in r.receivers):
+            # the first flood the base heard at its receipt tick delivered it
+            receipts.remove(r.tick)
+            lines.append((r.tick, f"flood reached the base from node {r.src}"))
+    lines += [(rec.close_tick, f"incident {rec.incident_id} closed ({rec.close_reason})")
+              for rec in trace.incidents if rec.close_tick is not None]
+    lines.sort(key=lambda line: line[0])  # stable: the order above within a tick
+    for tick, text in lines:
+        log.debug("t=%d %s", tick, text)
+
+
 def _cmd_lifetime(values: list[float]) -> int:
     e, e1, ep = values
     try:
@@ -112,6 +150,7 @@ def _sweep_ids(arg: str, sc: Scenario) -> list[int]:
 def _cmd_run(sc: Scenario, out: Path) -> int:
     sim = Simulation(sc)
     trace = sim.run()
+    _log_run(trace)
     metrics.write_trace(out / "trace.txt", trace)
     metrics.write_ledger_csv(out / "ledger.csv", sim.ledger)
     metrics.write_energy_diff_csv(
@@ -137,6 +176,7 @@ def _cmd_sweep(sc: Scenario, ids: list[int], out: Path) -> int:
         label = f"irregular{i}"
         sim = Simulation(sweep_scenario(sc, i, nid))
         trace = sim.run()
+        _log_run(trace)
         rec = trace.incidents[0]
         energy_rows.extend(metrics.energy_diff_rows(label, trace))
         path_rows.extend(metrics.paths_rows([rec], labels=[label]))

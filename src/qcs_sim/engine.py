@@ -65,13 +65,13 @@ per tick, clearing flags, which returns every node to the Q/C role it
 held before the alarm.  Overlapping devastating events join the epoch
 in progress; a fresh epoch can begin once the wave completes.
 
-The simulation writes no report text, only the typed records of
-``record``; its only text is the DEBUG log that README "Logging" lists.
+The simulation writes no text, only the typed records of ``record``.
+``cli`` renders the DEBUG log that README "Logging" lists from them
+after the run.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from bisect import insort
@@ -97,8 +97,6 @@ from .record import (
 )
 from .scenario import Scenario, SenseEvent
 from .topology import dist
-
-log = logging.getLogger(__name__)
 
 #: builds a NamedTuple row without its Python-level __new__ frame
 _new_tuple = tuple.__new__
@@ -180,7 +178,6 @@ class Simulation:
         """Record the death of a node that a debit for cause just emptied."""
         self.trace.records.append(Death(self.tick, node.node_id, cause))
         self._sensors_stale = True
-        log.debug("t=%d node %d died (%s)", self.tick, node.node_id, cause)
 
     def _dropped(self) -> bool:
         p = self.sc.loss_prob
@@ -261,14 +258,13 @@ class Simulation:
         )
         self.trace.incidents.append(rec)
         self._active_irregular[origin] = rec
-        log.debug("t=%d incident %d opened at node %d", tick, rec.incident_id, origin)
         return rec
 
     def _close_incident(self, rec: IncidentRecord, reason: str) -> None:
         """Finish a record but leave it bound to its still-S holder, so
         the node idles instead of reopening a fresh incident every tick."""
         rec.close_reason = reason
-        log.debug("t=%d incident %d closed (%s)", self.tick, rec.incident_id, reason)
+        rec.close_tick = self.tick
 
     def _close_held(self, nid: int, reason: str) -> None:
         """Close the open alarm nid holds, if any, and release the node."""
@@ -283,7 +279,6 @@ class Simulation:
             epoch = FloodRecord(origins=[(tick, origin)], hop_cap=self.hop_cap)
             self.active_flood = epoch
             self.trace.floods.append(epoch)
-            log.debug("t=%d flood started at node %d", tick, origin)
         else:
             epoch.origins.append((tick, origin))
         epoch.infected_at.setdefault(origin, tick)
@@ -527,7 +522,6 @@ class Simulation:
             if nb.is_base:
                 epoch.base_receipt_tick = self.tick
                 self.trace.records.append(BaseReceipt(self.tick, "flood", pkt.message))
-                log.debug("t=%d flood reached the base from node %d", self.tick, nid)
                 continue
             j = nb.node_id
             if was_s:
@@ -563,7 +557,6 @@ class Simulation:
             base.flag1 = base.flag2 = False
             epoch.completed_tick = self.tick
             self.active_flood = None
-            log.debug("t=%d reset wave complete", self.tick)
         self.trace.records.append(ResetStep(self.tick, depth, targets, leftovers))
 
     # ------------------------------------------------------------ isolation

@@ -93,10 +93,16 @@ def _promote(n: NodeState, message: str, devastating: bool) -> None:
 
 
 def sense_and_classify(n: NodeState, reading: float) -> None:
-    """Apply one sensor reading; crossing a level promotes the node to S."""
-    if reading > IRREGULAR_LEVEL:
-        _promote(n, affected_message(n.node_id, n.pos),
-                 devastating=reading > DEVASTATING_LEVEL)
+    """Apply one sensor reading; crossing a level promotes the node to S.
+
+    A reading that raises no flag, one below the irregular level or one
+    that a flagged node already holds the flag for, leaves the node as
+    it was, the alarm text it carries included.
+    """
+    devastating = reading > DEVASTATING_LEVEL
+    # the flag the reading raises may be set already
+    if reading > IRREGULAR_LEVEL and not (n.flag2 if devastating else n.flag1):
+        _promote(n, affected_message(n.node_id, n.pos), devastating)
 
 
 def handle_query(n: NodeState, q: Packet, tick: int) -> Packet | None:

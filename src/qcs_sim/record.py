@@ -57,6 +57,7 @@ class IncidentRecord:
     message: str
     hops: list[HopAttempt] = field(default_factory=list)
     close_reason: str = ""  # empty while the alarm is open
+    close_tick: int | None = None  # the tick close_reason was set
 
     @property
     def closed(self) -> bool:

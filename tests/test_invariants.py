@@ -5,7 +5,8 @@ and devastating alarms, and batteries small enough that nodes drain and
 die mid-run.  Every run must keep the ledger and the trace consistent:
 initial minus final balance equals the summed debits, no balance goes
 below zero, each node that empties dies exactly once, and every closed
-incident says why it closed.  Its trace text must also agree with its
+incident says why and at which tick it closed, on these runs, the
+pocket runs and the golden runs.  Its trace text must also agree with its
 record of transmissions, deaths, base receipts, hop rounds, sense
 events, reset-wave hops and the base's returns to listening, and the
 record holds no text, on these runs or the golden runs.  The ledger's
@@ -35,6 +36,7 @@ import argparse
 import ast
 import gc
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -52,7 +54,7 @@ from qcs_sim.packet import PacketKind, decode, encode
 from qcs_sim.record import (
     NOTES, BaseListening, BaseReceipt, Death, HopAttempt, PacketEvent, ResetStep, Sense,
 )
-from qcs_sim.scenario import SenseEvent, parse_scenario
+from qcs_sim.scenario import SenseEvent, load_scenario, parse_scenario, sweep_scenario
 
 from conftest import GRID, ledger_csv_reference, make_scenario, random_connected_topology
 from test_golden import (
@@ -671,6 +673,39 @@ def test_no_incident_runs_more_rounds_than_attempt_cap():
     # the pockets' alarms reach the cap on a handover, the case a cap that
     # counted only stalled and lost rounds never closed
     assert capped_on_handover
+
+
+def _golden_traces():
+    """The traces of the golden runs: run16, the paper sweep's seven runs
+    and grid225."""
+    run16 = default16_scenario_text(seed=7, horizon=20, events=((2, 10, 70), (5, 4, 95)))
+    yield Simulation(parse_scenario(run16)).run()
+    paper = load_scenario(REPO / "scenarios" / "default16.scn")
+    for i, nid in enumerate((13, 12, 15, 2, 14, 8, 9), start=1):
+        yield Simulation(sweep_scenario(paper, i, nid)).run()
+    yield Simulation(parse_scenario(_grid225_text())).run()
+
+
+def test_each_closed_incident_records_its_close_tick():
+    """A closed incident's close_tick lies in [start_tick, horizon) and
+    an open one has none; a delivered incident closes at its delivery
+    tick, and one closed hop_cap at its last round's tick."""
+    traces = itertools.chain((sim.trace for sim in _random_runs()),
+                             (sim.trace for sim, _ in _pocket_runs()), _golden_traces())
+    reasons = Counter()
+    for trace in traces:
+        for rec in trace.incidents:
+            reasons[rec.close_reason] += 1
+            if not rec.closed:
+                assert rec.close_tick is None, rec
+                continue
+            assert rec.start_tick <= rec.close_tick < trace.scenario.horizon, rec
+            if rec.close_reason == "delivered":
+                assert rec.close_tick == rec.delivery_tick, rec
+            elif rec.close_reason == "hop_cap":
+                assert rec.close_tick == rec.hops[-1].tick, rec
+    # open incidents, and closes for every reason
+    assert set(reasons) == {"", "delivered", "escalated", "holder_died", "hop_cap", "base_reset"}
 
 
 @pytest.fixture

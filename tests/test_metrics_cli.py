@@ -26,9 +26,11 @@ from qcs_sim.metrics import (
     write_paths_csv,
 )
 from qcs_sim.node import NodeState
-from qcs_sim.record import NOTES
+from qcs_sim.record import NOTES, Death
+from qcs_sim.scenario import load_scenario, sweep_scenario
 
 from conftest import ledger_csv_reference, subprocess_env
+from test_golden import _grid225_text
 
 SCN = Path(__file__).resolve().parents[1] / "scenarios" / "default16.scn"
 
@@ -403,16 +405,87 @@ def test_cli_entry_point_installed():
 
 
 def test_debug_logging_leaves_reports_identical(tmp_path, caplog):
-    scn = _scenario_file(tmp_path, "alarm", seed=3, horizon=40,
-                         events=((2, 10, 70.0), (5, 4, 95.0)))
-    assert main(["--scenario", scn, "--out", str(tmp_path / "quiet")]) == 0
-    caplog.set_level(logging.DEBUG, logger="qcs_sim")
-    assert main(["--scenario", scn, "--out", str(tmp_path / "debug")]) == 0
-    assert caplog.records
-    reports = ("trace.txt", "ledger.csv", "energy_diff.csv", "paths.csv", "summary.txt")
-    for name in reports:
-        assert ((tmp_path / "debug" / name).read_bytes()
-                == (tmp_path / "quiet" / name).read_bytes()), name
+    grid = tmp_path / "grid.scn"
+    grid.write_text(_grid225_text())
+    for scn in (_scenario_file(tmp_path, "alarm", seed=3, horizon=40,
+                               events=((2, 10, 70.0), (5, 4, 95.0))), str(grid)):
+        quiet, debug = tmp_path / "quiet", tmp_path / "debug"
+        caplog.set_level(logging.WARNING, logger="qcs_sim")
+        assert main(["--scenario", scn, "--out", str(quiet)]) == 0
+        caplog.set_level(logging.DEBUG, logger="qcs_sim")
+        caplog.clear()
+        assert main(["--scenario", scn, "--out", str(debug)]) == 0
+        assert caplog.records
+        reports = ("trace.txt", "ledger.csv", "energy_diff.csv", "paths.csv", "summary.txt")
+        for name in reports:
+            assert (debug / name).read_bytes() == (quiet / name).read_bytes(), (scn, name)
+
+
+def _log_lines(trace, got: list[str]) -> list[str]:
+    """The DEBUG lines README's Logging section promises for trace, with
+    the ticks and ids of its record.  The node that carried a flood to
+    the base is read from got, and must be a neighbour of the base that
+    the flood reached on an earlier tick."""
+    topo = trace.scenario.topology
+    want = [f"t={rec.start_tick} incident {rec.incident_id} opened at node {rec.origin}"
+            for rec in trace.incidents]
+    want += [f"t={rec.close_tick} incident {rec.incident_id} closed ({rec.close_reason})"
+             for rec in trace.incidents if rec.closed]
+    for flood in trace.floods:
+        want.append("t=%d flood started at node %d" % flood.origins[0])
+        if flood.base_receipt_tick is not None:
+            head = f"t={flood.base_receipt_tick} flood reached the base from node "
+            (line,) = [m for m in got if m.startswith(head)]
+            sender = int(line[len(head):])
+            assert topo.base_id in topo.neighbors(sender)
+            assert flood.infected_at[sender] < flood.base_receipt_tick
+            want.append(line)
+        if flood.completed_tick is not None:
+            want.append(f"t={flood.completed_tick} reset wave complete")
+    want += [f"t={r.tick} node {r.node} died ({r.cause})"
+             for r in trace.records if type(r) is Death]
+    return want
+
+
+#: a word of each of README's six kinds of log line
+_LOG_KINDS = ("opened", "closed", "started", "reached", "complete", "died")
+
+
+def test_debug_log_names_each_event(tmp_path, caplog):
+    """At DEBUG a CLI call logs, after each run and in tick order, one
+    line per event README's Logging section lists, with the ticks and
+    ids of the record; a sweep logs each run's lines in turn."""
+    alarm = tmp_path / "alarm.scn"
+    alarm.write_text(default16_scenario_text(seed=3, horizon=40,
+                                             events=((2, 10, 70.0), (5, 4, 95.0)))
+                     + "[costs]\nthreshold = 10\ninit_min = 60\ninit_max = 80\n")
+    grid = tmp_path / "grid.scn"
+    grid.write_text(_grid225_text())
+    paper = load_scenario(SCN)
+    calls = [
+        ([str(alarm)], [Simulation(load_scenario(alarm)).run()]),
+        ([str(grid)], [Simulation(load_scenario(grid)).run()]),
+        ([str(SCN), "--sweep", "13,12,15,2,14,8,9"],
+         [Simulation(sweep_scenario(paper, i, nid)).run()
+          for i, nid in enumerate((13, 12, 15, 2, 14, 8, 9), start=1)]),
+    ]
+    caplog.set_level(logging.DEBUG, logger="qcs_sim.engine")
+    logged = set()
+    for args, traces in calls:
+        caplog.clear()
+        assert main(["--scenario", *args, "--out", str(tmp_path / "o")]) == 0
+        records = [r for r in caplog.records if r.name == "qcs_sim.engine"]
+        assert {r.levelno for r in records} == {logging.DEBUG}
+        got = [r.getMessage() for r in records]
+        for trace in traces:
+            want = _log_lines(trace, got)
+            run, got = got[:len(want)], got[len(want):]
+            assert sorted(run) == sorted(want)
+            ticks = [int(m.split()[0][2:]) for m in run]
+            assert ticks == sorted(ticks)
+            logged.update(kind for m in run for kind in _LOG_KINDS if kind in m.split())
+        assert got == []
+    assert logged == set(_LOG_KINDS)
 
 
 def test_cli_rejects_unknown_log_level(tmp_path, capsys, monkeypatch):

@@ -103,6 +103,22 @@ def test_escalation_keeps_first_stored_mode():
     assert n.role == MODE_Q
 
 
+def test_reading_that_raises_no_flag_leaves_the_node_as_it_was():
+    """A flooded node and an alarm holder each sense an irregular
+    reading, and the flooded node a devastating one too: none raises a
+    flag, so each node keeps its flags, depth and the alarm text it
+    carries."""
+    flooded = _node(nid=4, pos=(75.0, 75.0))
+    handle_source(flooded, make_source(1, (0, 0), 5, "boom", hop_count=0, devastating=True))
+    holder = _node(nid=7, mode=MODE_Q, pos=(150.0, 75.0))
+    handle_source(holder, make_source(1, (0, 0), 5, "boom"))
+    for n, reading in ((flooded, 70.0), (flooded, 95.0), (holder, 70.0)):
+        before = (n.flag1, n.flag2, n.hop_depth, n.message)
+        sense_and_classify(n, reading)
+        assert (n.flag1, n.flag2, n.hop_depth, n.message) == before, (n.node_id, reading)
+    assert flooded.message == holder.message == "boom"
+
+
 def test_node_state_refuses_unknown_attributes():
     """NodeState is slotted, so a mistyped field is an error, not a new one."""
     n = _node()

@@ -28,6 +28,20 @@ def test_package_imports_only_the_standard_library():
     assert {"math", "random", "struct"} <= seen  # the walk found the imports
 
 
+def test_engine_imports_no_logging():
+    """The simulation writes no text: engine.py imports no logging
+    module anywhere, so the DEBUG log can only be rendered from the
+    record."""
+    imported = set()
+    for stmt in ast.walk(ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))):
+        if isinstance(stmt, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in stmt.names}
+        elif isinstance(stmt, ast.ImportFrom) and stmt.level == 0:
+            imported.add(stmt.module.split(".")[0])
+    assert "math" in imported  # the walk found the imports
+    assert "logging" not in imported
+
+
 def _module_level_imports(tree: ast.Module):
     """The import statements a module runs at load, if-blocks included."""
     stack = list(tree.body)
