@@ -152,7 +152,8 @@ class Simulation:
         self.loss_rng = random.Random(f"loss:{seed}")
 
         self.tick = 0
-        self.trace = Trace(scenario, modes, {nid: n.energy for nid, n in self.nodes.items()})
+        self.trace = Trace(scenario, modes, {nid: n.energy for nid, n in self.nodes.items()},
+                           self.nodes)
         self._events_at: dict[int, list[SenseEvent]] = {}
         for ev in scenario.events:
             self._events_at.setdefault(ev.tick, []).append(ev)
@@ -307,7 +308,6 @@ class Simulation:
         """Run the rest of the horizon and return the finished trace."""
         while self.tick < self.sc.horizon:
             self.step()
-        self.trace.nodes = self.nodes
         return self.trace
 
     def step(self) -> None:

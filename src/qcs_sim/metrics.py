@@ -126,9 +126,8 @@ def render_trace(trace: Trace) -> str:
                 lines.append(f"{head}reset-wave complete")
         else:  # BaseListening
             lines.append(f"{head}base: {NETWORK_FINE!r}")
-    if trace.nodes:
-        lines.append("end: balances " + " ".join(
-            f"{n}={fmt_num(s.energy)}" for n, s in trace.nodes.items()))
+    lines.append("end: balances " + " ".join(
+        f"{n}={fmt_num(s.energy)}" for n, s in trace.nodes.items()))
     return "\n".join(lines) + "\n"
 
 

@@ -75,7 +75,7 @@ def init_modes(topology: Topology, seed: int | str) -> dict[int, str]:
     independent set: no two Q nodes are adjacent, and every C node can
     hear at least one Q node.
     """
-    order = sorted(topology.sensor_ids())
+    order = topology.sensor_ids()
     random.Random(f"init:{seed}").shuffle(order)
     q_set: set[int] = set()
     for nid in order:
@@ -134,15 +134,11 @@ def handle_source(n: NodeState, s: Packet) -> None:
     if s.kind != _SOURCE:
         raise ValueError("handle_source expects a source packet")
     if s.flags.flag2:
-        if not n.flag1:
+        # any node not flooded yet joins, an alarm holder or the base
+        # included; re-delivery to a flooded node keeps the original
+        # (shallowest) depth
+        if not n.flag2:
             _promote(n, s.message, devastating=True)
-            n.hop_depth = s.hop_count + 1
-        elif not n.flag2:
-            # an alarm-forwarding node caught by the flood joins it at the
-            # packet's depth; re-delivery to an already flooded node keeps
-            # the original (shallowest) depth
-            n.flag2 = True
-            n.message = s.message
             n.hop_depth = s.hop_count + 1
     elif n.is_base or not n.flag1:
         _promote(n, s.message, devastating=False)

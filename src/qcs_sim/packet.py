@@ -140,7 +140,11 @@ def encode(p: Packet) -> bytes:
     return header + body + msg.ljust(cap, b"\x00")
 
 
-def _parse_byte0(b0: int) -> tuple[PacketKind, Flags]:
+def peek_flags(data: bytes) -> tuple[PacketKind, Flags]:
+    """Read kind and flags from the first 4 bytes without touching the body."""
+    if len(data) < HEADER_SIZE:
+        raise PacketError(f"need at least {HEADER_SIZE} bytes, got {len(data)}")
+    b0 = data[0]
     if b0 & 0xF0:
         raise PacketError(f"reserved header bits set in byte 0 ({b0:#04x})")
     tag = (b0 >> 2) & 0b11
@@ -153,13 +157,6 @@ def _parse_byte0(b0: int) -> tuple[PacketKind, Flags]:
     if flag2 and not flag1:
         raise PacketError("flag2 set without flag1 in header")
     return kind, Flags(flag1, flag2)
-
-
-def peek_flags(data: bytes) -> tuple[PacketKind, Flags]:
-    """Read kind and flags from the first 4 bytes without touching the body."""
-    if len(data) < HEADER_SIZE:
-        raise PacketError(f"need at least {HEADER_SIZE} bytes, got {len(data)}")
-    return _parse_byte0(data[0])
 
 
 def decode(data: bytes) -> Packet:
@@ -194,16 +191,13 @@ def affected_message(node_id: int, loc: tuple[float, float]) -> str:
 _FLAGS = {(False, False): Flags(), (True, False): Flags(True), (True, True): Flags(True, True)}
 
 
-def make_query(src: int, flag1: bool = False, flag2: bool = False,
-               loc: tuple[float, float] = (0.0, 0.0), energy: float = 0) -> Packet:
-    # an illegal pair is not in _FLAGS, and Flags raises for it
-    flags = _FLAGS.get((flag1, flag2)) or Flags(flag1, flag2)
-    return _new_packet(Packet, (_QUERY, flags, src, 0, loc, energy, ""))
+def make_query(src: int, flag1: bool = False, loc: tuple[float, float] = (0.0, 0.0),
+               energy: float = 0) -> Packet:
+    return _new_packet(Packet, (_QUERY, _FLAGS[flag1, False], src, 0, loc, energy, ""))
 
 
-def make_ack(src: int, energy: float, loc: tuple[float, float], message: str = "") -> Packet:
-    return _new_packet(Packet, (_ACK, _FLAGS[False, False], src, 0, loc, energy,
-                                message))
+def make_ack(src: int, energy: float, loc: tuple[float, float]) -> Packet:
+    return _new_packet(Packet, (_ACK, _FLAGS[False, False], src, 0, loc, energy, ""))
 
 
 def make_source(src: int, loc: tuple[float, float], energy: float, message: str,

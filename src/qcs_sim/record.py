@@ -185,20 +185,21 @@ class Trace:
     they happened: ``PacketEvent``, ``Death``, ``BaseReceipt``,
     ``HopAttempt`` (the same objects as each incident's ``hops``),
     ``Sense``, ``ResetStep`` and ``BaseListening``; ``packet_events``,
-    ``deaths`` and ``base_inbox`` are views of it.  ``nodes`` holds the
-    final node states that ``run`` hands over.  No per-tick copy of node
-    state is kept; a caller that wants one steps the Simulation and
-    reads its nodes.
+    ``deaths`` and ``base_inbox`` are views of it.  ``nodes`` is the
+    run's node map, the very dict the simulation steps, so its states
+    are final once ``run`` returns.  No per-tick copy of node state is
+    kept; a caller that wants one steps the Simulation and reads its
+    nodes.
     """
 
     scenario: Scenario
     modes: dict[int, str]  # each sensor's initial Q/C role
     initial_energy: dict[int, int | float]  # whole units; math.inf for the base
+    nodes: dict[int, NodeState]  # the run's node states, in id order
     records: list[PacketEvent | Death | BaseReceipt | HopAttempt | Sense | ResetStep
                   | BaseListening] = field(default_factory=list)
     incidents: list[IncidentRecord] = field(default_factory=list)
     floods: list[FloodRecord] = field(default_factory=list)
-    nodes: dict[int, NodeState] = field(default_factory=dict)  # final states, in id order
 
     @property
     def base(self) -> NodeState:

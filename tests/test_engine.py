@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
@@ -842,6 +843,78 @@ def test_polling_pair_lives_exactly_lifetime_ticks():
     for nid in (1, 2):
         assert sum(e.debit for e in sim.ledger.entries if e.node_id == nid) == 8
     audit_regular_window(sim, tr, seen.modes, 0, want - 1)
+
+
+def _quiet_grid(rng: random.Random, costs: CostModel, horizon: int) -> Simulation:
+    """A lossless 15x15 grid at 100 m with a 110 m range and no readings,
+    its base and seed drawn from rng."""
+    nodes = {r * 15 + c + 1: (c * 100.0, r * 100.0) for r in range(15) for c in range(15)}
+    topo = Topology(nodes=nodes, base_id=rng.randint(1, 225), radio_range=110.0,
+                    field_size=(1400.0, 1400.0))
+    return Simulation(make_scenario(topo, seed=rng.randint(0, 10 ** 6),
+                                    horizon=horizon, costs=costs))
+
+
+def _quiet_tick_costs(topo: Topology, modes: dict[int, str]) -> dict[int, tuple[int, int]]:
+    """Each sensor's units on an even and on an odd tick of the quiet
+    plane: one for its own query while Q, one per sensor neighbour that
+    is Q.  A sensor is Q on the even ticks when it starts Q, else on the
+    odd ones; the base never queries."""
+    def q(nid: int, parity: int) -> int:
+        return int((modes[nid] == "Q") == (parity == 0))
+
+    return {i: tuple(q(i, p) + sum(q(j, p) for j in topo.neighbors(i) if j in modes)
+                     for p in (0, 1))
+            for i in modes}
+
+
+def test_quiet_plane_consumption_and_first_death_in_closed_form():
+    """On a lossless run with no readings, each sensor's consumption, the
+    first death, its tick and its lifetime in periods follow from the
+    initial modes, the topology and the initial energies alone."""
+    rng = random.Random(16)
+    quiet = itertools.chain(((sim16(seed=s, horizon=40), 40) for s in range(30)),
+                            ((_quiet_grid(rng, CostModel(), 60), 60) for _ in range(30)))
+    for sim, horizon in quiet:  # built one at a time, so each is freed after its check
+        tr = sim.trace
+        cost = _quiet_tick_costs(sim.topology, tr.modes)
+        # an odd and an even horizon: a sensor that misses one Q/C swap
+        # ends with one Q tick more or less at one of the two
+        for h in (horizon - 1, horizon):
+            while sim.tick < h:
+                sim.step()
+            for i, (even, odd) in cost.items():
+                spent = tr.initial_energy[i] - tr.nodes[i].energy
+                assert spent == even * ((h + 1) // 2) + odd * (h // 2), (sim.sc.seed, h, i)
+        assert not tr.deaths
+
+    ends = Counter()  # the first-dying sensors, by whether c divides e
+    for init_max, grids in ((60, 30), (90, 40)):
+        costs = CostModel(threshold=10, init_min=40, init_max=init_max)
+        for _ in range(grids):
+            sim = _quiet_grid(rng, costs, 100)
+            tr, topo = sim.trace, sim.topology
+            cost = _quiet_tick_costs(topo, tr.modes)
+            left = {i: tr.initial_energy[i] for i in tr.modes}
+            t = -1
+            while all(e > 0 for e in left.values()):
+                t += 1
+                for i, c in cost.items():
+                    left[i] -= c[t % 2]
+            dying = {i for i, e in left.items() if e <= 0}
+            while sim.tick <= t:
+                sim.step()
+            deaths = tr.deaths
+            assert {d[0] for d in deaths} == {t}, sim.sc.seed
+            assert {nid for _, nid in deaths} == dying, sim.sc.seed
+            for i in dying:
+                e, c = tr.initial_energy[i], sum(cost[i])
+                assert c == 1 + sum(1 for j in topo.neighbors(i) if j in tr.modes)
+                assert t // 2 == math.ceil(e / c) - 1
+                # lifetime(e, c) whole periods, then a cut-short one unless c divides e
+                assert t // 2 == lifetime(e, c) - (e % c == 0), (sim.sc.seed, i)
+                ends[e % c == 0] += 1
+    assert ends[True] and ends[False]
 
 
 def test_every_debit_charges_its_table_price():

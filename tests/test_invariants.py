@@ -111,8 +111,9 @@ _BUILT_FOR = {"make_query": (engine, ("hop_query",)), "make_ack": (node, ("ack",
 @pytest.fixture(autouse=True)
 def wire_built(monkeypatch):
     """Check that decode(encode(p)) == p for every packet the engine
-    builds, and that its kind and flags are those of a NOTES row for a
-    note it is built for; count the packets built by kind."""
+    builds, that its kind and flags are those of a NOTES row for a note
+    it is built for, and that every source packet, a handover or a
+    flood, carries a message; count the packets built by kind."""
     built = Counter()
 
     def checked(make, notes):
@@ -122,6 +123,7 @@ def wire_built(monkeypatch):
             p = make(*args, **kwargs)
             assert decode(encode(p)) == p, p
             assert (p.kind, p.flags.flag1, p.flags.flag2) in rows, (notes, p)
+            assert p.message or p.kind != PacketKind.SOURCE, p
             built[p.kind] += 1
             return p
         return build

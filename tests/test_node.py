@@ -228,15 +228,22 @@ def test_flood_sweeps_up_alarm_forwarder():
     assert n.hop_depth == 1
     assert n.message == "boom"
     assert n.role == MODE_Q
+    # a base holding a delivered alarm joins the flood the same way
+    base = _node(nid=16, base=True, energy=math.inf, mode=MODE_S)
+    handle_source(base, make_source(9, (0, 0), 5, "alarm"))
+    handle_source(base, make_source(4, (0, 0), 5, "boom", hop_count=3,
+                                    devastating=True))
+    assert (base.flag1, base.flag2, base.message, base.hop_depth) == (True, True, "boom", 4)
 
 
 def test_reinfection_keeps_shallowest_depth():
     n = _node(mode=MODE_C)
     handle_source(n, make_source(4, (0, 0), 5, "boom", hop_count=1,
                                  devastating=True))
-    handle_source(n, make_source(9, (0, 0), 5, "boom", hop_count=7,
+    handle_source(n, make_source(9, (0, 0), 5, "echo", hop_count=7,
                                  devastating=True))
     assert n.hop_depth == 2
+    assert n.message == "boom"  # the second packet changes nothing
 
 
 # ------------------------------------------------------------------- reset
