@@ -67,7 +67,8 @@ in progress; a fresh epoch can begin once the wave completes.
 
 The simulation writes no text, only the typed records of ``record``.
 ``cli`` renders the DEBUG log that README "Logging" lists from them
-after the run.
+after the run.  ``tests/spec.py`` states the plain form of each order
+rule above, and ``tests/test_spec.py`` holds the engine's record to it.
 """
 
 from __future__ import annotations
@@ -314,11 +315,10 @@ class Simulation:
         """Advance one tick: sense events, the reset wave's next hop, the
         act pass, then the closing pass: each sensor isolation_check picks
         alerts unless an earlier alert emptied it, then tick_transition
-        swaps the Q/C roles.  These two list passes equal one visit per
-        sensor, alert then swap.  An alert writes no heard_tick, flag or
-        alarm_tick, so the verdicts and swap conditions are unchanged and
-        the coins, rows and records keep their order; and nothing reads a
-        dead sensor's role.
+        swaps the Q/C roles.  An alert writes no heard_tick, flag or
+        alarm_tick, so the verdicts and swap conditions are those of one
+        visit per sensor, and the coins, rows and records keep their
+        order; a sensor that a later alert empties keeps its role.
 
         The act pass sends the regular queries in runs.  It collects the
         live Q sensors in id order and hands each run to step_regular just
@@ -497,10 +497,10 @@ class Simulation:
         packet never travels beyond the hop cap: nodes at cap depth are
         infected but stay silent.
 
-        The packet is built for the first hearer that reads it, a sensor
-        not yet flooded or the base on its first receipt, and carries the
-        sender's balance from before it paid for the send.  Most hearers
-        are flooded already, so most rebroadcasts build none.
+        The packet is built for the first hearer that reads it, a node
+        not yet flooded, and carries the sender's balance from before it
+        paid for the send.  Most hearers are flooded already, so most
+        rebroadcasts build none.
         """
         epoch = self.active_flood
         if node.hop_depth >= epoch.hop_cap:
@@ -510,9 +510,9 @@ class Simulation:
         energy = node.energy  # before _broadcast bills the send
         pkt = None
         for nb in self._broadcast("flood", (node,), self._nbrs, node.hop_depth):
-            # a second packet changes nothing for a flooded sensor, and the
-            # base takes only the first
-            if epoch.base_receipt_tick is not None if nb.is_base else nb.flag2:
+            # a second packet changes nothing for a flooded node, the base
+            # included: its flag2 stands from its first receipt to the wave's end
+            if nb.flag2:
                 continue
             if pkt is None:
                 pkt = make_source(nid, node.pos, energy, node.message,

@@ -88,8 +88,7 @@ def _promote(n: NodeState, message: str, devastating: bool) -> None:
     n.flag1 = True
     if devastating:
         n.flag2 = True
-    if message:
-        n.message = message
+    n.message = message
 
 
 def sense_and_classify(n: NodeState, reading: float) -> None:

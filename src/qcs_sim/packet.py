@@ -152,11 +152,7 @@ def peek_flags(data: bytes) -> tuple[PacketKind, Flags]:
         kind = PacketKind(tag)
     except ValueError:
         raise PacketError(f"unknown packet kind tag {tag}") from None
-    flag1 = bool(b0 & 0b10)
-    flag2 = bool(b0 & 0b01)
-    if flag2 and not flag1:
-        raise PacketError("flag2 set without flag1 in header")
-    return kind, Flags(flag1, flag2)
+    return kind, Flags(bool(b0 & 0b10), bool(b0 & 0b01))
 
 
 def decode(data: bytes) -> Packet:

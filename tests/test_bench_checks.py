@@ -25,10 +25,8 @@ REPO = Path(__file__).resolve().parent.parent
 BENCH = REPO / "perfbench"
 
 
-def _realizations() -> list[tuple[str, int]]:
-    """(workload, realization index) for every realization of each
-    workload's default seed, read from perfbench/workloads.py by path
-    without writing bytecode."""
+def load_workloads():
+    """perfbench/workloads.py, imported by path without writing bytecode."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   BENCH / "workloads.py")
     module = importlib.util.module_from_spec(spec)
@@ -40,7 +38,14 @@ def _realizations() -> list[tuple[str, int]]:
     finally:
         sys.dont_write_bytecode = dont_write
         del sys.modules[spec.name]
-    return [(name, j) for name, w in module.WORKLOADS.items() for j in range(w.realizations)]
+    return module
+
+
+def _realizations() -> list[tuple[str, int]]:
+    """(workload, realization index) for every realization of each
+    workload's default seed."""
+    return [(name, j) for name, w in load_workloads().WORKLOADS.items()
+            for j in range(w.realizations)]
 
 
 @pytest.fixture

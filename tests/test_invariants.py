@@ -13,9 +13,9 @@ record holds no text, on these runs or the golden runs.  The ledger's
 entries view reads the same rows mid-run as at the end, and ledger.csv
 equals a per-row formatting of them.  Pocket runs add a short chain of
 nodes the base cannot reach, with an alarm in it, and no incident may
-run more rounds than its attempt cap.  No dead sensor may act or send a
-regular query, on these runs or the golden runs, and no node that the
-hop query's price empties may answer it.
+run more rounds than its attempt cap.  No node that the hop query's
+price empties may answer it.  test_spec.py holds the same runs to the
+plain reference simulator: which nodes act, hear, alert and swap.
 
 Every report of the random runs, the pocket runs, a sweep-mode corpus
 run through the CLI and one crafted run is pinned by sha256, and these
@@ -54,7 +54,9 @@ from qcs_sim.packet import PacketKind, decode, encode
 from qcs_sim.record import (
     NOTES, BaseListening, BaseReceipt, Death, HopAttempt, PacketEvent, ResetStep, Sense,
 )
-from qcs_sim.scenario import SenseEvent, load_scenario, parse_scenario, sweep_scenario
+from qcs_sim.scenario import (
+    Scenario, SenseEvent, load_scenario, parse_scenario, sweep_scenario,
+)
 
 from conftest import GRID, ledger_csv_reference, make_scenario, random_connected_topology
 from test_golden import (
@@ -133,44 +135,7 @@ def wire_built(monkeypatch):
     return built
 
 
-@pytest.fixture
-def isolation_oracle(monkeypatch):
-    """Check every isolation verdict the engine reads against the
-    stateful rule the engine once kept: a node fires when its two-tick
-    window is empty and was not at its previous check, with the window
-    state noted at every check and forgotten by reset_node.  Each live,
-    unflagged sensor of a call is one verdict: whether the call returned
-    it.  Counts the verdicts by value."""
-    # id(node) -> (node, whether its window was non-empty at its last
-    # check); holding the node keeps its id from being reused
-    had_neighbors = {}
-    verdicts = Counter()
-    derived_check, derived_reset = engine.isolation_check, engine.reset_node
-
-    def check(nodes, tick):
-        picked = derived_check(nodes, tick)
-        chosen = set(map(id, picked))
-        for n in nodes:
-            if n.energy <= 0 or n.flag1:
-                continue
-            empty = n.heard_tick < tick - 1
-            want = empty and had_neighbors.get(id(n), (n, False))[1]
-            had_neighbors[id(n)] = (n, not empty)
-            fire = id(n) in chosen
-            assert fire == want, (n.node_id, tick, n.heard_tick)
-            verdicts[fire] += 1
-        return picked
-
-    def reset(n):
-        derived_reset(n)
-        had_neighbors[id(n)] = (n, False)
-
-    monkeypatch.setattr(engine, "isolation_check", check)
-    monkeypatch.setattr(engine, "reset_node", reset)
-    return verdicts
-
-
-def _random_run(rng: random.Random) -> Simulation:
+def _random_scenario(rng: random.Random) -> Scenario:
     topo = random_connected_topology(rng, n_max=20)
     sensors = topo.sensor_ids()
     horizon = rng.randint(30, 60)
@@ -181,17 +146,21 @@ def _random_run(rng: random.Random) -> Simulation:
     lo = rng.randint(20, 60)
     costs = CostModel(threshold=rng.randrange(lo), init_min=lo,
                       init_max=rng.randint(lo, 60))
-    sc = make_scenario(topo, seed=rng.randrange(10_000), horizon=horizon,
-                       loss_prob=rng.uniform(0.0, 0.3), events=events, costs=costs)
-    sim = Simulation(sc)
-    sim.run()
-    return sim
+    return make_scenario(topo, seed=rng.randrange(10_000), horizon=horizon,
+                         loss_prob=rng.uniform(0.0, 0.3), events=events, costs=costs)
+
+
+def _random_scenarios():
+    rng = random.Random(311)
+    for _ in range(RUNS):
+        yield _random_scenario(rng)
 
 
 def _random_runs():
-    rng = random.Random(311)
-    for _ in range(RUNS):
-        yield _random_run(rng)
+    for sc in _random_scenarios():
+        sim = Simulation(sc)
+        sim.run()
+        yield sim
 
 
 def test_invariants_hold_on_random_runs(wire_built):
@@ -522,25 +491,6 @@ def test_records_hold_no_text(tmp_path, monkeypatch):
     assert {type(r) for t in traces for r in t.records} == set(kinds)
 
 
-def test_isolation_verdict_matches_the_stateful_rule(tmp_path, isolation_oracle):
-    """isolation_check reads its verdict off heard_tick alone; on the
-    random runs and the golden runs it agrees, call for call, with the
-    rule that kept a had-neighbours flag on each node."""
-    for _ in _random_runs():
-        pass
-    random_verdicts = +isolation_oracle
-    run16 = default16_scenario_text(seed=7, horizon=20,
-                                    events=((2, 10, 70), (5, 4, 95)))
-    assert _reports(tmp_path / "run16", _write(tmp_path, run16)) == GOLDEN_RUN16
-    assert _reports(tmp_path / "sweep", REPO / "scenarios" / "default16.scn",
-                    "--sweep", "13,12,15,2,14,8,9") == GOLDEN_SWEEP16
-    grid = _write(tmp_path, _grid225_text())
-    assert _reports(tmp_path / "grid", grid) == GOLDEN_GRID225
-    # both kinds of verdict were checked, on the random runs and the grid
-    assert random_verdicts[True] and random_verdicts[False]
-    assert isolation_oracle[True] > random_verdicts[True]
-
-
 def test_golden_runs_build_only_wire_exact_packets(tmp_path, wire_built):
     """The golden runs' reports, with every packet checked on the wire."""
     run16 = default16_scenario_text(seed=7, horizon=20,
@@ -635,7 +585,8 @@ def _pocket_topology(rng: random.Random) -> tuple[Topology, list[int]]:
         return pocket, ids
 
 
-def _pocket_runs():
+def _pocket_scenarios():
+    """The POCKET_RUNS pocket scenarios, each with its chain's ids."""
     rng = random.Random(1611)
     for _ in range(POCKET_RUNS):
         topo, chain = _pocket_topology(rng)
@@ -647,8 +598,13 @@ def _pocket_runs():
         lo = rng.randint(20, 200)
         costs = CostModel(threshold=rng.randrange(min(lo, 30)), init_min=lo,
                           init_max=rng.randint(lo, 200))
-        sc = make_scenario(topo, seed=rng.randrange(10_000), horizon=rng.randint(30, 60),
-                           loss_prob=rng.uniform(0.0, 0.3), events=events, costs=costs)
+        yield make_scenario(topo, seed=rng.randrange(10_000), horizon=rng.randint(30, 60),
+                            loss_prob=rng.uniform(0.0, 0.3), events=events,
+                            costs=costs), chain
+
+
+def _pocket_runs():
+    for sc, chain in _pocket_scenarios():
         sim = Simulation(sc)
         sim.run()
         yield sim, chain
@@ -677,15 +633,19 @@ def test_no_incident_runs_more_rounds_than_attempt_cap():
     assert capped_on_handover
 
 
-def _golden_traces():
-    """The traces of the golden runs: run16, the paper sweep's seven runs
-    and grid225."""
-    run16 = default16_scenario_text(seed=7, horizon=20, events=((2, 10, 70), (5, 4, 95)))
-    yield Simulation(parse_scenario(run16)).run()
+def _golden_scenarios():
+    """The golden runs: run16, the paper sweep's seven runs and grid225."""
+    yield parse_scenario(default16_scenario_text(seed=7, horizon=20,
+                                                 events=((2, 10, 70), (5, 4, 95))))
     paper = load_scenario(REPO / "scenarios" / "default16.scn")
     for i, nid in enumerate((13, 12, 15, 2, 14, 8, 9), start=1):
-        yield Simulation(sweep_scenario(paper, i, nid)).run()
-    yield Simulation(parse_scenario(_grid225_text())).run()
+        yield sweep_scenario(paper, i, nid)
+    yield parse_scenario(_grid225_text())
+
+
+def _golden_traces():
+    for sc in _golden_scenarios():
+        yield Simulation(sc).run()
 
 
 def test_each_closed_incident_records_its_close_tick():
@@ -708,129 +668,6 @@ def test_each_closed_incident_records_its_close_tick():
                 assert rec.close_tick == rec.hops[-1].tick, rec
     # open incidents, and closes for every reason
     assert set(reasons) == {"", "delivered", "escalated", "holder_died", "hop_cap", "base_reset"}
-
-
-@pytest.fixture
-def live_actors(monkeypatch):
-    """Check that no dead node acts, is reset, is reported isolated or
-    swaps its role, that no regular query in the record comes from a
-    sensor after its death, and that after every step the simulation's
-    sensor list holds exactly its live sensors, in id order.  Returns the
-    checked calls by name, and the checked queries as "regular"."""
-    calls = Counter()
-    sim_cls = engine.Simulation
-    step, step_regular = sim_cls.step, sim_cls.step_regular
-
-    def checked_step(sim):
-        dead = {nid for nid, n in sim.nodes.items() if n.energy <= 0}
-        start = len(sim.trace.records)
-        step(sim)
-        # a query's own send price may empty its sender: that Death comes
-        # before the query it paid for
-        emptied_by_send = set()
-        for r in sim.trace.records[start:]:
-            if type(r) is Death:
-                (emptied_by_send if r.cause == "query_send" else dead).add(r.node)
-            elif type(r) is PacketEvent and r.note == "regular":
-                assert r.src not in dead, r
-                if r.src in emptied_by_send:
-                    dead.add(r.src)
-                calls["regular"] += 1
-        live = [n for n in sim.nodes.values() if not n.is_base and n.energy > 0]
-        assert len(sim._sensors) == len(live)
-        assert all(a is b for a, b in zip(sim._sensors, live))
-        calls["step"] += 1
-
-    def acting(name, fn, node_of):
-        def act(*args):
-            n = node_of(*args)
-            assert n.energy > 0, (name, n.node_id)
-            calls[name] += 1
-            return fn(*args)
-        return act
-
-    def regular_run(sim, nodes):
-        # every sensor of the run is live when it is handed over; one that
-        # an earlier query of the run empties is skipped inside _broadcast
-        assert nodes and all(not n.is_base and n.energy > 0 for n in nodes), nodes
-        calls["step_regular"] += 1
-        return step_regular(sim, nodes)
-
-    monkeypatch.setattr(sim_cls, "step", checked_step)
-    monkeypatch.setattr(sim_cls, "step_regular", regular_run)
-    for name in ("run_petrol_flow", "run_irregular_transfer"):
-        monkeypatch.setattr(sim_cls, name, acting(name, getattr(sim_cls, name),
-                                                  lambda sim, n: n))
-    monkeypatch.setattr(engine, "reset_node", acting(
-        "reset_node", engine.reset_node, lambda n: n))
-    isolation_check, tick_transition = engine.isolation_check, engine.tick_transition
-
-    def isolated(nodes, tick):
-        picked = isolation_check(nodes, tick)
-        assert all(n.energy > 0 for n in picked), picked
-        calls["isolation_check"] += 1
-        return picked
-
-    def swapped(nodes, tick):
-        roles = [n.role for n in nodes]
-        tick_transition(nodes, tick)
-        assert all(n.energy > 0 for n, r in zip(nodes, roles) if n.role != r)
-        calls["tick_transition"] += 1
-
-    monkeypatch.setattr(engine, "isolation_check", isolated)
-    monkeypatch.setattr(engine, "tick_transition", swapped)
-    return calls
-
-
-def test_dead_sensors_never_act(tmp_path, live_actors):
-    died = 0
-    for sim in _random_runs():
-        died += len(sim.trace.deaths)
-    for sim, _ in _pocket_runs():
-        died += len(sim.trace.deaths)
-    run16 = default16_scenario_text(seed=7, horizon=20,
-                                    events=((2, 10, 70), (5, 4, 95)))
-    assert _reports(tmp_path / "run16", _write(tmp_path, run16)) == GOLDEN_RUN16
-    assert _reports(tmp_path / "sweep", REPO / "scenarios" / "default16.scn",
-                    "--sweep", "13,12,15,2,14,8,9") == GOLDEN_SWEEP16
-    grid = _write(tmp_path, _grid225_text())
-    assert _reports(tmp_path / "grid", grid) == GOLDEN_GRID225
-    # the runs lose sensors, and every checked routine was called
-    assert died
-    assert all(live_actors[name] for name in (
-        "step", "step_regular", "regular", "run_petrol_flow", "run_irregular_transfer",
-        "isolation_check", "tick_transition", "reset_node"))
-
-
-def test_flagged_sensors_hear_only_flag1_broadcasts(monkeypatch):
-    """A sensor with flag1 raised is busy forwarding: it ignores the
-    flag-clear regular query but is billed for each hop query, flood and
-    alert it hears.  Each call's flagged candidates, over all its
-    senders, are read before it goes out, and their rows after it ends.
-    The regular query yields no hearer to its caller; the flag1
-    broadcasts yield theirs."""
-    broadcast = engine.Simulation._broadcast
-    billed, flagged_listeners, sends, yields = Counter(), Counter(), Counter(), Counter()
-
-    def spy(sim, note, senders, candidates, hop=0):
-        candidates = {s.node_id: list(candidates[s.node_id]) for s in senders}
-        flagged = {n.node_id for heard in candidates.values() for n in heard
-                   if n.flag1 and not n.is_base}
-        start = len(sim.ledger.entries)
-        sends[note] += 1
-        for nb in broadcast(sim, note, senders, candidates, hop):
-            yields[note] += 1
-            yield nb
-        flagged_listeners[note] += len(flagged)
-        billed.update(e.cause for e in sim.ledger.entries[start:] if e.node_id in flagged)
-
-    monkeypatch.setattr(engine.Simulation, "_broadcast", spy)
-    for _ in _random_runs():
-        pass
-    assert flagged_listeners["regular"]  # flagged sensors sat within a query's range
-    assert set(billed) == {"hop_query_recv", "flood_recv", "alert_recv"}
-    assert sends["regular"] and yields["regular"] == 0
-    assert all(yields[note] for note in ("hop_query", "flood", "alert"))
 
 
 def test_no_dead_node_answers_a_hop_query():
@@ -864,18 +701,23 @@ def _scenario_text(topo: Topology, costs: CostModel, seed: int, horizon: int,
     ])
 
 
-def _sweep_corpus(tmp_path):
-    """Run the CLI's sweep mode over 2-4 sensors of each of SWEEPS random
-    connected layouts, with small batteries and loss; yield each call's
-    output directory."""
+def _sweep_calls():
+    """(scenario text, sweep ids) of each of SWEEPS sweep-mode calls: 2-4
+    sensors of a random connected layout, with small batteries and loss."""
     rng = random.Random(2711)
-    for i in range(SWEEPS):
+    for _ in range(SWEEPS):
         topo = random_connected_topology(rng, n_max=16)
         ids = rng.sample(topo.sensor_ids(), rng.randint(2, 4))
         lo = rng.randint(10, 40)
         costs = CostModel(threshold=rng.randrange(lo), init_min=lo, init_max=rng.randint(lo, 40))
-        text = _scenario_text(topo, costs, rng.randrange(10_000), rng.randint(10, 30),
-                              rng.choice((0, 0.05, 0.1, 0.2)))
+        yield _scenario_text(topo, costs, rng.randrange(10_000), rng.randint(10, 30),
+                             rng.choice((0, 0.05, 0.1, 0.2))), ids
+
+
+def _sweep_corpus(tmp_path):
+    """Run the CLI's sweep mode on each of _sweep_calls; yield each call's
+    output directory."""
+    for i, (text, ids) in enumerate(_sweep_calls()):
         out = tmp_path / f"sweep{i}"
         out.mkdir()
         path = _write(out, text)
